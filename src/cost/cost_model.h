@@ -41,7 +41,15 @@ class CostModel {
       : estimator_(stats, params.use_pair_statistics), params_(params) {}
 
   /// \brief Cost of one CQ as a selectivity-ordered index nested-loop join
-  /// (mirrors engine::Evaluator's plan).
+  /// in the engine's static greedy order (engine::Evaluator::AtomOrder),
+  /// from statistics rather than index counts. The engine departs from
+  /// that order per binding on cyclic joins: where two atoms would both
+  /// bind a variable a third one needs, it opens the one with the fewest
+  /// exact matches, and it opens a fully bound atom as soon as it can
+  /// (DESIGN.md §9). The model keeps the static order: on such joins it
+  /// can overestimate what the engine pays (a skewed triangle's static
+  /// order scans the sum of squared degrees), and the departure never
+  /// moves GCov's choice of cover.
   double CostCq(const query::Cq& q) const;
 
   /// \brief Cost of a UCQ: member costs + per-member overhead + union

@@ -1,6 +1,7 @@
 #include "engine/evaluator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -44,6 +45,67 @@ rdf::TermId Resolve(const QTerm& t, const std::vector<rdf::TermId>& bindings) {
   return v == kUnbound ? storage::kAny : v;
 }
 
+// The join plan of one CQ: the greedy static order, plus each atom's
+// variables as a bitmask for the per-binding expansion choice
+// (ChooseAtDepth). Masks are 64 bits wide, so a CQ with more than 64 atoms
+// or variables keeps the static order at every depth; so does one with
+// fewer than three atoms, where no depth can have two expansions, and one
+// whose static order never departs (OrderAtoms).
+struct JoinPlan {
+  std::vector<int> order;
+  std::vector<uint64_t> vars;
+  bool dynamic = false;
+};
+
+// One depth's decision (see ChooseAtDepth).
+struct DepthChoice {
+  int atom;             // the atom to open, or -1 when expansions compete
+  uint64_t candidates;  // the competing expansions, when atom is -1
+};
+
+// What a dynamic plan's join opens at the depth whose already-open atoms
+// are `open` (a bitmask over q's body): one atom, or — when `atom` is -1 —
+// whichever of the competing expansions in `candidates` has the fewest
+// matches under the current bindings. It depends only on which atoms are
+// open, never on their values, so the join memoizes it per depth. The
+// remaining atoms classify by the variables the open ones bound:
+//   - a filter has every variable bound; the first one (in static order)
+//     opens next, since it binds nothing new;
+//   - an expansion shares a bound variable and binds one that another
+//     remaining atom uses; two or more of them compete;
+//   - anything else (dangling or unconnected) never competes.
+// Otherwise the first remaining atom in static order opens, which is the
+// static order itself as long as no earlier depth departed from it.
+DepthChoice ChooseAtDepth(const JoinPlan& plan, uint64_t open) {
+  if (open == 0) return {plan.order[0], 0};
+  uint64_t bound = 0;
+  uint64_t once = 0;
+  uint64_t twice = 0;  // variables of two or more remaining atoms
+  for (int a : plan.order) {
+    const uint64_t vars = plan.vars[static_cast<size_t>(a)];
+    if ((open >> a) & 1) {
+      bound |= vars;
+    } else {
+      twice |= once & vars;
+      once |= vars;
+    }
+  }
+  int first = -1;
+  uint64_t expansions = 0;
+  for (int a : plan.order) {
+    if ((open >> a) & 1) continue;
+    if (first < 0) first = a;
+    const uint64_t vars = plan.vars[static_cast<size_t>(a)];
+    const uint64_t unbound = vars & ~bound;
+    if (unbound == 0) return {a, 0};  // filter
+    if ((vars & bound) != 0 && (unbound & twice) != 0) {
+      expansions |= uint64_t{1} << a;
+    }
+  }
+  if (std::popcount(expansions) >= 2) return {-1, expansions};
+  return {first, 0};
+}
+
 // Greedy join order: start from the atom with the smallest index-estimated
 // match count (variables wildcarded), then repeatedly append the
 // smallest-count atom connected to the already-ordered ones. Counts come
@@ -51,9 +113,12 @@ rdf::TermId Resolve(const QTerm& t, const std::vector<rdf::TermId>& bindings) {
 // never re-count; each atom's variables are computed once up front (flat
 // vectors probed against a bound bitmap) instead of a std::set rebuilt
 // inside the O(n²) selection loop.
-std::vector<int> OrderAtoms(const ScanCache& cache, const Cq& q) {
+JoinPlan OrderAtoms(const ScanCache& cache, const Cq& q) {
   const std::vector<Atom>& body = q.body();
   const int n = static_cast<int>(body.size());
+  JoinPlan plan;
+  plan.dynamic = n >= 3 && n <= 64 && q.num_vars() <= 64;
+  if (plan.dynamic) plan.vars.assign(n, 0);
   std::vector<uint64_t> base(n);
   std::vector<std::vector<VarId>> atom_vars(n);
   for (int i = 0; i < n; ++i) {
@@ -66,8 +131,11 @@ std::vector<int> OrderAtoms(const ScanCache& cache, const Cq& q) {
                   : cache.CountMatches(s, p, o);
     const std::set<VarId> vars = Cq::AtomVars(body[i]);
     atom_vars[i].assign(vars.begin(), vars.end());
+    if (plan.dynamic) {
+      for (VarId v : vars) plan.vars[i] |= uint64_t{1} << v;
+    }
   }
-  std::vector<int> order;
+  std::vector<int>& order = plan.order;
   order.reserve(n);
   std::vector<bool> used(n, false);
   std::vector<char> bound(q.num_vars(), 0);
@@ -93,7 +161,44 @@ std::vector<int> OrderAtoms(const ScanCache& cache, const Cq& q) {
     order.push_back(best);
     for (VarId v : atom_vars[best]) bound[v] = 1;
   }
-  return order;
+  // A plan that never departs from the static order along its static
+  // prefixes opens that order for every binding (a departure can only
+  // start at such a prefix), so it skips the per-open choice entirely.
+  if (plan.dynamic) {
+    uint64_t open = 0;
+    bool departs = false;
+    for (int d = 1; d < n && !departs; ++d) {
+      open |= uint64_t{1} << order[d - 1];
+      departs = ChooseAtDepth(plan, open).atom != order[d];
+    }
+    plan.dynamic = departs;
+  }
+  return plan;
+}
+
+// The exact match count of an atom's pattern under `bindings`, which
+// depends only on the visible triples the pattern matches: the per-binding
+// choice rests on it, so every evaluation over the same visible set — a
+// cold one, a cached view's fill, either side of a Compact — chooses
+// alike (DESIGN.md §9). An interval atom sums the exact counts of its
+// interval's ids, because CountIntervalMatches widens the shapes no
+// clustered order serves contiguously.
+size_t CountBound(const storage::TripleSource& source, const Atom& atom,
+                  const std::vector<rdf::TermId>& bindings) {
+  const rdf::TermId s = Resolve(atom.s, bindings);
+  const rdf::TermId p = Resolve(atom.p, bindings);
+  const rdf::TermId o = Resolve(atom.o, bindings);
+  if (!atom.has_range()) return source.CountMatches(s, p, o);
+  const bool on_p = atom.range_pos == Atom::kRangeP;
+  size_t count = 0;
+  // Enumerates the encoded interval's member ids, which are contiguous.
+  // rdfref-check: allow(termid-arith)
+  for (rdf::TermId id = atom.range_lo(); id <= atom.range_hi; ++id) {
+    count += on_p ? source.CountMatches(s, id, o)
+                  : source.CountMatches(s, p, id);
+    if (id == atom.range_hi) break;  // range_hi may be the largest id
+  }
+  return count;
 }
 
 // Labels a cover fragment with the indexes its atoms occupy in q's body,
@@ -158,18 +263,25 @@ Status UcqDeadlineError(size_t evaluated, size_t total) {
       std::to_string(total) + " reformulation CQs");
 }
 
-// One open atom of the iterative binding-stack join: the contiguous range
-// being iterated (zero-copy for range-capable sources, else owned by the
-// frame's cursor buffer, which is reused across re-openings at the same
-// depth), the iteration position, and the undo record of the variables the
-// current row bound.
+// One open atom of the iterative binding-stack join: which atom of the
+// body it is, the contiguous range being iterated (zero-copy for
+// range-capable sources, else owned by the frame's cursor buffer, which is
+// reused across re-openings at the same depth), the iteration position,
+// and the undo record of the variables the current row bound.
 struct RDFREF_BORROWS_FROM(source, cursor) JoinFrame {
+  int atom = -1;
+  uint64_t open = 0;  // atoms opened at shallower depths (bitmask)
+  // ChooseAtDepth's decision for the open set `choice_for` (no open set
+  // has every bit set, so the initial value never matches).
+  uint64_t choice_for = ~uint64_t{0};
+  DepthChoice choice{-1, 0};
   std::span<const rdf::Triple> range;
   size_t pos = 0;
   storage::PatternCursor cursor;
-  // Carried across re-openings at this depth: the outer range is iterated
-  // in index order, so successive inner prefixes are non-decreasing and
-  // the source can gallop from the previous position (see RangeHint).
+  // Carried across re-openings of the same atom at this depth: the outer
+  // range is iterated in index order, so successive inner prefixes are
+  // non-decreasing and the source can gallop from the previous position
+  // (see RangeHint).
   storage::RangeHint hint;
   VarId newly[3];
   int num_new = 0;
@@ -188,15 +300,55 @@ void Evaluator::set_threads(int threads) {
 
 std::vector<int> Evaluator::AtomOrder(const query::Cq& q) const {
   ScanCache cache(store_);
-  return OrderAtoms(cache, q);
+  return OrderAtoms(cache, q).order;
 }
 
 std::string Evaluator::ExplainCq(const Cq& q) const {
+  ScanCache cache(store_);
+  const JoinPlan plan = OrderAtoms(cache, q);
   std::ostringstream out;
-  std::vector<int> order = AtomOrder(q);
   out << "CQ plan (index nested-loop join):\n";
-  for (size_t depth = 0; depth < order.size(); ++depth) {
-    const Atom& atom = q.body()[order[depth]];
+  // Every open-atom set the join can reach before this depth, walked with
+  // the join's own ChooseAtDepth: a depth decided per binding lists every
+  // atom it may open, and so does each later depth that inherits the
+  // choice.
+  std::vector<uint64_t> reach = {0};
+  for (size_t depth = 0; depth < plan.order.size(); ++depth) {
+    std::vector<int> atoms;
+    bool compete = false;
+    if (!plan.dynamic) {
+      atoms.push_back(plan.order[depth]);
+    } else {
+      std::vector<uint64_t> next;
+      uint64_t may_open = 0;
+      for (uint64_t open : reach) {
+        const DepthChoice c = ChooseAtDepth(plan, open);
+        compete = compete || c.atom < 0;
+        const uint64_t opens =
+            c.atom >= 0 ? uint64_t{1} << c.atom : c.candidates;
+        may_open |= opens;
+        for (uint64_t rest = opens; rest != 0; rest &= rest - 1) {
+          next.push_back(open | (rest & ~(rest - 1)));
+        }
+      }
+      std::sort(next.begin(), next.end());
+      next.erase(std::unique(next.begin(), next.end()), next.end());
+      reach = std::move(next);
+      for (int a : plan.order) {
+        if ((may_open >> a) & 1) atoms.push_back(a);
+      }
+    }
+    out << "  " << (depth == 0 ? "scan " : "probe") << " ";
+    if (atoms.size() > 1) {
+      for (size_t i = 0; i < atoms.size(); ++i) {
+        out << (i == 0 ? "t" : "|t") << atoms[i];
+      }
+      out << "  (per binding: "
+          << (compete ? "fewest matches" : "follows the choice above")
+          << ")\n";
+      continue;
+    }
+    const Atom& atom = q.body()[static_cast<size_t>(atoms[0])];
     rdf::TermId s = atom.s.is_var ? storage::kAny : atom.s.term();
     rdf::TermId p = atom.p.is_var ? storage::kAny : atom.p.term();
     rdf::TermId o = atom.o.is_var ? storage::kAny : atom.o.term();
@@ -205,8 +357,7 @@ std::string Evaluator::ExplainCq(const Cq& q) const {
             ? store_->CountIntervalMatches(s, p, o, atom.range_pos,
                                            atom.range_hi)
             : store_->CountMatches(s, p, o);
-    out << "  " << (depth == 0 ? "scan " : "probe") << " t"
-        << order[depth] << "  (~" << count << " index matches unbound"
+    out << "t" << atoms[0] << "  (~" << count << " index matches unbound"
         << (atom.has_range() ? ", interval" : "") << ")\n";
   }
   return out.str();
@@ -237,7 +388,7 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
   const std::vector<Atom>& body = q.body();
   if (body.empty()) return true;
   if (cancel.ShouldStop()) return false;
-  const std::vector<int> order = OrderAtoms(*cache, q);
+  const JoinPlan plan = OrderAtoms(*cache, q);
   std::vector<rdf::TermId> bindings(q.num_vars(), kUnbound);
   // Resource-constrained variables (reformulation rules 3/7) reject
   // literal bindings: a literal cannot be the subject of an entailed
@@ -253,17 +404,58 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
   constexpr size_t kCancelStride = 1024;
   size_t steps = 0;
 
-  const size_t num_atoms = order.size();
+  const size_t num_atoms = plan.order.size();
   const size_t head_arity = q.head().size();
   std::vector<JoinFrame> frames(num_atoms);
 
-  // Opens frame d: resolves its atom's pattern under the current bindings
-  // and binds the frame's range. Depth-0 patterns with no residual go
-  // through the shared cache (they are identical across sibling members of
-  // a reformulation union); inner patterns depend on the outer bindings
-  // and use the frame's reusable cursor.
+  // A static plan's frames hold their atoms for the whole evaluation.
+  if (!plan.dynamic) {
+    for (size_t d = 0; d < num_atoms; ++d) frames[d].atom = plan.order[d];
+  }
+
+  // A dynamic plan picks frame f's atom when it opens: ChooseAtDepth's
+  // decision for the open set, or among competing expansions the one with
+  // the fewest matches under the current bindings (ties keep the static
+  // order).
+  auto choose_atom = [&](JoinFrame& f) -> int {
+    if (f.choice_for != f.open) {
+      f.choice = ChooseAtDepth(plan, f.open);
+      f.choice_for = f.open;
+    }
+    if (f.choice.atom >= 0) return f.choice.atom;
+    int best = -1;
+    size_t best_count = std::numeric_limits<size_t>::max();
+    for (int a : plan.order) {
+      if (((f.choice.candidates >> a) & 1) == 0) continue;
+      const size_t count =
+          CountBound(*store_, body[static_cast<size_t>(a)], bindings);
+      if (count < best_count) {
+        best = a;
+        best_count = count;
+        if (count == 0) break;
+      }
+    }
+    return best;
+  };
+
+  // Opens frame d: picks its atom (dynamic plans), resolves the atom's
+  // pattern under the current bindings and binds the frame's range.
+  // Depth-0 patterns with no residual go through the shared cache (they
+  // are identical across sibling members of a reformulation union); inner
+  // patterns depend on the outer bindings and use the frame's reusable
+  // cursor.
   auto open_frame = [&](size_t d) {
-    const Atom& atom = body[order[d]];
+    JoinFrame& f = frames[d];
+    if (plan.dynamic) {
+      if (d > 0) {
+        const JoinFrame& outer = frames[d - 1];
+        f.open = outer.open | (uint64_t{1} << outer.atom);
+      }
+      const int chosen = choose_atom(f);
+      if (chosen != f.atom) f.hint = storage::RangeHint();
+      f.atom = chosen;
+    }
+    const Atom& atom = body[static_cast<size_t>(f.atom)];
     const rdf::TermId ps = Resolve(atom.s, bindings);
     const rdf::TermId pp = Resolve(atom.p, bindings);
     const rdf::TermId po = Resolve(atom.o, bindings);
@@ -276,7 +468,6 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
                       atom.s.var() == atom.o.var() && ps == storage::kAny;
     residual.p_eq_o = atom.p.is_var && atom.o.is_var &&
                       atom.p.var() == atom.o.var() && pp == storage::kAny;
-    JoinFrame& f = frames[d];
     f.pos = 0;
     f.num_new = 0;
     if (atom.has_range()) {
@@ -302,8 +493,8 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
   // recheck is kept as the single source of truth) and the resource-only
   // constraint.
   auto bind_row = [&](size_t d, const rdf::Triple& t) -> bool {
-    const Atom& atom = body[order[d]];
     JoinFrame& f = frames[d];
+    const Atom& atom = body[static_cast<size_t>(f.atom)];
     auto bind = [&](const QTerm& qt, rdf::TermId value) -> bool {
       if (!qt.is_var) return true;  // matched by the scan pattern
       rdf::TermId& slot = bindings[qt.var()];

@@ -46,7 +46,11 @@ struct JucqProfile {
 ///   indexed triple table). The join is an iterative binding-stack loop
 ///   over contiguous triple ranges (TryGetRange / ScanInto), appending
 ///   head tuples straight into a columnar Table arena — no std::function
-///   recursion, no per-row heap allocation.
+///   recursion, no per-row heap allocation. Its order is fixed up front
+///   (AtomOrder) except on cyclic joins: at a depth where two atoms would
+///   both bind a variable another atom needs, it opens, per binding, the
+///   one whose bound pattern has the fewest exact matches, and a fully
+///   bound atom opens as soon as it can (DESIGN.md §9).
 /// - Each UCQ/JUCQ evaluation shares one ScanCache across its members and
 ///   fragments: pattern cardinalities (the join-order inputs) and
 ///   materialized leaf scans are computed once per *distinct* bound
@@ -150,13 +154,15 @@ class Evaluator {
                              const Deadline& deadline,
                              JucqProfile* profile = nullptr) const;
 
-  /// \brief The greedy join order the engine will use for q's atoms
-  /// (indexes into q.body()) — exposed for plan inspection.
+  /// \brief The static greedy join order for q's atoms (indexes into
+  /// q.body()) — exposed for plan inspection. The engine follows it except
+  /// where ExplainCq shows a per-binding choice.
   std::vector<int> AtomOrder(const query::Cq& q) const;
 
   /// \brief Renders the physical plan of a CQ: the ordered index scans
   /// with their estimated match counts (demo step 3, "inspect the chosen
-  /// query plan").
+  /// query plan"). A depth the engine decides per binding lists every atom
+  /// it may open, e.g. `probe t1|t2  (per binding: fewest matches)`.
   std::string ExplainCq(const query::Cq& q) const;
 
   /// \brief Renders the JUCQ plan: per-fragment UCQ sizes and the

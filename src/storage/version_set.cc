@@ -248,6 +248,52 @@ size_t SnapshotSource::CountMatches(rdf::TermId s, rdf::TermId p,
   return count;
 }
 
+size_t SnapshotSource::CountIntervalMatches(rdf::TermId s, rdf::TermId p,
+                                            rdf::TermId o, int range_pos,
+                                            rdf::TermId hi) const {
+  // Overlays are probed with the ranged position widened, as in
+  // TryGetIntervalRange; only the triples inside the interval count.
+  const bool on_p = range_pos == 1;
+  const rdf::TermId wp = on_p ? kAny : p;
+  const rdf::TermId wo = on_p ? o : kAny;
+  std::span<const rdf::Triple> range;
+  if (!version_->base->TryGetIntervalRange(s, p, o, range_pos, hi, &range)) {
+    return CountMatches(s, wp, wo);  // no order keeps this shape contiguous
+  }
+  const rdf::TermId lo = on_p ? p : o;
+  auto in_interval = [&](const rdf::Triple& t) {
+    const rdf::TermId v = on_p ? t.p : t.o;
+    return MatchesPattern(t, s, wp, wo) && v >= lo && v <= hi;
+  };
+  size_t count = range.size();
+  if (version_->RunsMayAdd(s, wp, wo) || version_->RunsMayRemove(s, wp, wo)) {
+    for (const auto& run : version_->runs) {
+      // Every generation is a Store, so a shape the base serves
+      // contiguously is contiguous in each run's adds too.
+      if (run->MayAddMatch(s, wp, wo) &&
+          run->adds().TryGetIntervalRange(s, p, o, range_pos, hi, &range)) {
+        count += range.size();
+      }
+      if (run->MayRemoveMatch(s, wp, wo)) {
+        for (const rdf::Triple& t : run->removed()) {
+          if (in_interval(t)) --count;
+        }
+      }
+    }
+  }
+  if (!head_.added.empty() && head_.added_presence.MayMatch(s, wp, wo)) {
+    for (const rdf::Triple& t : head_.added) {
+      if (in_interval(t)) ++count;
+    }
+  }
+  if (!head_.removed.empty() && head_.removed_presence.MayMatch(s, wp, wo)) {
+    for (const rdf::Triple& t : head_.removed) {
+      if (in_interval(t)) --count;
+    }
+  }
+  return count;
+}
+
 std::vector<rdf::Triple> SnapshotSource::Materialize() const {
   std::vector<rdf::Triple> triples;
   ScanInto(kAny, kAny, kAny, &triples);  // already SPO-sorted (see ScanInto)

@@ -173,6 +173,15 @@ class SnapshotSource : public TripleSource {
   size_t CountMatches(rdf::TermId s, rdf::TermId p,
                       rdf::TermId o) const override;
 
+  /// \brief Interval count that depends only on the visible triple set,
+  /// never on how the overlays happen to lay it out (which decides whether
+  /// TryGetIntervalRange succeeds): exact when the base Store keeps the
+  /// interval's shape contiguous, otherwise the exact count of the widened
+  /// pattern. The engine's join choices rest on it (DESIGN.md §9), so a
+  /// Freeze or Compact never changes a plan.
+  size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                              int range_pos, rdf::TermId hi) const override;
+
   const rdf::Dictionary& dict() const RDFREF_LIFETIME_BOUND override {
     return version_->base->dict();
   }

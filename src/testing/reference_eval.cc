@@ -78,13 +78,86 @@ std::vector<int> ReferenceOrderAtoms(const storage::TripleSource& store,
   return order;
 }
 
-// The seed engine's recursive nested-loop join: one materialized row
-// vector per emitted head tuple.
+// The engine's per-binding expansion choice (DESIGN.md §9), re-derived
+// over std::set bookkeeping: which atom opens at `depth`, given the atoms
+// open so far and the current bindings. A filter (every variable bound)
+// opens first; two or more expansions (sharing a bound variable, binding
+// one that another remaining atom uses) compete on the exact match count
+// of their bound pattern, ties to the static order; otherwise the first
+// remaining atom in static order opens. CQs with fewer than three atoms,
+// or more than 64 atoms or variables (the engine's bitmask width), keep
+// the static order.
+int ReferenceChooseAtom(const storage::TripleSource& store, const Cq& q,
+                        const std::vector<std::set<VarId>>& atom_vars,
+                        const std::vector<int>& order,
+                        const std::vector<bool>& opened, size_t depth,
+                        const std::vector<rdf::TermId>& bindings) {
+  const std::vector<Atom>& body = q.body();
+  if (depth == 0 || body.size() < 3 || body.size() > 64 ||
+      q.num_vars() > 64) {
+    return order[depth];
+  }
+  std::vector<int> remaining;
+  std::set<VarId> bound;
+  for (int a : order) {
+    if (opened[a]) {
+      bound.insert(atom_vars[a].begin(), atom_vars[a].end());
+    } else {
+      remaining.push_back(a);
+    }
+  }
+  std::vector<int> expansions;
+  for (int a : remaining) {
+    bool shares = false;
+    bool feeds = false;
+    bool all_bound = true;
+    for (VarId v : atom_vars[a]) {
+      if (bound.contains(v)) {
+        shares = true;
+        continue;
+      }
+      all_bound = false;
+      for (int b : remaining) {
+        if (b != a && atom_vars[b].contains(v)) feeds = true;
+      }
+    }
+    if (all_bound) return a;
+    if (shares && feeds) expansions.push_back(a);
+  }
+  if (expansions.size() < 2) return remaining.front();
+  int best = -1;
+  size_t best_count = 0;
+  for (int a : expansions) {
+    const Atom& atom = body[a];
+    rdf::TermId s = Resolve(atom.s, bindings);
+    rdf::TermId p = Resolve(atom.p, bindings);
+    rdf::TermId o = Resolve(atom.o, bindings);
+    // Interval patterns are counted by scanning them: exact for every
+    // shape, where CountIntervalMatches may widen.
+    storage::PatternCursor cursor;
+    size_t count =
+        atom.has_range()
+            ? cursor.ResetInterval(store, s, p, o, atom.range_pos,
+                                   atom.range_hi).size()
+            : store.CountMatches(s, p, o);
+    if (best == -1 || count < best_count) {
+      best = a;
+      best_count = count;
+    }
+  }
+  return best;
+}
+
+// The seed engine's recursive nested-loop join, opening atoms by
+// ReferenceChooseAtom: one materialized row vector per emitted head tuple.
 void ReferenceEvaluateCqInto(const storage::TripleSource& store, const Cq& q,
                              std::vector<std::vector<rdf::TermId>>* out) {
   const std::vector<Atom>& body = q.body();
   if (body.empty()) return;
   std::vector<int> order = ReferenceOrderAtoms(store, q);
+  std::vector<std::set<VarId>> atom_vars;
+  for (const Atom& atom : body) atom_vars.push_back(Cq::AtomVars(atom));
+  std::vector<bool> opened(body.size(), false);
   std::vector<rdf::TermId> bindings(q.num_vars(), kUnbound);
   std::vector<char> resource_only(q.num_vars(), 0);
   for (VarId v : q.resource_vars()) resource_only[v] = 1;
@@ -104,7 +177,9 @@ void ReferenceEvaluateCqInto(const storage::TripleSource& store, const Cq& q,
       emit();
       return;
     }
-    const Atom& atom = body[order[depth]];
+    const int chosen = ReferenceChooseAtom(store, q, atom_vars, order, opened,
+                                           depth, bindings);
+    const Atom& atom = body[chosen];
     rdf::TermId ps = Resolve(atom.s, bindings);
     rdf::TermId pp = Resolve(atom.p, bindings);
     rdf::TermId po = Resolve(atom.o, bindings);
@@ -125,7 +200,11 @@ void ReferenceEvaluateCqInto(const storage::TripleSource& store, const Cq& q,
         return slot == value;
       };
       bool ok = bind(atom.s, t.s) && bind(atom.p, t.p) && bind(atom.o, t.o);
-      if (ok) recurse(depth + 1);
+      if (ok) {
+        opened[chosen] = true;
+        recurse(depth + 1);
+        opened[chosen] = false;
+      }
       for (int k = 0; k < num_new; ++k) bindings[newly[k]] = kUnbound;
     };
     if (atom.has_range()) {

@@ -25,12 +25,14 @@ Divergence CompareBitForBit(const std::string& relation,
                             const rdf::Dictionary& dict);
 
 /// \brief Reference row-materializing evaluator: the pre-columnar engine,
-/// retained verbatim as an oracle. It runs the same greedy join order, but
-/// as a std::function-recursive index nested-loop join over per-triple Scan
+/// retained as an oracle. It runs the same join plan — the greedy static
+/// order, departed from where a filter is ready or expansions compete — but
+/// re-derives it over std::set bookkeeping and runs it as a
+/// std::function-recursive index nested-loop join over per-triple Scan
 /// callbacks, heap-allocating one row vector per emitted tuple and
-/// deduplicating through a set of row vectors — the exact algorithm the
-/// columnar batch engine replaced. Slow by design; its only job is to be
-/// obviously correct and independently derived.
+/// deduplicating through a set of row vectors — the algorithm the columnar
+/// batch engine replaced. Slow by design; its only job is to be obviously
+/// correct and independently derived.
 engine::Table ReferenceEvaluateCq(const storage::TripleSource& source,
                                   const query::Cq& q);
 

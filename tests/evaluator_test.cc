@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "query/cover.h"
 #include "query/sparql_parser.h"
 #include "rdf/graph.h"
 #include "rdf/vocab.h"
+#include "testing/reference_eval.h"
 
 namespace rdfref {
 namespace engine {
@@ -256,6 +260,34 @@ TEST_F(EvaluatorTest, ExplainCqRendersPlan) {
   EXPECT_NE(plan.find("scan"), std::string::npos);
   EXPECT_NE(plan.find("probe"), std::string::npos);
   EXPECT_NE(plan.find("index matches"), std::string::npos);
+
+  // A triangle: once t0 binds ?x and ?y, t1 and t2 both expand to ?z, so
+  // that depth is chosen per binding, and the last depth opens whichever
+  // of the two is left.
+  Cq triangle = Parse(
+      "SELECT ?x ?y ?z WHERE { ?x <http://ex/knows> ?y . "
+      "?y <http://ex/knows> ?z . ?x <http://ex/knows> ?z . }");
+  const std::string triangle_plan =
+      "CQ plan (index nested-loop join):\n"
+      "  scan  t0  (~3 index matches unbound)\n"
+      "  probe t1|t2  (per binding: fewest matches)\n"
+      "  probe t1|t2  (per binding: follows the choice above)\n";
+  EXPECT_EQ(eval.ExplainCq(triangle), triangle_plan);
+  // The JUCQ rendering inherits it for a single-fragment cover.
+  std::string jucq = eval.ExplainJucq(triangle, {triangle}, {Ucq({triangle})});
+  EXPECT_NE(jucq.find("      probe t1|t2  (per binding: fewest matches)\n"),
+            std::string::npos)
+      << jucq;
+
+  // A filter opens as soon as its variables are bound: here ?x and ?y,
+  // bound by t0, make t2 a filter ahead of the static order's t1.
+  Cq filtered = Parse(
+      "SELECT ?x ?y ?z WHERE { ?x <http://ex/knows> ?y . "
+      "?y <http://ex/knows> ?z . ?y <http://ex/knows> ?x . }");
+  std::string filtered_plan = eval.ExplainCq(filtered);
+  EXPECT_NE(filtered_plan.find("  probe t2  (~3"), std::string::npos)
+      << filtered_plan;
+  EXPECT_LT(filtered_plan.find("probe t2"), filtered_plan.find("probe t1"));
 }
 
 TEST_F(EvaluatorTest, ExplainJucqRendersFragments) {
@@ -300,6 +332,125 @@ TEST_F(EvaluatorTest, ExplainJucqIndentsEveryNestedPlanLine) {
   // No nested line may appear without its indent.
   EXPECT_EQ(plan.find("\nCQ plan"), std::string::npos);
   EXPECT_EQ(plan.find("\n  scan"), std::string::npos);
+}
+
+// Forwards to a store and counts the rows its lookups return, so a test
+// can bound the work a plan does instead of timing it.
+class RowCountingSource : public storage::TripleSource {
+ public:
+  explicit RowCountingSource(const storage::TripleSource* inner)
+      : inner_(inner) {}
+
+  void Scan(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+            const std::function<void(const rdf::Triple&)>& fn)  // rdfref-check: allow(std-function)
+      const override {
+    inner_->Scan(s, p, o, [&](const rdf::Triple& t) {
+      ++rows_;
+      fn(t);
+    });
+  }
+  bool TryGetRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                   std::span<const rdf::Triple>* out) const override {
+    if (!inner_->TryGetRange(s, p, o, out)) return false;
+    rows_ += out->size();
+    return true;
+  }
+  bool TryGetRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                         std::span<const rdf::Triple>* out,
+                         storage::RangeHint* hint) const override {
+    if (!inner_->TryGetRangeHinted(s, p, o, out, hint)) return false;
+    rows_ += out->size();
+    return true;
+  }
+  void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                std::vector<rdf::Triple>* out) const override {
+    inner_->ScanInto(s, p, o, out);
+    rows_ += out->size();
+  }
+  size_t CountMatches(rdf::TermId s, rdf::TermId p,
+                      rdf::TermId o) const override {
+    return inner_->CountMatches(s, p, o);
+  }
+  const rdf::Dictionary& dict() const override { return inner_->dict(); }
+
+  uint64_t TakeRows() {
+    const uint64_t rows = rows_;
+    rows_ = 0;
+    return rows;
+  }
+
+ private:
+  const storage::TripleSource* inner_;
+  mutable uint64_t rows_ = 0;
+};
+
+// SP2Bench's authorship skew on the coauthor-cites triangle. One hub
+// author wrote kHub papers, each citing the next; kCold authors wrote two
+// papers each, the first citing the second; unrelated citations make
+// cites the larger property. The static order therefore opens both
+// hasAuthor atoms first and pairs every hub paper with every other (about
+// kHub² rows) before checking a citation. Choosing per binding opens the
+// citation instead — one match against the hub's kHub — so every atom
+// order of the query scans a linear number of rows.
+TEST(EvaluatorSkewTest, TriangleOnHubAuthorScansLinearRows) {
+  constexpr int kHub = 300;
+  constexpr int kCold = 20;
+  rdf::Graph graph;
+  auto uri = [&](const std::string& name) {
+    return graph.dict().InternUri("http://ex/" + name);
+  };
+  const rdf::TermId has_author = uri("hasAuthor");
+  const rdf::TermId cites = uri("cites");
+  for (int i = 0; i < kHub; ++i) {
+    const rdf::TermId paper = uri("hub/" + std::to_string(i));
+    graph.Add(paper, has_author, uri("hub"));
+    if (i + 1 < kHub) {
+      graph.Add(paper, cites, uri("hub/" + std::to_string(i + 1)));
+    }
+  }
+  for (int k = 0; k < kCold; ++k) {
+    const std::string author = "cold" + std::to_string(k);
+    graph.Add(uri(author + "/0"), has_author, uri(author));
+    graph.Add(uri(author + "/1"), has_author, uri(author));
+    graph.Add(uri(author + "/0"), cites, uri(author + "/1"));
+  }
+  for (int j = 0; j < 2 * kHub; ++j) {
+    graph.Add(uri("other/" + std::to_string(j)), cites,
+              uri("other/" + std::to_string(j + 1)));
+  }
+  storage::Store store(graph);
+  RowCountingSource source(&store);
+  Evaluator eval(&source);
+
+  const std::string atoms[3] = {"?x <http://ex/hasAuthor> ?a . ",
+                                "?y <http://ex/hasAuthor> ?a . ",
+                                "?x <http://ex/cites> ?y . "};
+  int perm[3] = {0, 1, 2};
+  do {
+    const std::string text = "SELECT ?x ?y ?a WHERE { " + atoms[perm[0]] +
+                             atoms[perm[1]] + atoms[perm[2]] + "}";
+    auto q = query::ParseSparql(text, &graph.dict());
+    ASSERT_TRUE(q.ok()) << q.status();
+    source.TakeRows();
+    const Table got = eval.EvaluateCq(*q);
+    const uint64_t scanned = source.TakeRows();
+    EXPECT_EQ(got.NumRows(), static_cast<size_t>(kHub - 1 + kCold)) << text;
+    const Table want = rdfref::testing::ReferenceEvaluateCq(store, *q);
+    const rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
+        "skew", got, want, *q, graph.dict());
+    EXPECT_FALSE(d.found) << d.detail;
+    EXPECT_LT(scanned, static_cast<uint64_t>(10 * kHub)) << text;
+  } while (std::next_permutation(perm, perm + 3));
+
+  // The static order's first two depths on their own: every pair of hub
+  // papers, far beyond the bound above.
+  auto pairs = query::ParseSparql(
+      "SELECT ?x ?y ?a WHERE { " + atoms[0] + atoms[1] + "}", &graph.dict());
+  ASSERT_TRUE(pairs.ok()) << pairs.status();
+  source.TakeRows();
+  EXPECT_EQ(eval.EvaluateCq(*pairs).NumRows(),
+            static_cast<size_t>(kHub * kHub + 2 * 2 * kCold));
+  EXPECT_GT(source.TakeRows(), static_cast<uint64_t>(kHub * kHub));
 }
 
 }  // namespace
