@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
+#include <set>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "query/minimize.h"
 #include "rdf/vocab.h"
@@ -39,18 +44,29 @@ Atom SubstAtom(const Atom& a, VarId v, rdf::TermId c) {
   return out;
 }
 
-/// Dedup key over (atom, bindings).
-std::string MemberKey(const AtomReformulation& m) {
+/// Dedup key over (atom, bindings, resource restrictions). With `blank`
+/// set to Atom::kRangeP or kRangeO, the key leaves out that position's
+/// term, the interval and the resource restrictions: members sharing such a
+/// key differ at most there.
+std::string MemberKey(const AtomReformulation& m,
+                      uint8_t blank = Atom::kRangeNone) {
   std::string key;
   auto add = [&key](const QTerm& t) {
     key += t.is_var ? 'v' : 'c';
     key += std::to_string(t.id);
     key += ' ';
   };
+  auto add_at = [&](uint8_t pos, const QTerm& t) {
+    if (pos == blank) {
+      key += "* ";
+    } else {
+      add(t);
+    }
+  };
   add(m.atom.s);
-  add(m.atom.p);
-  add(m.atom.o);
-  if (m.atom.has_range()) {
+  add_at(Atom::kRangeP, m.atom.p);
+  add_at(Atom::kRangeO, m.atom.o);
+  if (blank == Atom::kRangeNone && m.atom.has_range()) {
     // An interval member and a classic member on the interval's low endpoint
     // must not collide.
     key += 'R';
@@ -67,6 +83,7 @@ std::string MemberKey(const AtomReformulation& m) {
     key += std::to_string(c);
     key += ' ';
   }
+  if (blank != Atom::kRangeNone) return key;
   std::vector<VarId> res = m.resource_vars;
   std::sort(res.begin(), res.end());
   for (VarId v : res) {
@@ -74,6 +91,168 @@ std::string MemberKey(const AtomReformulation& m) {
     key += std::to_string(v);
     key += ' ';
   }
+  return key;
+}
+
+/// True when `child` is the interval member rule 1 or 4 fused from the
+/// constant of `parent` itself. It then subsumes `parent`: the interval
+/// holds that constant, and those rules change nothing else.
+bool FusesOwnTerm(const Atom& parent, const AtomReformulation& child) {
+  if (!child.atom.has_range() || (child.rule != 1 && child.rule != 4)) {
+    return false;
+  }
+  const QTerm& at = child.atom.range_pos == Atom::kRangeP ? parent.p : parent.o;
+  return !at.is_var && at.term() >= child.atom.range_lo() &&
+         at.term() <= child.atom.range_hi;
+}
+
+/// One position of one union member, as subsumption pruning sees it: the
+/// member's key with that position blanked, the constant or interval the
+/// position holds, and the member's resource restrictions (sorted, named
+/// as in the key).
+struct Facet {
+  std::string key;
+  rdf::TermId lo = 0;
+  rdf::TermId hi = 0;  // == lo for a classic position
+  bool interval = false;
+  std::vector<VarId> resources;
+  size_t member = 0;
+};
+
+/// Subsumption pruning over a union: returns which members to drop. A
+/// member is dropped when, for one of its classic atoms, another member is
+/// equal to it except that this atom ranges over an interval holding the
+/// classic constant, and restricts a subset of its resource variables: that
+/// member returns a superset of its answers. A cover has one interval atom
+/// more than what it covers, so every chain of covers ends at a member that
+/// stays, and the union keeps its answers. `atoms_of(m)`
+/// lists member m's atoms; `key_of(m, i, pos, &resources)` renders m's key
+/// with position `pos` of its atom i blanked (bindings included) and fills
+/// m's resource restrictions named as in that key.
+template <typename AtomsFn, typename KeyFn>
+std::vector<bool> FindSubsumed(size_t num_members, const AtomsFn& atoms_of,
+                               const KeyFn& key_of) {
+  std::vector<bool> subsumed(num_members, false);
+  // The intervals each (atom index, position) carries anywhere in the
+  // union: a classic constant none of them holds costs no key.
+  std::map<std::pair<size_t, uint8_t>,
+           std::set<std::pair<rdf::TermId, rdf::TermId>>>
+      intervals;
+  for (size_t m = 0; m < num_members; ++m) {
+    const std::span<const Atom> atoms = atoms_of(m);
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      if (!atoms[i].has_range()) continue;
+      intervals[{i, atoms[i].range_pos}].emplace(atoms[i].range_lo(),
+                                                 atoms[i].range_hi);
+    }
+  }
+  if (intervals.empty()) return subsumed;
+  auto covered = [&](size_t i, uint8_t pos, const QTerm& t) {
+    if (t.is_var) return false;
+    auto it = intervals.find({i, pos});
+    if (it == intervals.end()) return false;
+    for (const auto& [lo, hi] : it->second) {
+      if (t.term() >= lo && t.term() <= hi) return true;
+    }
+    return false;
+  };
+  std::vector<Facet> facets;
+  for (size_t m = 0; m < num_members; ++m) {
+    const std::span<const Atom> atoms = atoms_of(m);
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      auto add = [&](uint8_t pos, rdf::TermId lo, rdf::TermId hi) {
+        Facet f;
+        f.key = key_of(m, i, pos, &f.resources);
+        f.lo = lo;
+        f.hi = hi;
+        f.interval = atoms[i].has_range();
+        f.member = m;
+        facets.push_back(std::move(f));
+      };
+      const Atom& a = atoms[i];
+      if (a.has_range()) {
+        add(a.range_pos, a.range_lo(), a.range_hi);
+        continue;
+      }
+      if (covered(i, Atom::kRangeP, a.p)) {
+        add(Atom::kRangeP, a.p.term(), a.p.term());
+      }
+      if (covered(i, Atom::kRangeO, a.o)) {
+        add(Atom::kRangeO, a.o.term(), a.o.term());
+      }
+    }
+  }
+  std::sort(facets.begin(), facets.end(),
+            [](const Facet& x, const Facet& y) { return x.key < y.key; });
+  for (size_t begin = 0, end = 0; begin < facets.size(); begin = end) {
+    end = begin + 1;
+    while (end < facets.size() && facets[end].key == facets[begin].key) ++end;
+    for (size_t c = begin; c < end; ++c) {
+      if (facets[c].interval) continue;
+      for (size_t f = begin; f < end; ++f) {
+        if (facets[f].interval && facets[c].lo >= facets[f].lo &&
+            facets[c].lo <= facets[f].hi &&
+            std::includes(facets[c].resources.begin(),
+                          facets[c].resources.end(),
+                          facets[f].resources.begin(),
+                          facets[f].resources.end())) {
+          subsumed[facets[c].member] = true;
+          break;
+        }
+      }
+    }
+  }
+  return subsumed;
+}
+
+/// Cq::CanonicalKey of `q` with position `pos` of atom `at` blanked, and
+/// that atom's interval and the resource restrictions left out;
+/// `resources` receives the restricted variables under the key's renaming.
+std::string BlankedCqKey(const Cq& q, size_t at, uint8_t pos,
+                         std::vector<VarId>* resources) {
+  std::unordered_map<VarId, VarId> renaming;
+  std::string key;
+  auto add = [&](const QTerm& t) {
+    if (t.is_var) {
+      auto it = renaming.emplace(t.var(), static_cast<VarId>(renaming.size()))
+                    .first;
+      key += 'v';
+      key += std::to_string(it->second);
+    } else {
+      key += 'c';
+      key += std::to_string(t.id);
+    }
+    key += ' ';
+  };
+  for (const QTerm& t : q.head()) add(t);
+  key += ":-";
+  for (size_t i = 0; i < q.body().size(); ++i) {
+    const Atom& a = q.body()[i];
+    const uint8_t blank = i == at ? pos : Atom::kRangeNone;
+    auto add_at = [&](uint8_t p, const QTerm& t) {
+      if (p == blank) {
+        key += "* ";
+      } else {
+        add(t);
+      }
+    };
+    add(a.s);
+    add_at(Atom::kRangeP, a.p);
+    add_at(Atom::kRangeO, a.o);
+    if (blank == Atom::kRangeNone && a.has_range()) {
+      key += 'R';
+      key += std::to_string(a.range_pos);
+      key += "..";
+      key += std::to_string(a.range_hi);
+    }
+    key += '.';
+  }
+  resources->clear();
+  for (VarId v : q.resource_vars()) {
+    auto it = renaming.find(v);
+    if (it != renaming.end()) resources->push_back(it->second);
+  }
+  std::sort(resources->begin(), resources->end());
   return key;
 }
 
@@ -289,6 +468,23 @@ std::vector<AtomReformulation> Reformulator::ReformulateAtom(
       }
     }
   }
+  // Every member has expanded, so dropping the subsumed ones now keeps
+  // their domain and range members; only their own output goes.
+  const std::vector<bool> subsumed = FindSubsumed(
+      result.size(),
+      [&](size_t m) { return std::span<const Atom>(&result[m].atom, 1); },
+      [&](size_t m, size_t, uint8_t pos, std::vector<VarId>* resources) {
+        *resources = result[m].resource_vars;
+        std::sort(resources->begin(), resources->end());
+        return MemberKey(result[m], pos);
+      });
+  size_t kept = 0;
+  for (size_t i = 0; i < result.size(); ++i) {
+    if (subsumed[i]) continue;
+    if (kept != i) result[kept] = std::move(result[i]);
+    ++kept;
+  }
+  result.resize(kept);
   return result;
 }
 
@@ -371,8 +567,14 @@ Result<Ucq> Reformulator::ReformulateByWorklist(const Cq& q) const {
   std::vector<Cq> result;
   std::unordered_set<std::string> seen;
   std::deque<size_t> worklist;
+  // A CQ that rule 1 or 4 rewrites into an interval over its own term is
+  // subsumed by that rewrite. It is released once expanded, so the budget
+  // bounds the CQs still held (`live`), which the output never exceeds.
+  std::vector<bool> released;
+  size_t live = 1;
 
   result.push_back(q);
+  released.push_back(false);
   seen.insert(q.CanonicalKey());
   worklist.push_back(0);
 
@@ -380,6 +582,7 @@ Result<Ucq> Reformulator::ReformulateByWorklist(const Cq& q) const {
   while (!worklist.empty()) {
     size_t idx = worklist.front();
     worklist.pop_front();
+    bool subsumed = false;
     const size_t num_atoms = result[idx].body().size();
     for (size_t i = 0; i < num_atoms; ++i) {
       AtomReformulation member;
@@ -387,6 +590,7 @@ Result<Ucq> Reformulator::ReformulateByWorklist(const Cq& q) const {
       step.clear();
       ApplyRules(result[idx], member, &step);
       for (const AtomReformulation& m : step) {
+        subsumed = subsumed || FusesOwnTerm(member.atom, m);
         Cq next = result[idx];
         Atom atom = m.atom;
         if (IsFresh(atom.s) || IsFresh(atom.o)) {
@@ -399,18 +603,43 @@ Result<Ucq> Reformulator::ReformulateByWorklist(const Cq& q) const {
         for (const auto& [v, c] : m.bindings) next.Substitute(v, c);
         std::string key = next.CanonicalKey();
         if (seen.insert(std::move(key)).second) {
-          if (result.size() >= options_.max_cqs) {
+          if (live >= options_.max_cqs) {
             return Status::ResourceExhausted(
                 "UCQ reformulation exceeds max_cqs = " +
                 std::to_string(options_.max_cqs));
           }
           result.push_back(std::move(next));
+          released.push_back(false);
+          ++live;
           worklist.push_back(result.size() - 1);
         }
       }
     }
+    if (subsumed) {
+      result[idx] = Cq();
+      released[idx] = true;
+      --live;
+    }
   }
-  return Ucq(std::move(result));
+  std::vector<Cq> held;
+  held.reserve(live);
+  for (size_t i = 0; i < result.size(); ++i) {
+    if (!released[i]) held.push_back(std::move(result[i]));
+  }
+  // The rest of ReformulateAtom's pruning, over whole CQs compared up to
+  // renaming, so that both paths emit UCQs of one size. A released CQ never
+  // covers a held one: it shares the classic atom that released it.
+  const std::vector<bool> covered = FindSubsumed(
+      held.size(),
+      [&](size_t m) { return std::span<const Atom>(held[m].body()); },
+      [&](size_t m, size_t i, uint8_t pos, std::vector<VarId>* resources) {
+        return BlankedCqKey(held[m], i, pos, resources);
+      });
+  Ucq out;
+  for (size_t i = 0; i < held.size(); ++i) {
+    if (!covered[i]) out.Add(std::move(held[i]));
+  }
+  return out;
 }
 
 Result<Ucq> Reformulator::Reformulate(const Cq& q) const {

@@ -80,9 +80,9 @@ class Reformulator {
 
   virtual ~Reformulator() = default;
 
-  /// \brief Reformulates a whole CQ into an equivalent UCQ (the original
-  /// query is always a member). Fails with kResourceExhausted beyond
-  /// options.max_cqs.
+  /// \brief Reformulates a whole CQ into an equivalent UCQ. The original
+  /// query is a member unless an interval member subsumes it (see
+  /// ReformulateAtom). Fails with kResourceExhausted beyond options.max_cqs.
   Result<query::Ucq> Reformulate(const query::Cq& q) const;
 
   /// \brief Exact size of the UCQ reformulation of q. When per-atom
@@ -92,7 +92,13 @@ class Reformulator {
   Result<uint64_t> CountReformulations(const query::Cq& q) const;
 
   /// \brief Reformulates a single atom of q into its set of members.
-  /// Exposed for the SCQ strategy and the cost model.
+  /// Exposed for the SCQ strategy and the cost model. A classic member that
+  /// an interval member of the set subsumes (equal atom but for the ranged
+  /// position, whose interval holds the classic constant; equal bindings;
+  /// no resource restriction the classic member lacks) is dropped after the
+  /// closure, so it still contributes the members it expands into. Both UCQ
+  /// paths apply the same pruning, so CountReformulations stays equal to
+  /// Reformulate's size.
   std::vector<AtomReformulation> ReformulateAtom(const query::Cq& q,
                                                  const query::Atom& atom) const;
 

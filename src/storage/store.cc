@@ -249,39 +249,52 @@ std::span<const rdf::Triple> Store::EqualRangeSpanHinted(
   return {r.first, static_cast<size_t>(r.second - r.first)};
 }
 
+std::optional<IndexOrder> Store::IntervalOrder(rdf::TermId s, rdf::TermId p,
+                                               rdf::TermId o, int range_pos) {
+  const bool bs = s != kAny;
+  if (range_pos == 2) {
+    const bool bp = p != kAny;
+    if (bs && bp) return IndexOrder::kSpo;
+    if (bp) return IndexOrder::kPos;
+    if (!bs) return IndexOrder::kOsp;
+    return std::nullopt;  // (s ? [lo..hi])
+  }
+  if (o == kAny) return bs ? IndexOrder::kSpo : IndexOrder::kPso;
+  if (bs) return IndexOrder::kOsp;
+  return std::nullopt;  // (? [lo..hi] o)
+}
+
 bool Store::TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                 int range_pos, rdf::TermId hi,
                                 std::span<const rdf::Triple>* out) const {
+  const std::optional<IndexOrder> order = IntervalOrder(s, p, o, range_pos);
+  if (!order.has_value()) return false;
+  // In the chosen order the bound positions lead, the ranged one follows
+  // and the free ones trail, so the matches lie between the pattern with
+  // the interval's endpoints and the free positions at their extremes.
   const rdf::TermId kMin = 0;
   const rdf::TermId kMax = static_cast<rdf::TermId>(-2);
+  const bool on_p = range_pos == 1;
+  auto fence = [&](rdf::TermId bound, rdf::TermId free) {
+    auto at = [free](rdf::TermId v) { return v == kAny ? free : v; };
+    return rdf::Triple(at(s), on_p ? bound : at(p), on_p ? at(o) : bound);
+  };
+  const rdf::Triple lo = fence(on_p ? p : o, kMin);
+  const rdf::Triple hi_fence = fence(hi, kMax);
   Range r{nullptr, nullptr};
-  if (range_pos == 2) {
-    // Object interval [o, hi].
-    const bool bs = s != kAny;
-    const bool bp = p != kAny;
-    if (bs && bp) {
-      r = PrefixRange<OrderSpo>(spo_, rdf::Triple(s, p, o),
-                                rdf::Triple(s, p, hi));
-    } else if (bp) {
-      r = PrefixRange<OrderPos>(pos_, rdf::Triple(kMin, p, o),
-                                rdf::Triple(kMax, p, hi));
-    } else if (!bs) {
-      r = PrefixRange<OrderOsp>(osp_, rdf::Triple(kMin, kMin, o),
-                                rdf::Triple(kMax, kMax, hi));
-    } else {
-      return false;  // (s ? [lo..hi]): no order is contiguous
-    }
-  } else {
-    // Property interval [p, hi].
-    const bool bs = s != kAny;
-    if (o != kAny) return false;  // (? [lo..hi] o): no order is contiguous
-    if (bs) {
-      r = PrefixRange<OrderSpo>(spo_, rdf::Triple(s, p, kMin),
-                                rdf::Triple(s, hi, kMax));
-    } else {
-      r = PrefixRange<OrderPso>(pso_, rdf::Triple(kMin, p, kMin),
-                                rdf::Triple(kMax, hi, kMax));
-    }
+  switch (*order) {
+    case IndexOrder::kSpo:
+      r = PrefixRange<OrderSpo>(spo_, lo, hi_fence);
+      break;
+    case IndexOrder::kPso:
+      r = PrefixRange<OrderPso>(pso_, lo, hi_fence);
+      break;
+    case IndexOrder::kPos:
+      r = PrefixRange<OrderPos>(pos_, lo, hi_fence);
+      break;
+    case IndexOrder::kOsp:
+      r = PrefixRange<OrderOsp>(osp_, lo, hi_fence);
+      break;
   }
   *out = {r.first, static_cast<size_t>(r.second - r.first)};
   return true;

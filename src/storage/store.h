@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/annotations.h"
@@ -15,6 +17,28 @@
 
 namespace rdfref {
 namespace storage {
+
+/// \brief The sort orders of a Store's four clustered permutations.
+enum class IndexOrder { kSpo, kPso, kPos, kOsp };
+
+/// \brief True when `a` sorts strictly before `b` in permutation `order`.
+inline bool IndexLess(IndexOrder order, const rdf::Triple& a,
+                      const rdf::Triple& b) {
+  auto key = [order](const rdf::Triple& t) {
+    switch (order) {
+      case IndexOrder::kSpo:
+        return std::tie(t.s, t.p, t.o);
+      case IndexOrder::kPso:
+        return std::tie(t.p, t.s, t.o);
+      case IndexOrder::kPos:
+        return std::tie(t.p, t.o, t.s);
+      case IndexOrder::kOsp:
+        return std::tie(t.o, t.s, t.p);
+    }
+    return std::tie(t.s, t.p, t.o);
+  };
+  return key(a) < key(b);
+}
 
 /// \brief RDBMS-style storage substrate: a dictionary-encoded triple table
 /// with clustered permutation indexes.
@@ -90,15 +114,22 @@ class Store : public TripleSource {
   }
 
   /// \brief Interval fast path for hierarchy-encoded atoms: succeeds when
-  /// one clustered permutation stores the interval contiguously —
-  ///   object interval   (s p [lo..hi]) on SPO, (? p [lo..hi]) on POS,
-  ///                     (? ? [lo..hi]) on OSP;
-  ///   property interval (s [lo..hi] ?) on SPO, (? [lo..hi] ?) on PSO.
-  /// The remaining shapes — (s ? [lo..hi]) and (? [lo..hi] o) — interleave
-  /// other ids inside every order and return false (buffered fallback).
+  /// one clustered permutation stores the interval contiguously (see
+  /// IntervalOrder). The matches come back in that permutation's order.
   bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                            int range_pos, rdf::TermId hi,
                            std::span<const rdf::Triple>* out) const override;
+
+  /// \brief The clustered permutation that stores an interval shape
+  /// contiguously: the bound positions, then the ranged one, lead its key —
+  ///   object interval   (s p [lo..hi]) on SPO, (? p [lo..hi]) on POS,
+  ///                     (? ? [lo..hi]) on OSP;
+  ///   property interval (s [lo..hi] ?) on SPO, (? [lo..hi] ?) on PSO,
+  ///                     (s [lo..hi] o) on OSP under the prefix (o, s).
+  /// The remaining shapes, (s ? [lo..hi]) and (? [lo..hi] o), interleave
+  /// other ids inside every order: nullopt (buffered fallback).
+  static std::optional<IndexOrder> IntervalOrder(rdf::TermId s, rdf::TermId p,
+                                                 rdf::TermId o, int range_pos);
 
   /// \brief Exact number of triples matching the pattern (index-only).
   size_t CountMatches(rdf::TermId s, rdf::TermId p,

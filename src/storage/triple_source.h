@@ -168,21 +168,31 @@ class TripleSource {
 
   /// \brief Interval batch fallback: clears `*out` and appends every match
   /// of the pattern with the ranged position relaxed to [lo, hi]. The
-  /// default widens the ranged position to a wildcard scan and filters;
+  /// default reads the pattern with the ranged position widened to a
+  /// wildcard through the batch API (TryGetRange, else ScanInto) and keeps
+  /// the triples inside the interval, in the order that read delivered;
   /// sources with better access paths may override.
   virtual void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                 int range_pos, rdf::TermId hi,
                                 std::vector<rdf::Triple>* out) const {
     const bool on_p = range_pos == 1;
     const rdf::TermId lo = on_p ? p : o;
-    const rdf::TermId ws = s;
     const rdf::TermId wp = on_p ? kAny : p;
     const rdf::TermId wo = on_p ? o : kAny;
-    out->clear();
-    Scan(ws, wp, wo, [&](const rdf::Triple& t) {
+    auto outside = [&](const rdf::Triple& t) {
       const rdf::TermId v = on_p ? t.p : t.o;
-      if (v >= lo && v <= hi) out->push_back(t);
-    });
+      return v < lo || v > hi;
+    };
+    std::span<const rdf::Triple> range;
+    if (TryGetRange(s, wp, wo, &range)) {
+      out->clear();
+      for (const rdf::Triple& t : range) {
+        if (!outside(t)) out->push_back(t);
+      }
+      return;
+    }
+    ScanInto(s, wp, wo, out);
+    std::erase_if(*out, outside);
   }
 
   /// \brief Number of triples matching the interval pattern: exact when the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <utility>
 
 namespace rdfref {
@@ -222,6 +223,63 @@ bool SnapshotSource::TryGetIntervalRange(
   }
   *out = chosen;
   return true;
+}
+
+void SnapshotSource::ScanIntervalInto(rdf::TermId s, rdf::TermId p,
+                                      rdf::TermId o, int range_pos,
+                                      rdf::TermId hi,
+                                      std::vector<rdf::Triple>* out) const {
+  const std::optional<IndexOrder> order =
+      Store::IntervalOrder(s, p, o, range_pos);
+  if (!order.has_value()) {
+    TripleSource::ScanIntervalInto(s, p, o, range_pos, hi, out);
+    return;
+  }
+  auto less = [order](const rdf::Triple& a, const rdf::Triple& b) {
+    return IndexLess(*order, a, b);
+  };
+  // Presence probes use the widened pattern, as in TryGetIntervalRange.
+  const bool on_p = range_pos == 1;
+  const rdf::TermId lo = on_p ? p : o;
+  const rdf::TermId wp = on_p ? kAny : p;
+  const rdf::TermId wo = on_p ? o : kAny;
+  bool filter =
+      !head_.removed.empty() && head_.removed_presence.MayMatch(s, wp, wo);
+  if (!filter && version_->RunsMayRemove(s, wp, wo)) {
+    for (const auto& run : version_->runs) {
+      filter = filter || run->MayRemoveMatch(s, wp, wo);
+    }
+  }
+  out->clear();
+  // Appends generation `gen`'s interval range (a sorted run of `*order`)
+  // and merges it with what is already there.
+  auto append = [&](const Store& store, size_t gen) {
+    std::span<const rdf::Triple> range;
+    store.TryGetIntervalRange(s, p, o, range_pos, hi, &range);
+    const size_t mid = out->size();
+    for (const rdf::Triple& t : range) {
+      if (!filter || !RemovedAbove(t, gen)) out->push_back(t);
+    }
+    std::inplace_merge(out->begin(), out->begin() + mid, out->end(), less);
+  };
+  append(*version_->base, 0);
+  if (version_->RunsMayAdd(s, wp, wo)) {
+    const auto& runs = version_->runs;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      if (runs[i]->MayAddMatch(s, wp, wo)) append(runs[i]->adds(), i + 1);
+    }
+  }
+  if (!head_.added.empty() && head_.added_presence.MayMatch(s, wp, wo)) {
+    const size_t mid = out->size();
+    for (const rdf::Triple& t : head_.added) {  // hash order: sort the tail
+      const rdf::TermId v = on_p ? t.p : t.o;
+      if (MatchesPattern(t, s, wp, wo) && v >= lo && v <= hi) {
+        out->push_back(t);
+      }
+    }
+    std::sort(out->begin() + mid, out->end(), less);
+    std::inplace_merge(out->begin(), out->begin() + mid, out->end(), less);
+  }
 }
 
 size_t SnapshotSource::CountMatches(rdf::TermId s, rdf::TermId p,

@@ -170,6 +170,18 @@ class SnapshotSource : public TripleSource {
   void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                 std::vector<rdf::Triple>* out) const override;
 
+  /// \brief Interval scan per generation, as ScanInto: the interval's
+  /// contiguous range of the base and of each run's adds, plus the frozen
+  /// head's adds inside the interval, minus what a newer generation
+  /// removes, merged in the order Store::IntervalOrder names. The result is
+  /// element for element what a pristine Store over Materialize() returns.
+  /// The two shapes no order keeps contiguous take the TripleSource default
+  /// (the widened pattern, SPO-ordered, filtered), which is that Store's
+  /// order for them too.
+  void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                        int range_pos, rdf::TermId hi,
+                        std::vector<rdf::Triple>* out) const override;
+
   size_t CountMatches(rdf::TermId s, rdf::TermId p,
                       rdf::TermId o) const override;
 

@@ -1,11 +1,17 @@
 #include "testing/fuzz.h"
 
+#include <string>
 #include <utility>
 
 namespace rdfref {
 namespace testing {
 
 namespace {
+
+/// Candidate evaluations the shrinker may spend on a RESOURCE_EXHAUSTED
+/// divergence: each one replays a reformulation up to max_cqs, which takes
+/// seconds and hundreds of MB, so an unbounded greedy pass runs for hours.
+constexpr int kRefusalShrinkEvaluations = 16;
 
 /// Derived deterministic sub-seeds: each relation gets its own stream so
 /// adding a relation never perturbs the draws of another.
@@ -16,12 +22,13 @@ uint64_t SubSeed(uint64_t seed, int trial, uint64_t salt) {
 
 /// Runs every enabled check for one (scenario, query) pair; the first
 /// divergence wins. `replay` must be stable so the shrinker can re-run the
-/// exact failing relation on reduced candidates.
+/// exact failing relation on reduced candidates. `report`, when non-null,
+/// receives the check and reference-refusal counts.
 Divergence RunChecks(const Scenario& sc, const query::Cq& q,
                      const FuzzOptions& options, uint64_t seed, int trial,
-                     uint64_t* checks_run) {
+                     FuzzReport* report) {
   auto count = [&](Divergence d) {
-    if (checks_run) ++*checks_run;
+    if (report) ++report->checks_run;
     return d;
   };
 
@@ -39,7 +46,8 @@ Divergence RunChecks(const Scenario& sc, const query::Cq& q,
     if (d.found) return d;
   }
   if (options.check_encoded) {
-    Divergence d = count(CheckEncodedEquivalence(sc, q));
+    Divergence d = count(CheckEncodedEquivalence(
+        sc, q, report ? &report->classic_refusals : nullptr));
     if (d.found) return d;
   }
   if (options.check_metamorphic) {
@@ -103,8 +111,7 @@ bool RunFuzzSeed(uint64_t seed, const FuzzOptions& options,
   for (int trial = 0; trial < options.trials_per_seed; ++trial) {
     query::Cq q = GenerateQuery(sc, &query_rng, options.query);
     ++report->queries_checked;
-    Divergence d =
-        RunChecks(sc, q, options, seed, trial, &report->checks_run);
+    Divergence d = RunChecks(sc, q, options, seed, trial, report);
     if (!d.found) continue;
 
     FuzzFailure failure;
@@ -127,7 +134,10 @@ bool RunFuzzSeed(uint64_t seed, const FuzzOptions& options,
                                   trial, nullptr);
         return rd.found && rd.relation == d.relation;
       };
-      failure.shrunk = Shrink(sc, q, fails);
+      const bool refusal =
+          d.detail.find("RESOURCE_EXHAUSTED") != std::string::npos;
+      failure.shrunk =
+          Shrink(sc, q, fails, refusal ? kRefusalShrinkEvaluations : 0);
     } else {
       failure.shrunk.schema_triples = sc.schema_triples;
       failure.shrunk.data_triples = sc.data_triples;

@@ -84,6 +84,9 @@ struct FuzzReport {
   uint64_t seeds_run = 0;
   uint64_t queries_checked = 0;
   uint64_t checks_run = 0;
+  /// Encoded-equivalence checks whose classic reference arm refused for
+  /// its CQ budget; the encoded arm was still checked against saturation.
+  uint64_t classic_refusals = 0;
   std::vector<FuzzFailure> failures;
   bool ok() const { return failures.empty(); }
 };

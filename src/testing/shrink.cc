@@ -28,7 +28,7 @@ query::Cq DropAtom(const query::Cq& q, size_t at) {
 }  // namespace
 
 ShrinkResult Shrink(const Scenario& sc, const query::Cq& q,
-                    const FailurePredicate& fails) {
+                    const FailurePredicate& fails, int max_evaluations) {
   ShrinkResult result;
   result.schema_triples = sc.schema_triples;
   result.data_triples = sc.data_triples;
@@ -37,6 +37,10 @@ ShrinkResult Shrink(const Scenario& sc, const query::Cq& q,
   auto still_fails = [&](const std::vector<rdf::Triple>& schema,
                          const std::vector<rdf::Triple>& data,
                          const query::Cq& query) {
+    if (max_evaluations > 0 && result.evaluations >= max_evaluations) {
+      result.truncated = true;  // out of budget: keep what fails so far
+      return false;
+    }
     ++result.evaluations;
     Scenario candidate = RestrictScenario(sc, schema, data);
     return fails(candidate, query);

@@ -27,6 +27,9 @@ struct ShrinkResult {
   /// Fixpoint rounds and candidate evaluations the greedy pass used.
   int rounds = 0;
   int evaluations = 0;
+  /// True when the pass stopped at its evaluation budget: the case still
+  /// fails but may not be 1-minimal.
+  bool truncated = false;
   size_t triples() const {
     return schema_triples.size() + data_triples.size();
   }
@@ -36,9 +39,11 @@ struct ShrinkResult {
 /// each schema triple, and each query atom (rebuilding the head from the
 /// remaining body variables), keeping any removal after which `fails` still
 /// holds, until a fixpoint. The result is 1-minimal: removing any single
-/// remaining element makes the failure vanish.
+/// remaining element makes the failure vanish. A positive
+/// `max_evaluations` stops the pass after that many candidate evaluations,
+/// returning the smallest failing case found so far (marked truncated).
 ShrinkResult Shrink(const Scenario& sc, const query::Cq& q,
-                    const FailurePredicate& fails);
+                    const FailurePredicate& fails, int max_evaluations = 0);
 
 /// \brief Renders the shrunken case as a self-contained gtest snippet
 /// (compilable against the repo's public headers) that rebuilds the graph,

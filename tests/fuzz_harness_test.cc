@@ -105,6 +105,27 @@ TEST(FuzzHarnessTest, SeedFileRoundTrips) {
   EXPECT_EQ(entry.seed, 9u);
 }
 
+// An evaluation budget stops the greedy pass early with a case that still
+// fails; without one the pass runs to its 1-minimal fixpoint.
+TEST(FuzzHarnessTest, ShrinkStopsAtItsEvaluationBudget) {
+  const testing::Scenario sc = testing::GenerateScenario(3);
+  Rng rng(7);
+  const query::Cq q = testing::GenerateQuery(sc, &rng);
+  ASSERT_GT(sc.data_triples.size(), 8u);
+  // Fails while at least four data triples remain.
+  auto fails = [](const testing::Scenario& candidate, const query::Cq&) {
+    return candidate.data_triples.size() >= 4;
+  };
+  testing::ShrinkResult bounded = testing::Shrink(sc, q, fails, 5);
+  EXPECT_TRUE(bounded.truncated);
+  EXPECT_EQ(bounded.evaluations, 5);
+  EXPECT_EQ(bounded.data_triples.size(), sc.data_triples.size() - 5);
+
+  testing::ShrinkResult full = testing::Shrink(sc, q, fails);
+  EXPECT_FALSE(full.truncated);
+  EXPECT_EQ(full.data_triples.size(), 4u);
+}
+
 // Replaying a recorded failure reproduces it deterministically.
 TEST(FuzzHarnessTest, ReplayReproducesFailure) {
   FuzzOptions options;

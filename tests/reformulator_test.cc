@@ -1,13 +1,22 @@
 #include "reformulation/reformulator.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/query_answering.h"
+#include "bench_common.h"
 #include "datagen/bibliography.h"
+#include "datagen/lubm.h"
+#include "datagen/sp2b.h"
 #include "query/sparql_parser.h"
 #include "rdf/vocab.h"
+#include "workload/workload.h"
 
 namespace rdfref {
 namespace reformulation {
@@ -290,6 +299,182 @@ TEST_F(ReformulatorTest, ProductAndWorklistPathsAgree) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(Keys(*a), Keys(*b));
+}
+
+// Fused reformulation on hierarchy-encoded answerers: the sp2b templates of
+// the benchmark of record and the LUBM suite (bench/bench_common.h).
+
+/// True when UCQ member `interval` subsumes member `classic`: the two agree
+/// everywhere but one atom, where `interval` ranges over an interval holding
+/// `classic`'s constant at that position, and `interval` restricts no
+/// variable to resources that `classic` leaves free. Bindings reach the
+/// head, so equal heads mean equal bindings. Members of a product UCQ number
+/// their variables alike, so atoms compare directly.
+bool SubsumedByIntervalMember(const Cq& classic, const Cq& interval) {
+  if (classic.head() != interval.head() ||
+      classic.body().size() != interval.body().size() ||
+      !std::includes(classic.resource_vars().begin(),
+                     classic.resource_vars().end(),
+                     interval.resource_vars().begin(),
+                     interval.resource_vars().end())) {
+    return false;
+  }
+  bool differs = false;
+  for (size_t i = 0; i < classic.body().size(); ++i) {
+    const Atom& c = classic.body()[i];
+    const Atom& f = interval.body()[i];
+    if (c == f) continue;
+    if (differs || c.has_range() || !f.has_range()) return false;
+    differs = true;
+    const bool on_p = f.range_pos == Atom::kRangeP;
+    const QTerm& at = on_p ? c.p : c.o;
+    if (at.is_var || at.term() < f.range_lo() || at.term() > f.range_hi) {
+      return false;
+    }
+    Atom widened = c;
+    (on_p ? widened.p : widened.o) = QTerm::Const(f.range_lo());
+    widened.range_pos = f.range_pos;
+    widened.range_hi = f.range_hi;
+    if (!(widened == f)) return false;
+  }
+  return differs;
+}
+
+class FusedReformulationTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    sp2b_ = workload::MakeSp2bAnswerer(/*scale=*/0.1, /*seed=*/11).release();
+    datagen::LubmConfig config;
+    config.universities = 1;
+    config.scale = 0.2;
+    config.referenced_universities = 10;
+    rdf::Graph graph;
+    datagen::Lubm::Generate(config, &graph);
+    lubm_ = new api::QueryAnswerer(std::move(graph));
+  }
+  static void TearDownTestSuite() {
+    delete sp2b_;
+    delete lubm_;
+    sp2b_ = lubm_ = nullptr;
+  }
+
+  struct Named {
+    std::string name;
+    Cq cq;
+  };
+
+  /// The sp2b-rw templates, point slots filled with their pools' first ids.
+  static std::vector<Named> Sp2bQueries() {
+    const std::string ns = datagen::Sp2b::kNs;
+    const std::string doc = "<" + ns + "doc/0>";
+    const std::string author = "<" + ns + "author/0>";
+    const std::string venue = "<" + ns + "venue/0>";
+    const std::vector<std::pair<std::string, std::string>> texts = {
+        {"P1-citers", "SELECT ?x WHERE { ?x sp:cites " + doc + " . }"},
+        {"P2-author-papers", "SELECT ?d ?v WHERE { ?d sp:hasAuthor " +
+                                 author + " . ?d sp:publishedIn ?v . }"},
+        {"P3-venue-pubs", "SELECT ?d WHERE { ?d sp:publishedIn " + venue +
+                              " . ?d a sp:Publication . }"},
+        {"P4-doc-star", "SELECT ?p ?v ?o WHERE { " + doc +
+                            " sp:hasContributor ?p . " + doc +
+                            " sp:publishedIn ?v . " + doc +
+                            " sp:references ?o . }"},
+        {"P5-author-chain", "SELECT ?x ?y WHERE { ?w sp:hasAuthor " + author +
+                                " . ?w sp:cites ?x . ?x sp:cites ?y . }"},
+        {"A1-publications", "SELECT ?d WHERE { ?d a sp:Publication . }"},
+        {"A2-mutual-citations",
+         "SELECT ?x ?y WHERE { ?x sp:cites ?y . ?y sp:cites ?x . }"},
+        {"A3-coauthor-cites",
+         "SELECT ?x ?y ?p WHERE { ?x sp:hasAuthor ?p . "
+         "?y sp:hasAuthor ?p . ?x sp:cites ?y . }"},
+    };
+    std::vector<Named> out;
+    for (const auto& [name, body] : texts) {
+      Result<Cq> q = query::ParseSparql(
+          "PREFIX sp: <" + ns + ">\n" + body, &sp2b_->dict());
+      EXPECT_TRUE(q.ok()) << name << ": " << q.status();
+      if (q.ok()) out.push_back({name, *q});
+    }
+    return out;
+  }
+
+  static std::vector<Named> LubmQueries() {
+    std::vector<Named> out;
+    for (const auto& [name, body] : bench::LubmQuerySuite()) {
+      Result<Cq> q =
+          query::ParseSparql(bench::kUbPrefix + body, &lubm_->dict());
+      EXPECT_TRUE(q.ok()) << name << ": " << q.status();
+      if (q.ok()) out.push_back({name, *q});
+    }
+    return out;
+  }
+
+  /// Checks every property the pruning promises on one encoded answerer
+  /// and records each query's fused member count in `sizes`.
+  static void CheckPruned(api::QueryAnswerer* answerer,
+                          const std::vector<Named>& queries,
+                          std::map<std::string, size_t>* sizes) {
+    Reformulator fused(&answerer->schema(), {}, &answerer->dict());
+    ReformulationOptions worklist_options;
+    worklist_options.force_worklist = true;
+    Reformulator worklist(&answerer->schema(), worklist_options,
+                          &answerer->dict());
+    size_t interval_members = 0;
+    for (const Named& n : queries) {
+      SCOPED_TRACE(n.name);
+      Result<Ucq> ucq = fused.Reformulate(n.cq);
+      ASSERT_TRUE(ucq.ok()) << ucq.status();
+      (*sizes)[n.name] = ucq->size();
+      for (const Cq& f : ucq->members()) {
+        bool ranged = false;
+        for (const Atom& a : f.body()) ranged = ranged || a.has_range();
+        if (!ranged) continue;
+        ++interval_members;
+        for (const Cq& c : ucq->members()) {
+          EXPECT_FALSE(SubsumedByIntervalMember(c, f))
+              << c.ToString(answerer->dict()) << "\n  is subsumed by\n"
+              << f.ToString(answerer->dict());
+        }
+      }
+
+      Result<uint64_t> count = fused.CountReformulations(n.cq);
+      ASSERT_TRUE(count.ok()) << count.status();
+      EXPECT_EQ(*count, ucq->size());
+      Result<Ucq> slow = worklist.Reformulate(n.cq);
+      ASSERT_TRUE(slow.ok()) << slow.status();
+      EXPECT_EQ(slow->size(), ucq->size());
+
+      auto ref = answerer->Answer(n.cq, api::Strategy::kRefUcq);
+      auto sat = answerer->Answer(n.cq, api::Strategy::kSaturation);
+      ASSERT_TRUE(ref.ok()) << ref.status();
+      ASSERT_TRUE(sat.ok()) << sat.status();
+      EXPECT_EQ(ref->RowSet(), sat->RowSet());
+    }
+    EXPECT_GT(interval_members, 0u) << "the answerer is not encoded";
+  }
+
+  static api::QueryAnswerer* sp2b_;
+  static api::QueryAnswerer* lubm_;
+};
+
+api::QueryAnswerer* FusedReformulationTest::sp2b_ = nullptr;
+api::QueryAnswerer* FusedReformulationTest::lubm_ = nullptr;
+
+TEST_F(FusedReformulationTest, Sp2bTemplatesDropMembersTheirIntervalCovers) {
+  std::map<std::string, size_t> sizes;
+  CheckPruned(sp2b_, Sp2bQueries(), &sizes);
+  // Every atom of the citation and authorship templates fuses whole: one
+  // member each (4, 8 and 8 when the fused atoms kept their classic
+  // parents beside them).
+  EXPECT_EQ(sizes["A2-mutual-citations"], 1u);
+  EXPECT_EQ(sizes["A3-coauthor-cites"], 1u);
+  EXPECT_EQ(sizes["P5-author-chain"], 1u);
+}
+
+TEST_F(FusedReformulationTest, LubmSuiteDropsMembersTheirIntervalCovers) {
+  std::map<std::string, size_t> sizes;
+  CheckPruned(lubm_, LubmQueries(), &sizes);
+  EXPECT_EQ(sizes["Q6-members"], 79u);  // 194 with the subsumed members
 }
 
 TEST_F(ReformulatorTest, EmptySchemaLeavesQueryAlone) {

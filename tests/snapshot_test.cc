@@ -231,6 +231,113 @@ TEST_F(SnapshotTest, IntervalProbesAreConservativeAgainstMidIntervalOverlays) {
   EXPECT_EQ(span.size(), 3u);
 }
 
+TEST(SnapshotIntervalScanTest, MatchesAPristineStoreElementForElement) {
+  // Four consecutively interned ids per role, so [x1, x2] is an id interval
+  // with ids on both sides of it in every role.
+  rdf::Graph graph;
+  auto intern = [&graph](const std::string& prefix) {
+    std::vector<rdf::TermId> ids;
+    for (int i = 0; i < 4; ++i) {
+      ids.push_back(
+          graph.dict().InternUri("http://ex/" + prefix + std::to_string(i)));
+    }
+    return ids;
+  };
+  const std::vector<rdf::TermId> subj = intern("s");
+  const std::vector<rdf::TermId> prop = intern("p");
+  const std::vector<rdf::TermId> obj = intern("o");
+  // The base holds two thirds of the 64 combinations; the overlays add
+  // from the rest and remove from every generation below them, inside and
+  // outside the intervals.
+  std::vector<rdf::Triple> present;
+  std::vector<rdf::Triple> absent;
+  for (int s = 0; s < 4; ++s) {
+    for (int p = 0; p < 4; ++p) {
+      for (int o = 0; o < 4; ++o) {
+        const rdf::Triple t(subj[s], prop[p], obj[o]);
+        if ((s + 2 * p + o) % 3 != 0) {
+          graph.Add(t.s, t.p, t.o);
+          present.push_back(t);
+        } else {
+          absent.push_back(t);
+        }
+      }
+    }
+  }
+  ASSERT_GE(absent.size(), 13u);
+  ASSERT_GE(present.size(), 41u);
+  Store base(graph);
+  VersionSet v(&base);
+  // Run 1: adds only.
+  for (size_t i : {0, 3, 6, 9, 12}) ASSERT_TRUE(v.Insert(absent[i]));
+  v.Freeze();
+  // Run 2: adds, and removals from the base and from run 1.
+  for (size_t i : {1, 4, 7, 10}) ASSERT_TRUE(v.Insert(absent[i]));
+  for (const rdf::Triple& t : {present[5], present[17], absent[0], absent[6]}) {
+    ASSERT_TRUE(v.Remove(t));
+  }
+  v.Freeze();
+  // Head: adds, and removals from the base and from both runs.
+  for (size_t i : {2, 5, 8}) ASSERT_TRUE(v.Insert(absent[i]));
+  for (const rdf::Triple& t :
+       {present[30], present[40], absent[3], absent[4]}) {
+    ASSERT_TRUE(v.Remove(t));
+  }
+  ASSERT_EQ(v.num_runs(), 2u);
+  ASSERT_GT(v.head_size(), 0u);
+
+  constexpr int kRangeP = 1;  // query::Atom::kRangeP
+  constexpr int kRangeO = 2;  // query::Atom::kRangeO
+  auto check_all_shapes = [&](const SnapshotSource& snap) {
+    const Store pristine(&graph.dict(), snap.Materialize());
+    PatternCursor got_cursor;
+    PatternCursor want_cursor;
+    auto check = [&](rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                     int range_pos, rdf::TermId hi) {
+      SCOPED_TRACE(::testing::Message()
+                   << "s=" << s << " p=" << p << " o=" << o
+                   << " range_pos=" << range_pos << " hi=" << hi);
+      std::span<const rdf::Triple> got =
+          got_cursor.ResetInterval(snap, s, p, o, range_pos, hi);
+      std::span<const rdf::Triple> want =
+          want_cursor.ResetInterval(pristine, s, p, o, range_pos, hi);
+      EXPECT_EQ(std::vector<rdf::Triple>(got.begin(), got.end()),
+                std::vector<rdf::Triple>(want.begin(), want.end()));
+      EXPECT_EQ(snap.CountIntervalMatches(s, p, o, range_pos, hi),
+                pristine.CountIntervalMatches(s, p, o, range_pos, hi));
+    };
+    std::vector<rdf::TermId> subjects = {kAny};
+    std::vector<rdf::TermId> props = {kAny};
+    std::vector<rdf::TermId> objects = {kAny};
+    subjects.insert(subjects.end(), subj.begin(), subj.end());
+    props.insert(props.end(), prop.begin(), prop.end());
+    objects.insert(objects.end(), obj.begin(), obj.end());
+    for (rdf::TermId s : subjects) {
+      // Property intervals: (s|? [p1..p2] o|?), and one reaching the end.
+      for (rdf::TermId o : objects) {
+        check(s, prop[1], o, kRangeP, prop[2]);
+        check(s, prop[2], o, kRangeP, prop[3]);
+      }
+      // Object intervals: (s|? p|? [o1..o2]), and one reaching the end.
+      for (rdf::TermId p : props) {
+        check(s, p, obj[1], kRangeO, obj[2]);
+        check(s, p, obj[2], kRangeO, obj[3]);
+      }
+    }
+  };
+
+  SnapshotPtr overlaid = v.snapshot();
+  ASSERT_EQ(overlaid->num_runs(), 2u);
+  check_all_shapes(*overlaid);
+  v.Compact();
+  SnapshotPtr compacted = v.snapshot();
+  ASSERT_EQ(compacted->num_runs(), 0u);
+  ASSERT_EQ(compacted->head_size(), 0u);
+  check_all_shapes(*compacted);
+  // The pinned pre-compaction snapshot still answers identically.
+  check_all_shapes(*overlaid);
+}
+
 TEST_F(SnapshotTest, CompactPreservesVisibilityAndDrainsRuns) {
   VersionSet v(base_.get());
   ASSERT_TRUE(v.Insert(rdf::Triple(s2_, p_, o2_)));

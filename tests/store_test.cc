@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "api/query_answering.h"
 #include "rdf/vocab.h"
@@ -45,6 +46,37 @@ class StoreTest : public ::testing::Test {
   rdf::Graph graph_;
   rdf::TermId s1_, s2_, p_, q_, o1_, o2_;
 };
+
+TEST_F(StoreTest, PropertyIntervalWithBoundSubjectAndObjectIsZeroCopy) {
+  // p_ and q_ are interned consecutively, so [p_, q_] is an id interval.
+  // (s [lo..hi] o) is contiguous on OSP under the prefix (o, s).
+  ASSERT_EQ(q_, p_ + 1);
+  constexpr int kRangeP = 1;  // query::Atom::kRangeP
+  Store store(graph_);
+  std::span<const rdf::Triple> span;
+  ASSERT_TRUE(store.TryGetIntervalRange(s1_, p_, o1_, kRangeP, q_, &span));
+  EXPECT_EQ(std::vector<rdf::Triple>(span.begin(), span.end()),
+            (std::vector<rdf::Triple>{rdf::Triple(s1_, p_, o1_),
+                                      rdf::Triple(s1_, q_, o1_)}));
+  EXPECT_EQ(store.CountIntervalMatches(s1_, p_, o1_, kRangeP, q_), 2u);
+
+  // The cursor hands out the index range itself, not a copy.
+  PatternCursor cursor;
+  std::span<const rdf::Triple> rows =
+      cursor.ResetInterval(store, s1_, p_, o1_, kRangeP, q_);
+  EXPECT_EQ(rows.data(), span.data());
+  EXPECT_EQ(rows.size(), 2u);
+
+  ASSERT_TRUE(store.TryGetIntervalRange(s2_, p_, o2_, kRangeP, q_, &span));
+  EXPECT_EQ(std::vector<rdf::Triple>(span.begin(), span.end()),
+            std::vector<rdf::Triple>{rdf::Triple(s2_, q_, o2_)});
+  ASSERT_TRUE(store.TryGetIntervalRange(s2_, p_, o1_, kRangeP, p_, &span));
+  EXPECT_EQ(std::vector<rdf::Triple>(span.begin(), span.end()),
+            std::vector<rdf::Triple>{rdf::Triple(s2_, p_, o1_)});
+
+  // (? [lo..hi] o) stays non-contiguous: every order interleaves it.
+  EXPECT_FALSE(store.TryGetIntervalRange(kAny, p_, o1_, kRangeP, q_, &span));
+}
 
 TEST_F(StoreTest, AllPatternShapesCount) {
   EXPECT_EQ(Count(kAny, kAny, kAny), 5u);

@@ -21,7 +21,11 @@
 //   --no-encoded      skip the hierarchy-encoding equivalence relation
 //   --check-encoded   ONLY the hierarchy-encoding relation: interval
 //                     reformulation vs the classic UCQ it fuses, at load,
-//                     after a schema insert, and across Reencode()
+//                     after a schema insert, and across Reencode(); a
+//                     classic UCQ over its max_cqs budget is a reference
+//                     refusal (counted in the summary line), not a
+//                     divergence, and the interval answers are still
+//                     checked against saturation
 //   --no-cached       skip the view-cache equivalence relation
 //   --check-cached    ONLY the view-cache relation: cache-mediated
 //                     evaluation (fill then replay, whole unions and JUCQ
@@ -89,13 +93,14 @@ void PrintFailure(const FuzzFailure& failure) {
   std::fprintf(stderr,
                "DIVERGENCE seed=%llu trial=%d relation=%s\n%s\n"
                "shrunk to %zu triple(s) (%zu schema + %zu data), "
-               "%zu query atom(s) in %d round(s), %d evaluation(s)\n",
+               "%zu query atom(s) in %d round(s), %d evaluation(s)%s\n",
                static_cast<unsigned long long>(failure.seed), failure.trial,
                failure.relation.c_str(), failure.detail.c_str(),
                failure.shrunk.triples(), failure.shrunk.schema_triples.size(),
                failure.shrunk.data_triples.size(),
                failure.shrunk.query.body().size(), failure.shrunk.rounds,
-               failure.shrunk.evaluations);
+               failure.shrunk.evaluations,
+               failure.shrunk.truncated ? " (stopped at its budget)" : "");
 }
 
 }  // namespace
@@ -231,11 +236,12 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "fuzz: %llu seed(s), %llu quer%s, %llu check(s), "
-               "%zu divergence(s)\n",
+               "%llu classic-reference refusal(s), %zu divergence(s)\n",
                static_cast<unsigned long long>(report.seeds_run),
                static_cast<unsigned long long>(report.queries_checked),
                report.queries_checked == 1 ? "y" : "ies",
                static_cast<unsigned long long>(report.checks_run),
+               static_cast<unsigned long long>(report.classic_refusals),
                report.failures.size());
 
   if (!report.failures.empty()) {
