@@ -575,9 +575,18 @@ Result<Table> Evaluator::EvaluateUcq(const query::Ucq& ucq,
 Result<Table> Evaluator::EvaluateUcqView(const query::Cq& q,
                                          const query::Ucq& ucq,
                                          const Deadline& deadline) const {
-  if (view_cache_ == nullptr) return EvaluateUcq(ucq, deadline);
+  ScanCache cache(store_);
+  return EvaluateUcqThroughViewCache(q, ucq, deadline, &cache);
+}
+
+Result<Table> Evaluator::EvaluateUcqThroughViewCache(
+    const query::Cq& q, const query::Ucq& ucq, const Deadline& deadline,
+    ScanCache* cache) const {
+  if (view_cache_ == nullptr) {
+    return EvaluateUcqWithCache(ucq, deadline, cache);
+  }
   const ViewKey key = view_cache_->KeyFor(q, ucq);
-  if (!key.ok()) return EvaluateUcq(ucq, deadline);
+  if (!key.ok()) return EvaluateUcqWithCache(ucq, deadline, cache);
   if (std::optional<Table> hit = view_cache_->Lookup(key.full, view_epoch_)) {
     // Relabel with *this* union's head: the cached entry may have been
     // installed by an α-equivalent plan whose VarIds differ. Values are
@@ -591,7 +600,7 @@ Result<Table> Evaluator::EvaluateUcqView(const query::Cq& q,
     return table;
   }
   Timer fill;
-  Result<Table> computed = EvaluateUcq(ucq, deadline);
+  Result<Table> computed = EvaluateUcqWithCache(ucq, deadline, cache);
   if (computed.ok()) {
     ViewFootprint footprint;
     footprint.AddUcq(ucq);
@@ -690,45 +699,19 @@ Result<Table> Evaluator::EvaluateJucq(
   const size_t nf = fragment_ucqs.size();
 
   // 1. Materialize every fragment (one pool task per fragment when
-  // parallel; each task's member loop may itself run parallel chunks).
-  // The scan memo is shared across fragments: cover fragments of one query
-  // re-reformulate the same atoms, so their leaf patterns and counts
-  // coincide.
+  // parallel; each task's member loop may itself run parallel chunks),
+  // through the view cache when one is attached. The scan memo is shared
+  // across fragments: cover fragments of one query re-reformulate the same
+  // atoms, so their leaf patterns and counts coincide. Columns are
+  // relabeled below from the fragment query, so hits and misses feed the
+  // join identically.
   ScanCache cache(store_);
   std::vector<std::optional<Result<Table>>> materialized(nf);
   std::vector<double> fragment_millis(nf, 0.0);
   auto materialize_one = [&](size_t i) {
     Timer t;
-    if (view_cache_ != nullptr) {
-      // Cross-query path: probe the view cache for this fragment's plan at
-      // the source snapshot's epoch before touching the store; install
-      // successful materializations (outside the cache lock) for the next
-      // query that covers the same fragment. Columns are relabeled below
-      // from the fragment query either way, so hits and misses feed the
-      // join identically.
-      const ViewKey key =
-          view_cache_->KeyFor(fragment_queries[i], fragment_ucqs[i]);
-      if (key.ok()) {
-        if (std::optional<Table> hit =
-                view_cache_->Lookup(key.full, view_epoch_)) {
-          materialized[i] = Result<Table>(std::move(*hit));
-          fragment_millis[i] = t.ElapsedMillis();
-          return;
-        }
-        Result<Table> computed =
-            EvaluateUcqWithCache(fragment_ucqs[i], deadline, &cache);
-        if (computed.ok()) {
-          ViewFootprint footprint;
-          footprint.AddUcq(fragment_ucqs[i]);
-          view_cache_->Install(key, view_epoch_, computed.value(),
-                               std::move(footprint), t.ElapsedMillis());
-        }
-        materialized[i] = std::move(computed);
-        fragment_millis[i] = t.ElapsedMillis();
-        return;
-      }
-    }
-    materialized[i] = EvaluateUcqWithCache(fragment_ucqs[i], deadline, &cache);
+    materialized[i] = EvaluateUcqThroughViewCache(
+        fragment_queries[i], fragment_ucqs[i], deadline, &cache);
     fragment_millis[i] = t.ElapsedMillis();
   };
   if (threads_ > 1 && nf > 1) {

@@ -190,6 +190,15 @@ class Evaluator {
                                      const Deadline& deadline,
                                      ScanCache* cache) const;
 
+  // EvaluateUcqWithCache behind the attached view cache, if any: probes
+  // the cache for `q`'s plan `ucq` at the source snapshot's epoch, and on a
+  // miss evaluates through `cache` and installs the successful result.
+  // EvaluateUcqView uses it for whole unions, EvaluateJucq per fragment.
+  Result<Table> EvaluateUcqThroughViewCache(const query::Cq& q,
+                                            const query::Ucq& ucq,
+                                            const Deadline& deadline,
+                                            ScanCache* cache) const;
+
   // Sequential / parallel bodies of the deadline-bounded EvaluateUcq.
   Result<Table> EvaluateUcqSequential(const query::Ucq& ucq,
                                       const Deadline& deadline,

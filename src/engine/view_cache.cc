@@ -73,80 +73,6 @@ bool ViewFootprint::MayTouch(const rdf::Triple& t) const {
 }
 
 // ---------------------------------------------------------------------------
-// ViewCache::Stored
-// ---------------------------------------------------------------------------
-
-Table ViewCache::Stored::Materialize() const {
-  if (!factorized) {
-    Table out = flat;
-    out.columns = columns;
-    return out;
-  }
-  Table out;
-  out.columns = columns;
-  out.SetArity(arity);
-  out.ReserveRows(rows);
-  const size_t trail = arity - 1;
-  size_t row = 0;
-  for (size_t i = 0; i < lead.size(); ++i) {
-    for (uint32_t k = 0; k < run_length[i]; ++k) {
-      rdf::TermId* slots = out.AppendUninitialized();
-      slots[0] = lead[i];
-      std::copy(rest.begin() + row * trail, rest.begin() + (row + 1) * trail,
-                slots + 1);
-      ++row;
-    }
-  }
-  return out;
-}
-
-ViewCache::Stored ViewCache::Encode(const Table& result) const {
-  Stored s;
-  s.columns = result.columns;
-  s.arity = result.arity();
-  s.rows = result.NumRows();
-  const size_t flat_bytes = result.data().size() * sizeof(rdf::TermId) +
-                            s.columns.size() * sizeof(query::VarId) +
-                            sizeof(Entry);
-  if (s.arity >= 2 && s.rows >= options_.factorize_min_rows) {
-    // Count adjacent lead-column runs: nested-loop emission naturally
-    // groups rows by their first binding, so high-fanout answers collapse.
-    size_t runs = 0;
-    const std::vector<rdf::TermId>& data = result.data();
-    for (size_t r = 0; r < s.rows; ++r) {
-      if (r == 0 || data[r * s.arity] != data[(r - 1) * s.arity]) ++runs;
-    }
-    const size_t fact_bytes =
-        runs * (sizeof(rdf::TermId) + sizeof(uint32_t)) +
-        s.rows * (s.arity - 1) * sizeof(rdf::TermId) +
-        s.columns.size() * sizeof(query::VarId) + sizeof(Entry);
-    if (runs * 2 <= s.rows) {
-      s.factorized = true;
-      s.lead.reserve(runs);
-      s.run_length.reserve(runs);
-      s.rest.reserve(s.rows * (s.arity - 1));
-      for (size_t r = 0; r < s.rows; ++r) {
-        rdf::TermId v = data[r * s.arity];
-        if (s.lead.empty() || v != s.lead.back() ||
-            s.run_length.back() == UINT32_MAX) {
-          s.lead.push_back(v);
-          s.run_length.push_back(1);
-        } else {
-          ++s.run_length.back();
-        }
-        s.rest.insert(s.rest.end(), data.begin() + r * s.arity + 1,
-                      data.begin() + (r + 1) * s.arity);
-      }
-      s.bytes = fact_bytes;
-      return s;
-    }
-  }
-  s.flat = result;
-  s.bytes = flat_bytes;
-  return s;
-}
-
-// ---------------------------------------------------------------------------
 // ViewCache
 // ---------------------------------------------------------------------------
 
@@ -208,7 +134,7 @@ std::optional<Table> ViewCache::Lookup(const std::string& full_key,
   }
   // Payloads are immutable after install and shared_ptr-held, so the copy
   // runs outside the lock and survives a concurrent eviction.
-  return hit->stored.Materialize();
+  return hit->table;
 }
 
 bool ViewCache::MakeRoomLocked(size_t needed) {
@@ -221,7 +147,7 @@ bool ViewCache::MakeRoomLocked(size_t needed) {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       const Entry& e = *it->second;
       double benefit = e.fill_millis * (1.0 + static_cast<double>(e.hits)) /
-                       static_cast<double>(e.stored.bytes ? e.stored.bytes : 1);
+                       static_cast<double>(e.bytes ? e.bytes : 1);
       std::tuple<bool, bool, double, uint64_t> score{e.preferred, !e.capped,
                                                      benefit, e.last_use};
       if (victim == entries_.end() || score < best_score) {
@@ -230,7 +156,7 @@ bool ViewCache::MakeRoomLocked(size_t needed) {
       }
     }
     if (victim == entries_.end()) return false;
-    bytes_ -= victim->second->stored.bytes;
+    bytes_ -= victim->second->bytes;
     entries_.erase(victim);
     ++stats_.evictions;
   }
@@ -241,12 +167,14 @@ void ViewCache::Install(const ViewKey& key, uint64_t epoch,
                         const Table& result, ViewFootprint footprint,
                         double fill_millis) {
   if (!key.ok()) return;
-  // Encode the payload before taking the lock: a large factorization must
-  // not serialize concurrent probes (same discipline as ScanCache fills).
+  // Copy the payload before taking the lock: a large result must not
+  // serialize concurrent probes (same discipline as ScanCache fills).
   auto entry = std::make_shared<Entry>();
-  entry->stored = Encode(result);
+  entry->table = result;
   entry->footprint = std::move(footprint);
-  entry->stored.bytes +=
+  entry->bytes =
+      result.data().size() * sizeof(rdf::TermId) +
+      result.columns.size() * sizeof(query::VarId) + sizeof(Entry) +
       key.full.size() + key.canonical.size() +
       entry->footprint.patterns().size() * sizeof(ViewFootprint::Pattern);
   entry->canonical_key = key.canonical;
@@ -270,14 +198,14 @@ void ViewCache::Install(const ViewKey& key, uint64_t epoch,
       ++stats_.lost_races;
       return;
     }
-    bytes_ -= old.stored.bytes;
+    bytes_ -= old.bytes;
     entries_.erase(it);
   }
-  if (!MakeRoomLocked(entry->stored.bytes)) {
+  if (!MakeRoomLocked(entry->bytes)) {
     ++stats_.rejected;
     return;
   }
-  bytes_ += entry->stored.bytes;
+  bytes_ += entry->bytes;
   ++stats_.installs;
   entries_.emplace(key.full, std::move(entry));
 }
@@ -306,6 +234,7 @@ void ViewCache::Clear() {
   common::MutexLock lock(&mu_);
   entries_.clear();
   writes_.clear();
+  preferred_.clear();
   applied_epoch_ = 0;
   bytes_ = 0;
 }

@@ -24,14 +24,10 @@ namespace engine {
 
 /// \brief Tuning knobs of the cross-query view cache.
 struct ViewCacheOptions {
-  /// Total bytes of cached answers (arena + factorized vectors + keys).
+  /// Total bytes of cached answers (arenas + keys + footprints).
   /// Crossing it evicts lowest-benefit entries; a single result larger
   /// than the whole budget is rejected outright.
   size_t byte_budget = 64ull << 20;
-  /// Results with at least this many rows (and arity ≥ 2) are considered
-  /// for the factorized grouped-lead representation; smaller ones stay
-  /// flat (the encoding overhead would dominate).
-  size_t factorize_min_rows = 1024;
   /// Plans with more members than this are not cached: their plan key
   /// alone would rival the materialized result in size (Example 1's
   /// 318,096-member reformulation is the poster child).
@@ -138,9 +134,7 @@ class ViewFootprint {
 /// Memory is bounded by `byte_budget` with benefit-ordered eviction
 /// (capped entries first, then lowest fill_millis·(1+hits)/bytes,
 /// LRU-tiebroken); keys pinned by SetPreferred — the workload-driven
-/// selection pass — are evicted only when nothing else is left. High-
-/// fanout answers are stored factorized (grouped lead column) when that
-/// pays; materialization reproduces the exact original row order.
+/// selection pass — are evicted only when nothing else is left.
 class ViewCache : public storage::EpochWriteObserver {
  public:
   explicit ViewCache(const ViewCacheOptions& options = {});
@@ -180,8 +174,9 @@ class ViewCache : public storage::EpochWriteObserver {
   void SetPreferred(std::vector<std::string> canonical_keys)
       RDFREF_EXCLUDES(mu_);
 
-  /// \brief Drops every entry and the write window (e.g. when the id
-  /// space is re-encoded and cached ids become meaningless). Counters
+  /// \brief Drops every entry, the write window and the eviction
+  /// preferences (e.g. when the id space is re-encoded and cached ids,
+  /// preferred canonical keys included, become meaningless). Counters
   /// survive; gauges reset.
   void Clear() RDFREF_EXCLUDES(mu_);
 
@@ -190,25 +185,9 @@ class ViewCache : public storage::EpochWriteObserver {
   const ViewCacheOptions& options() const { return options_; }
 
  private:
-  // Immutable-after-install payload: either the flat table or the
-  // factorized (grouped lead column) form. Materialize() reconstructs the
-  // exact original row order either way.
-  struct Stored {
-    std::vector<query::VarId> columns;
-    size_t arity = 0;
-    size_t rows = 0;
-    size_t bytes = 0;
-    bool factorized = false;
-    Table flat;                     // when !factorized (incl. zero arity)
-    std::vector<rdf::TermId> lead;  // run value per lead-column run
-    std::vector<uint32_t> run_length;
-    std::vector<rdf::TermId> rest;  // arity-1 trailing values per row
-
-    Table Materialize() const;
-  };
-
   struct Entry {
-    Stored stored;
+    Table table;       // the installed answer; immutable after install
+    size_t bytes = 0;  // table + keys + footprint + this entry
     ViewFootprint footprint;
     std::string canonical_key;
     uint64_t computed_epoch = 0;
@@ -224,9 +203,6 @@ class ViewCache : public storage::EpochWriteObserver {
     uint64_t epoch;
     rdf::Triple triple;
   };
-
-  // Builds the compact payload for `result` (outside the lock).
-  Stored Encode(const Table& result) const;
 
   // Grows e's validity window toward `target` by replaying the write
   // window; caps at the first overlapping write or when the window has

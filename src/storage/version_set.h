@@ -80,9 +80,9 @@ class DeltaRun {
 };
 
 /// \brief The mutable head overlay of a VersionSet, or a snapshot's frozen
-/// copy of it: triples added/removed since the last Freeze, with presence
-/// sets that keep the zero-copy fast path for patterns the head cannot
-/// affect (same scheme as DeltaStore).
+/// copy of it: triples added/removed since the last Freeze, with
+/// per-position presence sets, so a non-empty head only forces the buffered
+/// path on the patterns it may affect.
 struct HeadDelta {
   std::unordered_set<rdf::Triple, rdf::TripleHash> added;
   std::unordered_set<rdf::Triple, rdf::TripleHash> removed;

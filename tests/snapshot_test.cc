@@ -123,13 +123,17 @@ TEST_F(SnapshotTest, CountsStayExactAcrossGenerations) {
 
   SnapshotPtr snap = v.snapshot();
   // Ground truth: a pristine store over the materialized set must count
-  // identically for every pattern shape.
+  // identically for every pattern shape, and the callback Scan must
+  // deliver exactly that many triples.
   Store rebuilt(&graph_.dict(), snap->Materialize());
   for (rdf::TermId s : {kAny, s1_, s2_}) {
     for (rdf::TermId p : {kAny, p_, q_}) {
       for (rdf::TermId o : {kAny, o1_, o2_}) {
         EXPECT_EQ(snap->CountMatches(s, p, o), rebuilt.CountMatches(s, p, o))
             << s << " " << p << " " << o;
+        size_t scanned = 0;
+        snap->Scan(s, p, o, [&](const rdf::Triple&) { ++scanned; });
+        EXPECT_EQ(scanned, rebuilt.CountMatches(s, p, o));
       }
     }
   }
@@ -170,12 +174,17 @@ TEST_F(SnapshotTest, ZeroCopyForwardsSingleGenerationRanges) {
   // Two generations contribute: the merged (buffered) path is required.
   EXPECT_FALSE(snap->TryGetRange(kAny, kAny, o1_, &span));
 
-  // A head write poisons only the patterns it may affect.
+  // A head write poisons only the patterns it may affect, by property or
+  // by subject; the others still alias the base, hinted or not.
   ASSERT_TRUE(v.Insert(rdf::Triple(s1_, r, o1_)));
   SnapshotPtr with_head = v.snapshot();
   EXPECT_FALSE(with_head->TryGetRange(kAny, r, kAny, &span));
+  EXPECT_FALSE(with_head->TryGetRange(s1_, kAny, kAny, &span));
   ASSERT_TRUE(with_head->TryGetRange(kAny, q_, kAny, &span));
   EXPECT_EQ(span.size(), 2u);
+  EXPECT_EQ(span.data(), base_->EqualRangeSpan(kAny, q_, kAny).data());
+  ASSERT_TRUE(with_head->TryGetRangeHinted(s2_, p_, kAny, &span, &hint));
+  EXPECT_EQ(span.size(), 1u);
 
   // After compaction everything is one generation again: even the full
   // scan is a single zero-copy range.
@@ -185,6 +194,23 @@ TEST_F(SnapshotTest, ZeroCopyForwardsSingleGenerationRanges) {
   EXPECT_EQ(compacted->head_size(), 0u);
   ASSERT_TRUE(compacted->TryGetRange(kAny, kAny, kAny, &span));
   EXPECT_EQ(span.size(), 8u);  // 5 base + 3 inserted
+
+  // A head removal likewise: q scans take the buffered path, p scans stay
+  // zero-copy.
+  ASSERT_TRUE(v.Remove(rdf::Triple(s1_, q_, o1_)));
+  SnapshotPtr with_removal = v.snapshot();
+  EXPECT_FALSE(with_removal->TryGetRange(kAny, q_, kAny, &span));
+  ASSERT_TRUE(with_removal->TryGetRange(kAny, p_, kAny, &span));
+  EXPECT_EQ(span.size(), 3u);
+
+  // Un-hiding drains the removal set and its presence filter: a later
+  // removal of a p triple no longer gates q scans.
+  ASSERT_TRUE(v.Insert(rdf::Triple(s1_, q_, o1_)));
+  EXPECT_EQ(v.head_size(), 0u);
+  ASSERT_TRUE(v.Remove(rdf::Triple(s2_, p_, o1_)));
+  SnapshotPtr unhidden = v.snapshot();
+  ASSERT_TRUE(unhidden->TryGetRange(kAny, q_, kAny, &span));
+  EXPECT_EQ(span.size(), 2u);
 }
 
 TEST_F(SnapshotTest, IntervalProbesAreConservativeAgainstMidIntervalOverlays) {

@@ -3,14 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "api/query_answering.h"
 #include "rdf/vocab.h"
-#include "storage/delta_store.h"
 #include "storage/serialize.h"
 #include "testing/oracle.h"
 
@@ -187,75 +185,6 @@ TEST_F(StoreTest, HintedRangesMatchPlainRangesUnderAnyLookupOrder) {
   // Empty results, hinted and not.
   same(subjects.front(), other, uri("nope"), &hint);
   same(uri("ghost"), prop, kAny, &hint);
-}
-
-// Regression: a non-empty overlay used to force the buffered path on EVERY
-// scan. With the per-position presence sets the zero-copy forward survives
-// any overlay that cannot intersect the pattern.
-TEST_F(StoreTest, DeltaOverlayKeepsZeroCopyForUntouchedPatterns) {
-  Store store(graph_);
-  DeltaStore delta(&store);
-  rdf::TermId s3 = U("s3");
-  ASSERT_TRUE(delta.Insert(rdf::Triple(s3, q_, o2_)));
-
-  // The overlay mentions only {s3, q, o2}: a (any, p, any) scan cannot be
-  // affected, so the span must alias the base store's memory.
-  std::span<const rdf::Triple> fast;
-  ASSERT_TRUE(delta.TryGetRange(kAny, p_, kAny, &fast));
-  std::span<const rdf::Triple> plain = store.EqualRangeSpan(kAny, p_, kAny);
-  EXPECT_EQ(fast.data(), plain.data());
-  EXPECT_EQ(fast.size(), plain.size());
-
-  // Hinted variant forwards too, and the hint stays base-valid.
-  RangeHint hint;
-  ASSERT_TRUE(delta.TryGetRangeHinted(s1_, p_, kAny, &fast, &hint));
-  EXPECT_EQ(fast.size(), 2u);
-  ASSERT_TRUE(delta.TryGetRangeHinted(s2_, p_, kAny, &fast, &hint));
-  EXPECT_EQ(fast.size(), 1u);
-
-  // Patterns the overlay may touch take the buffered path.
-  EXPECT_FALSE(delta.TryGetRange(kAny, q_, kAny, &fast));
-  EXPECT_FALSE(delta.TryGetRange(s3, kAny, kAny, &fast));
-  EXPECT_FALSE(delta.TryGetRange(kAny, kAny, o2_, &fast));
-}
-
-TEST_F(StoreTest, DeltaRemovalPresenceGatesFastPath) {
-  Store store(graph_);
-  DeltaStore delta(&store);
-  ASSERT_TRUE(delta.Remove(rdf::Triple(s1_, q_, o1_)));
-
-  std::span<const rdf::Triple> fast;
-  // Removals over q-patterns poison q scans but leave p scans zero-copy.
-  EXPECT_FALSE(delta.TryGetRange(kAny, q_, kAny, &fast));
-  ASSERT_TRUE(delta.TryGetRange(kAny, p_, kAny, &fast));
-  EXPECT_EQ(fast.size(), 3u);
-
-  // Un-hiding drains the removal set; the presence residue is cleared and
-  // the q fast path comes back.
-  ASSERT_TRUE(delta.Insert(rdf::Triple(s1_, q_, o1_)));
-  EXPECT_EQ(delta.num_added(), 0u);
-  EXPECT_EQ(delta.num_removed(), 0u);
-  ASSERT_TRUE(delta.TryGetRange(kAny, q_, kAny, &fast));
-  EXPECT_EQ(fast.size(), 2u);
-}
-
-TEST_F(StoreTest, DeltaCompactMaterializesOverlay) {
-  Store store(graph_);
-  DeltaStore delta(&store);
-  rdf::TermId s3 = U("s3");
-  ASSERT_TRUE(delta.Insert(rdf::Triple(s3, p_, o1_)));
-  ASSERT_TRUE(delta.Remove(rdf::Triple(s2_, q_, o2_)));
-
-  std::unique_ptr<Store> sealed = delta.Compact();
-  EXPECT_EQ(sealed->size(), 5u);  // 5 base - 1 removed + 1 added
-  EXPECT_TRUE(sealed->Contains(rdf::Triple(s3, p_, o1_)));
-  EXPECT_FALSE(sealed->Contains(rdf::Triple(s2_, q_, o2_)));
-  EXPECT_EQ(sealed->CountMatches(kAny, p_, kAny), 4u);
-  EXPECT_EQ(sealed->CountMatches(kAny, q_, kAny), 1u);
-
-  // Compact() is a snapshot, not a drain: the overlay is untouched.
-  EXPECT_EQ(delta.num_added(), 1u);
-  EXPECT_EQ(delta.num_removed(), 1u);
 }
 
 TEST_F(StoreTest, ClassCardinalities) {

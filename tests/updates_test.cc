@@ -1,7 +1,7 @@
-// Updates through the facade: Ref sees changes instantly via the delta
-// overlay; Sat is maintained incrementally (forward chaining on insert,
-// DRed on delete); all complete strategies keep agreeing after every
-// update — the paper's §1 maintenance story, end to end.
+// Updates through the facade: Ref sees changes instantly via the version
+// set's head overlay; Sat is maintained incrementally (forward chaining on
+// insert, DRed on delete); all complete strategies keep agreeing after
+// every update — the paper's §1 maintenance story, end to end.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "datagen/bibliography.h"
 #include "query/sparql_parser.h"
 #include "rdf/vocab.h"
-#include "storage/delta_store.h"
 #include "testing/metamorphic.h"
 #include "testing/scenario.h"
 
@@ -161,40 +160,6 @@ TEST_F(UpdatesTest, InsertThenRemoveRoundTrips) {
   EXPECT_EQ(Rows(Strategy::kRefGcov, q).size(), before.size() + 1);
   ASSERT_TRUE(answerer_->RemoveTriple(t).ok());
   EXPECT_EQ(Rows(Strategy::kRefGcov, q), before);
-}
-
-TEST(DeltaStoreTest, OverlaySemantics) {
-  rdf::Graph g;
-  rdf::TermId s = g.dict().InternUri("http://s");
-  rdf::TermId p = g.dict().InternUri("http://p");
-  rdf::TermId o1 = g.dict().InternUri("http://o1");
-  rdf::TermId o2 = g.dict().InternUri("http://o2");
-  g.Add(s, p, o1);
-  storage::Store base(g);
-  storage::DeltaStore delta(&base);
-
-  EXPECT_TRUE(delta.Contains(rdf::Triple(s, p, o1)));
-  EXPECT_FALSE(delta.Insert(rdf::Triple(s, p, o1)));  // already visible
-  EXPECT_TRUE(delta.Insert(rdf::Triple(s, p, o2)));
-  EXPECT_EQ(delta.CountMatches(s, p, storage::kAny), 2u);
-
-  EXPECT_TRUE(delta.Remove(rdf::Triple(s, p, o1)));  // hide base triple
-  EXPECT_FALSE(delta.Contains(rdf::Triple(s, p, o1)));
-  EXPECT_EQ(delta.CountMatches(s, p, storage::kAny), 1u);
-
-  size_t visited = 0;
-  delta.Scan(storage::kAny, p, storage::kAny,
-             [&](const rdf::Triple& t) {
-               EXPECT_EQ(t.o, o2);
-               ++visited;
-             });
-  EXPECT_EQ(visited, 1u);
-
-  EXPECT_TRUE(delta.Insert(rdf::Triple(s, p, o1)));  // un-hide
-  EXPECT_EQ(delta.CountMatches(storage::kAny, storage::kAny, storage::kAny),
-            2u);
-  EXPECT_TRUE(delta.Remove(rdf::Triple(s, p, o2)));  // drop the addition
-  EXPECT_EQ(delta.num_added(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // The cross-query view cache (DESIGN.md §15): key construction, epoch
 // validity windows, capped-entry replacement, budgeted eviction, the
-// factorized payload round-trip, the facade wiring (QueryAnswerer), the
+// facade wiring (QueryAnswerer), the
 // ScanCache span-stability contract it generalizes, and the threaded
 // bit-identity relation TSan runs in CI.
 
@@ -57,6 +57,17 @@ class ViewCacheTest : public ::testing::Test {
   // Key + footprint of the single-member plan Ucq({q}).
   ViewKey Key(const ViewCache& cache, const query::Cq& q) {
     return cache.KeyFor(q, query::Ucq({q}));
+  }
+
+  // The (deterministic) bytes of two entries holding table t, as a budget
+  // that fits exactly two of them.
+  size_t TwoEntryBudget(const Table& t) {
+    query::Cq qa = PropertyQuery(5);
+    query::Cq qb = PropertyQuery(6);
+    ViewCache probe;
+    probe.Install(Key(probe, qa), 0, t, FootprintOf(qa), 1.0);
+    probe.Install(Key(probe, qb), 0, t, FootprintOf(qb), 1.0);
+    return probe.Stats().bytes;
   }
 };
 
@@ -171,23 +182,13 @@ TEST_F(ViewCacheTest, ScrolledWriteLogCapsConservatively) {
 }
 
 TEST_F(ViewCacheTest, EvictionDropsLowestBenefitAndSparesPreferred) {
-  // Measure the (deterministic) two-entry footprint first, then rebuild
-  // with a budget that fits exactly two entries of that size.
   query::Cq qa = PropertyQuery(5);
   query::Cq qb = PropertyQuery(6);
   query::Cq qc = PropertyQuery(7);
   Table t = TwoColTable({{1, 2}, {3, 4}});
 
-  size_t two_entries = 0;
-  {
-    ViewCache probe;
-    probe.Install(Key(probe, qa), 0, t, FootprintOf(qa), 1.0);
-    probe.Install(Key(probe, qb), 0, t, FootprintOf(qb), 1.0);
-    two_entries = probe.Stats().bytes;
-  }
-
   ViewCacheOptions options;
-  options.byte_budget = two_entries;
+  options.byte_budget = TwoEntryBudget(t);
   ViewCache cache(options);
   ViewKey ka = Key(cache, qa), kb = Key(cache, qb), kc = Key(cache, qc);
   cache.SetPreferred({kb.canonical});
@@ -205,6 +206,31 @@ TEST_F(ViewCacheTest, EvictionDropsLowestBenefitAndSparesPreferred) {
   EXPECT_TRUE(cache.Lookup(kc.full, 0).has_value());
 }
 
+TEST_F(ViewCacheTest, ClearDropsEvictionPreferences) {
+  // A canonical key preferred before Clear() names ids from before the
+  // re-encode Clear() exists for: afterwards it must protect nothing, so
+  // the lowest-benefit entry is the victim even under that key.
+  query::Cq qa = PropertyQuery(5);
+  query::Cq qb = PropertyQuery(6);
+  query::Cq qc = PropertyQuery(7);
+  Table t = TwoColTable({{1, 2}, {3, 4}});
+
+  ViewCacheOptions options;
+  options.byte_budget = TwoEntryBudget(t);
+  ViewCache cache(options);
+  ViewKey ka = Key(cache, qa), kb = Key(cache, qb), kc = Key(cache, qc);
+  cache.SetPreferred({ka.canonical});
+  cache.Clear();
+  cache.Install(ka, 0, t, FootprintOf(qa), 0.5);  // cheapest to refill
+  cache.Install(kb, 0, t, FootprintOf(qb), 1.0);
+  cache.Install(kc, 0, t, FootprintOf(qc), 1.0);  // must evict exactly one
+
+  EXPECT_EQ(cache.Stats().evictions, 1u);
+  EXPECT_FALSE(cache.Lookup(ka.full, 0).has_value());
+  EXPECT_TRUE(cache.Lookup(kb.full, 0).has_value());
+  EXPECT_TRUE(cache.Lookup(kc.full, 0).has_value());
+}
+
 TEST_F(ViewCacheTest, ResultLargerThanBudgetIsRejected) {
   ViewCacheOptions options;
   options.byte_budget = 64;
@@ -216,33 +242,6 @@ TEST_F(ViewCacheTest, ResultLargerThanBudgetIsRejected) {
   EXPECT_EQ(s.rejected, 1u);
   EXPECT_EQ(s.entries, 0u);
   EXPECT_EQ(s.bytes, 0u);
-}
-
-TEST_F(ViewCacheTest, FactorizedPayloadRoundTripsExactRowOrder) {
-  ViewCache cache;
-  query::Cq q = PropertyQuery(5);
-
-  // High-fanout shape: runs of 16 equal lead values, trailing column in a
-  // deliberately non-sorted order — a hit must replay it bit-for-bit.
-  Table big;
-  big.columns = {0, 1};
-  big.SetArity(2);
-  const size_t rows = 2048;
-  for (size_t i = 0; i < rows; ++i) {
-    big.AppendRow({static_cast<rdf::TermId>(i / 16),
-                   static_cast<rdf::TermId>((i * 7) % 1000)});
-  }
-  ViewKey key = Key(cache, q);
-  cache.Install(key, 0, big, FootprintOf(q), 1.0);
-
-  std::optional<Table> hit = cache.Lookup(key.full, 0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->columns, big.columns);
-  EXPECT_EQ(hit->RowVectors(), big.RowVectors());
-
-  // The grouped-lead representation actually engaged: well under the flat
-  // arena's 2048·2·sizeof(TermId) bytes even with entry overhead counted.
-  EXPECT_LT(cache.Stats().bytes, rows * 2 * sizeof(rdf::TermId));
 }
 
 TEST_F(ViewCacheTest, ClearDropsEntriesButKeepsCounters) {

@@ -23,12 +23,11 @@ Rules (see DESIGN.md section 8):
                 replay bit-exactly.
   delta-mutation
                 The engine evaluates immutable TripleSource views; naming
-                the mutable storage types (DeltaStore, VersionSet) from
-                src/engine/ is banned. Updates go through
-                api::QueryAnswerer, and concurrent evaluation pins an
-                immutable SnapshotSource (storage/version_set.h) — engine
-                code reaching for the mutable overlay would bypass epoch
-                isolation.
+                the mutable VersionSet from src/engine/ is banned.
+                Updates go through api::QueryAnswerer, and concurrent
+                evaluation pins an immutable SnapshotSource
+                (storage/version_set.h) — engine code reaching for the
+                version set would bypass epoch isolation.
   layering      Library-level include DAG: each of the src/ libraries
                 may only include the libraries listed in ALLOWED_DEPS
                 (common at the bottom, engine never includes federation,
@@ -199,10 +198,10 @@ def check_rng_seed(lint, path, rel, lines):
 
 # The engine must see the database only through immutable TripleSource
 # views: snapshot isolation is enforced at the storage layer, and an
-# evaluator holding the mutable overlay (or the version set itself) could
-# observe a torn epoch. Only api/ wires updates to evaluation.
+# evaluator holding the version set itself could observe a torn epoch.
+# Only api/ wires updates to evaluation.
 DELTA_MUTATION_DIRS = ("engine",)
-DELTA_MUTATION_RE = re.compile(r"\b(DeltaStore|VersionSet)\b")
+DELTA_MUTATION_RE = re.compile(r"\bVersionSet\b")
 
 
 def check_delta_mutation(lint, path, rel, lines):
@@ -215,9 +214,9 @@ def check_delta_mutation(lint, path, rel, lines):
         if lint.allowed(line, "delta-mutation", rel, i):
             continue
         lint.add(path, i, "delta-mutation",
-            "engine code must not name the mutable storage types "
-            "(DeltaStore/VersionSet) — evaluate an immutable TripleSource; "
-            "pin a SnapshotSource via api::QueryAnswerer::PinSnapshot()")
+            "engine code must not name the mutable VersionSet — evaluate "
+            "an immutable TripleSource; pin a SnapshotSource via "
+            "api::QueryAnswerer::PinSnapshot()")
 
 
 def check_nodiscard_classes(lint, src_root):
