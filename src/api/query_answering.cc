@@ -238,6 +238,30 @@ const storage::Store& QueryAnswerer::sat_store() {
   return *sat_store_;
 }
 
+Result<engine::Table> QueryAnswerer::AnswerUcq(
+    const query::Cq& q, const reformulation::Reformulator& ref,
+    const AnswerOptions& options, AnswerProfile* profile) {
+  Timer prepare;
+  RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq, ref.Reformulate(q));
+  double prepare_ms = prepare.ElapsedMillis();
+  Timer eval;
+  storage::SnapshotPtr snap =
+      options.snapshot != nullptr ? options.snapshot : versions_->snapshot();
+  engine::Evaluator evaluator(snap.get(), options.threads);
+  if (view_cache_ != nullptr && options.use_view_cache) {
+    evaluator.set_view_cache(view_cache_.get(), snap->epoch());
+  }
+  RDFREF_ASSIGN_OR_RETURN(engine::Table table,
+                          evaluator.EvaluateUcqView(q, ucq, options.deadline));
+  if (profile != nullptr) {
+    profile->prepare_millis = prepare_ms;
+    profile->eval_millis = eval.ElapsedMillis();
+    profile->reformulation_cqs = ucq.size();
+    profile->cover = query::Cover::SingleFragment(q.body().size());
+  }
+  return table;
+}
+
 Result<engine::Table> QueryAnswerer::AnswerJucq(
     const query::Cq& q, const query::Cover& cover,
     const reformulation::Reformulator& ref, const AnswerOptions& options,
@@ -325,6 +349,8 @@ Result<engine::Table> QueryAnswerer::Answer(const query::Cq& q,
     return Status::DeadlineExceeded("deadline expired before answering");
   }
   if (profile != nullptr) *profile = AnswerProfile{};
+  const reformulation::Reformulator ref(&schema_, options.reform,
+                                        &graph_.dict());
   switch (strategy) {
     case Strategy::kSaturation: {
       const bool first = sat_store_ == nullptr;
@@ -338,45 +364,14 @@ Result<engine::Table> QueryAnswerer::Answer(const query::Cq& q,
       }
       return table;
     }
-    case Strategy::kRefUcq: {
-      reformulation::Reformulator ref(&schema_, options.reform,
-                                      &graph_.dict());
-      Timer prepare;
-      RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq, ref.Reformulate(q));
-      double prepare_ms = prepare.ElapsedMillis();
-      Timer eval;
-      storage::SnapshotPtr snap = options.snapshot != nullptr
-                                      ? options.snapshot
-                                      : versions_->snapshot();
-      engine::Evaluator evaluator(snap.get(), options.threads);
-      if (view_cache_ != nullptr && options.use_view_cache) {
-        evaluator.set_view_cache(view_cache_.get(), snap->epoch());
-      }
-      RDFREF_ASSIGN_OR_RETURN(
-          engine::Table table,
-          evaluator.EvaluateUcqView(q, ucq, options.deadline));
-      if (profile != nullptr) {
-        profile->prepare_millis = prepare_ms;
-        profile->eval_millis = eval.ElapsedMillis();
-        profile->reformulation_cqs = ucq.size();
-        profile->cover = query::Cover::SingleFragment(q.body().size());
-      }
-      return table;
-    }
-    case Strategy::kRefScq: {
-      reformulation::Reformulator ref(&schema_, options.reform,
-                                      &graph_.dict());
+    case Strategy::kRefUcq:
+      return AnswerUcq(q, ref, options, profile);
+    case Strategy::kRefScq:
       return AnswerJucq(q, query::Cover::Singletons(q.body().size()), ref,
                         options, profile);
-    }
-    case Strategy::kRefJucq: {
-      reformulation::Reformulator ref(&schema_, options.reform,
-                                      &graph_.dict());
+    case Strategy::kRefJucq:
       return AnswerJucq(q, options.cover, ref, options, profile);
-    }
     case Strategy::kRefGcov: {
-      reformulation::Reformulator ref(&schema_, options.reform,
-                                      &graph_.dict());
       cost::CostModel cost_model(&ref_store_->stats());
       optimizer::CoverOptimizer optimizer(
           &ref, &cost_model, view_hints_.empty() ? nullptr : &view_hints_);
@@ -390,30 +385,11 @@ Result<engine::Table> QueryAnswerer::Answer(const query::Cq& q,
       }
       return AnswerJucq(q, cover, ref, options, profile);
     }
-    case Strategy::kRefIncomplete: {
-      reformulation::IncompleteReformulator ref(&schema_, options.reform,
-                                                &graph_.dict());
-      Timer prepare;
-      RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq, ref.Reformulate(q));
-      double prepare_ms = prepare.ElapsedMillis();
-      Timer eval;
-      storage::SnapshotPtr snap = options.snapshot != nullptr
-                                      ? options.snapshot
-                                      : versions_->snapshot();
-      engine::Evaluator evaluator(snap.get(), options.threads);
-      if (view_cache_ != nullptr && options.use_view_cache) {
-        evaluator.set_view_cache(view_cache_.get(), snap->epoch());
-      }
-      RDFREF_ASSIGN_OR_RETURN(
-          engine::Table table,
-          evaluator.EvaluateUcqView(q, ucq, options.deadline));
-      if (profile != nullptr) {
-        profile->prepare_millis = prepare_ms;
-        profile->eval_millis = eval.ElapsedMillis();
-        profile->reformulation_cqs = ucq.size();
-      }
-      return table;
-    }
+    case Strategy::kRefIncomplete:
+      return AnswerUcq(q,
+                       reformulation::IncompleteReformulator(
+                           &schema_, options.reform, &graph_.dict()),
+                       options, profile);
     case Strategy::kDatalog: {
       if (dat_ == nullptr) {
         // The program pins the epoch it is built against; updates reset

@@ -239,6 +239,12 @@ class QueryAnswerer {
   size_t num_explicit_triples() const { return ref_store_->size(); }
 
  private:
+  // REF-UCQ and REF-INCOMPLETE: the whole union under `ref`, evaluated as
+  // one view over a pinned snapshot.
+  Result<engine::Table> AnswerUcq(const query::Cq& q,
+                                  const reformulation::Reformulator& ref,
+                                  const AnswerOptions& options,
+                                  AnswerProfile* profile);
   Result<engine::Table> AnswerJucq(const query::Cq& q,
                                    const query::Cover& cover,
                                    const reformulation::Reformulator& ref,

@@ -34,8 +34,8 @@
 ///    naming what the views point into. The checker treats un-annotated
 ///    span fields as escapes;
 ///  - a deliberate violation is silenced for one declaration with
-///    `// rdfref-check: allow(<rule>)` plus a justification, exactly like
-///    the lint escapes (stale escapes fail CI).
+///    `// rdfref-check: allow(<rule>)` plus a justification (stale
+///    escapes fail CI).
 
 #if defined(__clang__)
 /// The returned view borrows from the annotated parameter (or, placed

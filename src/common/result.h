@@ -18,8 +18,8 @@ namespace rdfref {
 /// The class is [[nodiscard]]: silently dropping a Result discards an
 /// error the caller was obligated to observe (a dropped kUnavailable in
 /// the federation path is a lost-data bug). The `-Werror` CI build and
-/// tools/rdfref_lint.py keep it that way; a deliberate discard must be
-/// spelled `(void)expr;` with a comment.
+/// tests/negative/discard_result.cc keep it that way; a deliberate
+/// discard must be spelled `(void)expr;` with a comment.
 template <typename T>
 class [[nodiscard]] Result {
  public:

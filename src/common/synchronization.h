@@ -13,7 +13,7 @@
 /// compile time, that every access to a `RDFREF_GUARDED_BY(mu_)` field
 /// happens with `mu_` held and that every `RDFREF_REQUIRES(mu_)` method is
 /// only called under the lock. The CI `static-analysis` job builds with
-/// `-Wthread-safety -Werror=thread-safety`; `tools/rdfref_lint.py` rejects
+/// `-Wthread-safety -Werror=thread-safety`; `tools/rdfref_check.py` rejects
 /// raw `std::mutex` / `std::condition_variable` / `std::lock_guard` /
 /// `std::unique_lock` anywhere else in `src/`.
 ///

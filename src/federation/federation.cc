@@ -205,42 +205,6 @@ bool FederatedSource::ScanEndpoint(const Endpoint& ep, rdf::TermId s,
   return false;
 }
 
-void FederatedSource::Scan(
-    rdf::TermId s, rdf::TermId p, rdf::TermId o,
-    const std::function<void(const rdf::Triple&)>& fn) const {
-  const size_t n = endpoints_->size();
-  const int threads = threads_.load(std::memory_order_relaxed);
-  if (threads <= 1 || n < 2) {
-    std::vector<rdf::Triple> buffer;
-    for (const std::unique_ptr<Endpoint>& ep : *endpoints_) {
-      buffer.clear();
-      if (ScanEndpoint(*ep, s, p, o, &buffer)) {
-        for (const rdf::Triple& t : buffer) fn(t);
-      }
-    }
-    return;
-  }
-  // Parallel fan-out: request every endpoint concurrently (including its
-  // retry/backoff schedule), but deliver to `fn` only from this thread, in
-  // endpoint registration order — the callback is the evaluator's join
-  // recursion and is not thread-safe, and ordered delivery keeps answers
-  // identical to the sequential fan-out.
-  std::vector<std::vector<rdf::Triple>> buffers(n);
-  std::vector<char> complete(n, 0);
-  // Contiguous endpoint chunks keep concurrency bounded by the knob.
-  const size_t chunks = std::min(n, static_cast<size_t>(threads));
-  common::ThreadPool::Shared().ParallelFor(chunks, [&](size_t c) {
-    for (size_t i = n * c / chunks; i < n * (c + 1) / chunks; ++i) {
-      complete[i] =
-          ScanEndpoint(*(*endpoints_)[i], s, p, o, &buffers[i]) ? 1 : 0;
-    }
-  });
-  for (size_t i = 0; i < n; ++i) {
-    if (!complete[i]) continue;
-    for (const rdf::Triple& t : buffers[i]) fn(t);
-  }
-}
-
 void FederatedSource::ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                std::vector<rdf::Triple>* out) const {
   out->clear();
@@ -256,7 +220,9 @@ void FederatedSource::ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
     }
     return;
   }
-  // Parallel fan-out, flushed in endpoint registration order (see Scan).
+  // Parallel fan-out: request every endpoint concurrently (including its
+  // retry/backoff schedule), but flush on this thread, in endpoint
+  // registration order, so answers are identical to the sequential fan-out.
   std::vector<std::vector<rdf::Triple>> buffers(n);
   std::vector<char> complete(n, 0);
   const size_t chunks = std::min(n, static_cast<size_t>(threads));

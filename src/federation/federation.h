@@ -24,7 +24,7 @@
 namespace rdfref {
 namespace federation {
 
-/// \brief Mediator view over all endpoints: one TripleSource whose Scan
+/// \brief Mediator view over all endpoints: one TripleSource whose ScanInto
 /// fans a pattern request out to every endpoint (respecting each
 /// endpoint's answer caps) and whose dictionary is the shared one.
 ///
@@ -39,21 +39,16 @@ class FederatedSource : public storage::TripleSource {
                   const std::vector<std::unique_ptr<Endpoint>>* endpoints)
       : dict_(dict), endpoints_(endpoints) {}
 
-  void Scan(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-            const std::function<void(const rdf::Triple&)>& fn)
-      const override RDFREF_EXCLUDES(mu_);
-
-  /// \brief Batch path for the columnar engine: the same fault-tolerant
-  /// fan-out as Scan (buffered per endpoint, retried, breaker-gated,
-  /// delivered in endpoint registration order), appended straight into
-  /// `out` — no per-triple callback crosses the mediator boundary.
+  /// \brief The fault-tolerant fan-out: buffered per endpoint, retried,
+  /// breaker-gated, and appended to `out` in endpoint registration order.
+  /// The inherited Scan iterates this buffer.
   void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                 std::vector<rdf::Triple>* out) const override
       RDFREF_EXCLUDES(mu_);
   /// \brief Cost-model cardinality: per-endpoint match counts clamped to
   /// each endpoint's answer cap, skipping endpoints that cannot currently
   /// deliver (hard-down or open circuit breaker) — estimates match what
-  /// Scan actually returns.
+  /// ScanInto actually returns.
   size_t CountMatches(rdf::TermId s, rdf::TermId p,
                       rdf::TermId o) const override RDFREF_EXCLUDES(mu_);
   const rdf::Dictionary& dict() const override { return *dict_; }
@@ -70,9 +65,9 @@ class FederatedSource : public storage::TripleSource {
   /// \brief Scan fan-out parallelism: 1 (the default) requests endpoints
   /// one after another on the calling thread; n > 1 requests up to n
   /// endpoints concurrently; 0 resolves to
-  /// common::ThreadPool::DefaultThreads(). Triples are always delivered
-  /// to the scan callback sequentially, in endpoint registration order,
-  /// so answers are identical across settings.
+  /// common::ThreadPool::DefaultThreads(). Triples are always appended in
+  /// endpoint registration order, so answers are identical across
+  /// settings.
   void set_threads(int threads);
   int threads() const { return threads_.load(std::memory_order_relaxed); }
 
@@ -90,7 +85,7 @@ class FederatedSource : public storage::TripleSource {
 
  private:
   // Scans one endpoint with retries, collecting its triples into `out`
-  // (flushed by Scan in endpoint order); true iff its data arrived in
+  // (flushed by ScanInto in endpoint order); true iff its data arrived in
   // full. Thread-safe: multiple endpoints may be scanned concurrently.
   bool ScanEndpoint(const Endpoint& ep, rdf::TermId s, rdf::TermId p,
                     rdf::TermId o, std::vector<rdf::Triple>* out) const
@@ -104,16 +99,15 @@ class FederatedSource : public storage::TripleSource {
   const rdf::Dictionary* dict_;
   const std::vector<std::unique_ptr<Endpoint>>* endpoints_;
   // Fan-out parallelism knob; atomic because AnswerResilient reconfigures
-  // it while a concurrent Scan (another query on the same mediator) may be
-  // reading it.
+  // it while a concurrent ScanInto (another query on the same mediator) may
+  // be reading it.
   std::atomic<int> threads_{1};
   // Guards the policy, breakers_ and health_ (touched by concurrent
   // endpoint scans); never held across a sleep, a request, or a callback
   // delivery.
   mutable common::Mutex mu_;
   ResilienceOptions resilience_ RDFREF_GUARDED_BY(mu_);
-  // std::map: nested Scan calls (index nested-loop joins re-enter Scan from
-  // inside callbacks) must not invalidate references held by outer frames.
+  // std::map: Report() lists endpoints in name order.
   mutable std::map<std::string, CircuitBreaker> breakers_
       RDFREF_GUARDED_BY(mu_);
   mutable std::map<std::string, EndpointHealth> health_

@@ -300,12 +300,6 @@ bool Store::TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
   return true;
 }
 
-void Store::Scan(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                 const std::function<void(const rdf::Triple&)>& fn) const {  // rdfref-check: allow(std-function)
-  Range r = EqualRange(s, p, o);
-  for (const rdf::Triple* t = r.first; t != r.second; ++t) fn(*t);
-}
-
 size_t Store::CountMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
   Range r = EqualRange(s, p, o);
   return static_cast<size_t>(r.second - r.first);

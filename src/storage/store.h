@@ -2,7 +2,6 @@
 #define RDFREF_STORAGE_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <tuple>
@@ -69,12 +68,6 @@ class Store : public TripleSource {
   Store(Store&&) = default;
   Store& operator=(Store&&) = default;
 
-  /// \brief Invokes `fn` on every triple matching the pattern; kAny
-  /// wildcards any position. Legacy path — the engine drives the
-  /// zero-overhead range API below.
-  void Scan(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-            const std::function<void(const rdf::Triple&)>& fn) const override;  // rdfref-check: allow(std-function)
-
   /// \brief Zero-overhead range scan: every pattern is a binary-searched
   /// contiguous run of one clustered permutation (SPO/PSO/POS/OSP), so the
   /// matches come back as one span into the index — no callback, no copy.
@@ -111,6 +104,13 @@ class Store : public TripleSource {
     *out = hint == nullptr ? EqualRangeSpan(s, p, o)
                            : EqualRangeSpanHinted(s, p, o, hint);
     return true;
+  }
+
+  /// \brief Batch fallback: a copy of the EqualRangeSpan matches.
+  void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                std::vector<rdf::Triple>* out) const override {
+    std::span<const rdf::Triple> range = EqualRangeSpan(s, p, o);
+    out->assign(range.begin(), range.end());
   }
 
   /// \brief Interval fast path for hierarchy-encoded atoms: succeeds when

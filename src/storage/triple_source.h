@@ -78,23 +78,34 @@ struct RangeHint {
 /// Section 1 of the paper: data "split across independent sources").
 ///
 /// Access comes in two granularities:
-///   - the batch API (`TryGetRange` / `ScanInto`), which the columnar
-///     engine drives: a whole pattern's matches at once, as a contiguous
-///     block (zero-copy when the source is range-capable, one buffered
-///     copy otherwise);
-///   - the legacy per-triple callback `Scan`, kept for federation
-///     compatibility and the reference evaluator.
+///   - the batch API (`TryGetRange` / `ScanInto`), which every source
+///     implements and the columnar engine drives: a whole pattern's matches
+///     at once, as a contiguous block (zero-copy when the source is
+///     range-capable, one buffered copy otherwise);
+///   - the per-triple callback `Scan`, a base-class convenience over the
+///     batch API for the endpoint, the Datalog loader and the reference
+///     evaluator.
 class TripleSource {
  public:
   virtual ~TripleSource() = default;
 
   /// \brief Invokes `fn` on every triple matching the pattern; kAny
   /// (rdf::kInvalidTermId) wildcards a position. May deliver duplicates
-  /// across underlying sources; the engine deduplicates answers.
-  /// Legacy path: hot code should use TryGetRange/ScanInto instead.
+  /// across underlying sources; the engine deduplicates answers. Iterates
+  /// TryGetRange when it succeeds, otherwise a ScanInto buffer. Hot code
+  /// should use TryGetRange/ScanInto directly.
   virtual void Scan(
       rdf::TermId s, rdf::TermId p, rdf::TermId o,
-      const std::function<void(const rdf::Triple&)>& fn) const = 0;  // rdfref-check: allow(std-function)
+      const std::function<void(const rdf::Triple&)>& fn) const {  // rdfref-check: allow(std-function)
+    std::span<const rdf::Triple> range;
+    if (TryGetRange(s, p, o, &range)) {
+      for (const rdf::Triple& t : range) fn(t);
+      return;
+    }
+    std::vector<rdf::Triple> buffer;
+    ScanInto(s, p, o, &buffer);
+    for (const rdf::Triple& t : buffer) fn(t);
+  }
 
   /// \brief Batch fast path: when the source can expose every match as one
   /// contiguous block (valid until the source is modified), sets `*out`
@@ -132,14 +143,9 @@ class TripleSource {
   }
 
   /// \brief Batch fallback: clears `*out` and appends every match, in the
-  /// same order Scan would deliver them. Sources with internal buffering
-  /// (the federation mediator) override this to fill `out` directly; the
-  /// default adapts the legacy callback.
+  /// order TryGetRange would return them when it succeeds.
   virtual void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                        std::vector<rdf::Triple>* out) const {
-    out->clear();
-    Scan(s, p, o, [out](const rdf::Triple& t) { out->push_back(t); });
-  }
+                        std::vector<rdf::Triple>* out) const = 0;
 
   /// \brief Number of triples matching the pattern (exact for local
   /// stores; an upper bound for federations).

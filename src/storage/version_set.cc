@@ -145,14 +145,6 @@ void SnapshotSource::ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
   if (sorted_contributors > 1) std::sort(out->begin(), out->end());
 }
 
-void SnapshotSource::Scan(
-    rdf::TermId s, rdf::TermId p, rdf::TermId o,
-    const std::function<void(const rdf::Triple&)>& fn) const {  // rdfref-check: allow(std-function)
-  std::vector<rdf::Triple> buffer;
-  ScanInto(s, p, o, &buffer);
-  for (const rdf::Triple& t : buffer) fn(t);
-}
-
 bool SnapshotSource::TryGetRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                  std::span<const rdf::Triple>* out) const {
   return TryGetRangeHinted(s, p, o, out, nullptr);

@@ -144,10 +144,6 @@ class SnapshotSource : public TripleSource {
   /// visibility-changing updates applied to the VersionSet before it.
   uint64_t epoch() const { return epoch_; }
 
-  void Scan(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-            const std::function<void(const rdf::Triple&)>& fn)
-      const override;  // rdfref-check: allow(std-function)
-
   RDFREF_BORROWS_FROM(this)
   bool TryGetRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                    std::span<const rdf::Triple>* out) const override;

@@ -27,9 +27,9 @@ VerticalStore::VerticalStore(const rdf::Graph& graph)
   std::sort(properties_.begin(), properties_.end());
 }
 
-void VerticalStore::ScanTable(
-    const PropertyTable& table, rdf::TermId p, rdf::TermId s, rdf::TermId o,
-    const std::function<void(const rdf::Triple&)>& fn) {  // rdfref-check: allow(std-function)
+void VerticalStore::ScanTable(const PropertyTable& table, rdf::TermId p,
+                              rdf::TermId s, rdf::TermId o,
+                              std::vector<rdf::Triple>* out) {
   const bool bs = s != kAny, bo = o != kAny;
   if (bs) {
     auto begin = std::lower_bound(
@@ -41,7 +41,7 @@ void VerticalStore::ScanTable(
         if (it->second > o) break;
         continue;
       }
-      fn(rdf::Triple(it->first, p, it->second));
+      out->emplace_back(it->first, p, it->second);
     }
     return;
   }
@@ -51,12 +51,12 @@ void VerticalStore::ScanTable(
                                   std::make_pair(o, rdf::TermId{0}));
     for (auto it = begin; it != table.by_object.end() && it->first == o;
          ++it) {
-      fn(rdf::Triple(it->second, p, it->first));
+      out->emplace_back(it->second, p, it->first);
     }
     return;
   }
   for (const auto& [subj, obj] : table.by_subject) {
-    fn(rdf::Triple(subj, p, obj));
+    out->emplace_back(subj, p, obj);
   }
 }
 
@@ -86,17 +86,17 @@ size_t VerticalStore::CountTable(const PropertyTable& table, rdf::TermId s,
   return table.by_subject.size();
 }
 
-void VerticalStore::Scan(
-    rdf::TermId s, rdf::TermId p, rdf::TermId o,
-    const std::function<void(const rdf::Triple&)>& fn) const {  // rdfref-check: allow(std-function)
+void VerticalStore::ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                             std::vector<rdf::Triple>* out) const {
+  out->clear();
   if (p != kAny) {
     auto it = tables_.find(p);
-    if (it != tables_.end()) ScanTable(it->second, p, s, o, fn);
+    if (it != tables_.end()) ScanTable(it->second, p, s, o, out);
     return;
   }
   // Unbound property: union over every per-property table.
   for (rdf::TermId prop : properties_) {
-    ScanTable(tables_.at(prop), prop, s, o, fn);
+    ScanTable(tables_.at(prop), prop, s, o, out);
   }
 }
 

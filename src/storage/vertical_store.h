@@ -31,9 +31,8 @@ class VerticalStore : public TripleSource {
   VerticalStore(const VerticalStore&) = delete;
   VerticalStore& operator=(const VerticalStore&) = delete;
 
-  void Scan(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-            const std::function<void(const rdf::Triple&)>& fn)  // rdfref-check: allow(std-function)
-      const override;
+  void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                std::vector<rdf::Triple>* out) const override;
   size_t CountMatches(rdf::TermId s, rdf::TermId p,
                       rdf::TermId o) const override;
   const rdf::Dictionary& dict() const RDFREF_LIFETIME_BOUND override {
@@ -49,10 +48,11 @@ class VerticalStore : public TripleSource {
     std::vector<std::pair<rdf::TermId, rdf::TermId>> by_object;   // (o, s)
   };
 
-  // Scans one property table under the given subject/object bounds.
+  // Appends one property table's matches under the given subject/object
+  // bounds to `out`.
   static void ScanTable(const PropertyTable& table, rdf::TermId p,
                         rdf::TermId s, rdf::TermId o,
-                        const std::function<void(const rdf::Triple&)>& fn);  // rdfref-check: allow(std-function)
+                        std::vector<rdf::Triple>* out);
   static size_t CountTable(const PropertyTable& table, rdf::TermId s,
                            rdf::TermId o);
 

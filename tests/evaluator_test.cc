@@ -341,14 +341,6 @@ class RowCountingSource : public storage::TripleSource {
   explicit RowCountingSource(const storage::TripleSource* inner)
       : inner_(inner) {}
 
-  void Scan(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-            const std::function<void(const rdf::Triple&)>& fn)  // rdfref-check: allow(std-function)
-      const override {
-    inner_->Scan(s, p, o, [&](const rdf::Triple& t) {
-      ++rows_;
-      fn(t);
-    });
-  }
   bool TryGetRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                    std::span<const rdf::Triple>* out) const override {
     if (!inner_->TryGetRange(s, p, o, out)) return false;

@@ -8,6 +8,9 @@
 //     failure of the negative build is the violation and not e.g. a broken
 //     include path;
 //   - with -DRDFREF_NEGATIVE: adds the violations — must FAIL.
+// At configure time the negative build runs once per class
+// (-DRDFREF_ONLY_RESULT, -DRDFREF_ONLY_STATUS), so each class's attribute
+// is proved on its own.
 
 #include "common/result.h"
 #include "common/status.h"
@@ -25,8 +28,10 @@ int Use() {
   rdfref::Status s = MakeStatus();
   int total = (r.ok() ? *r : 0) + (s.ok() ? 0 : 1);
 
-#ifdef RDFREF_NEGATIVE
+#if defined(RDFREF_NEGATIVE) && !defined(RDFREF_ONLY_STATUS)
   MakeResult();  // dropped Result<int> — must not compile
+#endif
+#if defined(RDFREF_NEGATIVE) && !defined(RDFREF_ONLY_RESULT)
   MakeStatus();  // dropped Status — must not compile
 #endif
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -273,11 +272,11 @@ class VectorSource : public storage::TripleSource {
   explicit VectorSource(std::vector<rdf::Triple> triples)
       : triples_(std::move(triples)) {}
 
-  void Scan(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-            const std::function<void(const rdf::Triple&)>& fn)  // rdfref-check: allow(std-function)
-      const override {
+  void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                std::vector<rdf::Triple>* out) const override {
+    out->clear();
     for (const rdf::Triple& t : triples_) {
-      if (storage::MatchesPattern(t, s, p, o)) fn(t);
+      if (storage::MatchesPattern(t, s, p, o)) out->push_back(t);
     }
   }
 

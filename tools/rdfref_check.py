@@ -1,13 +1,38 @@
 #!/usr/bin/env python3
-"""rdfref_check: Clang-AST borrow & snapshot-discipline checker (DESIGN.md §14).
+"""rdfref_check: rdfref's static analyzer (DESIGN.md §14).
 
-The zero-copy paths hand out `std::span` views into store permutation
-indexes, delta runs, and pinned snapshot epochs. Regex lint cannot see
-whether a span outlives its source or whether a raw `SnapshotSource*`
-escaped its pinning `shared_ptr` — those are properties of the AST. This
-tool drives `clang++ -Xclang -ast-dump=json` over the compile database
-(no LibTooling build required) and enforces the repo invariants the
-compiler itself cannot:
+Every Ref strategy must answer exactly as Sat does, and that rests on
+invariants no compiler checks: a borrowed span must not outlive its store,
+a snapshot must stay pinned while it is read, every lock must be visible
+to Clang's thread-safety analysis, and every random stream must be seeded
+so fuzz runs replay. Two passes over src/ check them.
+
+The text pass needs nothing but Python and runs on every invocation,
+before the AST pass:
+
+  raw-sync             No raw std::mutex / std::condition_variable / lock
+                       scopes outside src/common/synchronization.h:
+                       everything goes through the capability-annotated
+                       wrappers, so -Wthread-safety sees every lock.
+  rng-seed             No wall-clock or entropy seeding (std::random_device,
+                       srand, time(...)): every random stream is seeded
+                       explicitly so fault injection, fuzzing and jitter
+                       replay bit-exactly.
+  delta-mutation       src/engine/ must not name the mutable VersionSet: the
+                       engine evaluates immutable TripleSource views, and
+                       updates go through api::QueryAnswerer.
+  nodiscard            Every Answer*/Evaluate* function declared in a header
+                       carries [[nodiscard]], directly or through a
+                       Result<T>/Status return type (both classes are
+                       [[nodiscard]]; tests/negative/discard_result.cc
+                       proves each at configure time).
+  layering             Library-level include DAG: each src/ library includes
+                       only the libraries ALLOWED_DEPS lists.
+  include-cycle        No #include cycle among src/ headers. A cycle cannot
+                       be excused, only broken.
+
+The AST pass drives the stock clang driver (`clang++ -Xclang
+-ast-dump=json -fsyntax-only`, no LibTooling) over the compile database:
 
   span-escape          A borrowed span must not be stored in a field of an
                        un-annotated class, a global/static, or a by-value
@@ -25,39 +50,43 @@ compiler itself cannot:
                        (or RDFREF_NOT_GUARDED with a reason). This is the
                        gap Clang's thread-safety analysis silently skips:
                        unannotated fields are simply not checked.
-  termid-arith         AST port of the old regex rule, now typed: +, -,
-                       +=, -=, ++, -- on an operand whose type is
+  termid-arith         +, -, +=, -=, ++, -- on an operand whose type is
                        rdf::TermId, outside src/rdf/ and the hierarchy
                        encoder. Ids are interval codes, not integers.
-  std-function         AST port of the old regex rule: std::function
-                       parameters on engine/storage hot paths (virtual
-                       dispatch per triple; prefer spans or templates).
+  std-function         std::function parameters on engine/storage hot paths
+                       (virtual dispatch per triple; prefer spans or
+                       templates).
 
-A deliberate violation is silenced for one declaration with
-`// rdfref-check: allow(<rule>)` on the finding line, up to two lines
-above it, or the line after (multi-line signatures) — plus a prose
-justification. Stale escapes (the rule no longer fires there) and unknown
-rule names are themselves findings, so suppressions cannot outlive the
-code they excuse.
+A deliberate violation is silenced with `// rdfref-check: allow(<rule>)`
+on the finding line, up to two lines above it, or the line after
+(multi-line signatures) — plus a prose justification. An escape that no
+longer suppresses anything (stale-escape) or names no rule
+(unknown-escape) is itself a finding, so suppressions cannot outlive the
+code they excuse. An escape is judged stale only when the pass owning its
+rule ran: without clang, AST-rule escapes are not judged.
 
 Modes:
-  (default)        analyze every src/**.cc entry of the compile database;
-                   exits 0 with a skip note when no clang++ is installed
-                   (the container toolchain is GCC; CI installs clang-19).
-  --require-clang  same, but a missing clang++ is an error (CI).
-  --ast-json FILE  run the rules over one pre-dumped AST (or a fixture
+  (default)        the text pass over src/, then the AST pass over every
+                   src/**.cc entry of the compile database. Without
+                   clang++ or a compile database the AST pass is skipped
+                   with a note and the text pass alone decides the exit
+                   code (CI installs clang-19 for the AST pass).
+  --require-clang  same, but a skipped AST pass is an error (CI).
+  --ast-json FILE  both passes over one pre-dumped AST (or a fixture
                    wrapper with embedded source text); exit 1 on findings.
                    Used by the tests/negative/ WILL_FAIL ctest entries.
-  --probe FILE     dump+check a single source file with -DRDFREF_NEGATIVE;
-                   exit 0 iff at least one finding fires (negative gate).
-  --self-test      run the rule engine against the hand-written AST
-                   fixtures in tools/rdfref_check_testdata/.
+  --probe FILE     AST-dump and check one source file with
+                   -DRDFREF_NEGATIVE; exit 0 iff at least one AST finding
+                   fires (the negative gate's live-clang half).
+  --self-test      both passes over every fixture in
+                   tools/rdfref_check_testdata/ (hand-written JSON ASTs,
+                   and text-only synthetic trees without an AST).
 
-Per-TU results are cached in .rdfref_check_cache/ keyed on the compile
-command, the TU contents, and every repo-local header it includes (via
-clang -MM), so incremental CI runs stay fast; CI persists the directory
-with actions/cache. `--json-out findings.json` writes the machine-readable
-artifact CI uploads on failure.
+Per-TU AST results are cached in .rdfref_check_cache/ keyed on the
+compile command, the TU contents, and every repo-local header it includes
+(via clang -MM), so incremental CI runs stay fast; CI persists the
+directory with actions/cache. `--json-out findings.json` writes the
+machine-readable artifact CI uploads on failure.
 """
 
 import argparse
@@ -68,16 +97,27 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import defaultdict
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-CHECK_RULES = (
+TEXT_RULES = (
+    "raw-sync",
+    "rng-seed",
+    "delta-mutation",
+    "nodiscard",
+    "layering",
+    "include-cycle",
+)
+AST_RULES = (
     "span-escape",
     "snapshot-pin",
     "guard-completeness",
     "termid-arith",
     "std-function",
 )
+# The pass that owns each rule: its escapes are judged only when it ran.
+RULE_PASS = {**{r: "text" for r in TEXT_RULES}, **{r: "ast" for r in AST_RULES}}
 ESCAPE_RE = re.compile(r"//\s*rdfref-check:\s*allow\(([a-z-]+)\)")
 # termid-arith does not apply where ids are *assigned*: the dictionary and
 # the hierarchy encoder own the id space.
@@ -146,6 +186,184 @@ class SourceIndex:
     def window(self, relpath, lo, hi):
         return "\n".join(self.line(relpath, n) for n in range(max(1, lo), hi + 1))
 
+
+# ---- text pass -----------------------------------------------------------
+
+# The one file allowed to name the raw primitives.
+SYNC_SHIM = "src/common/synchronization.h"
+
+RAW_SYNC_PATTERNS = [
+    (re.compile(r"\bstd::(recursive_|shared_|timed_)?mutex\b"), "std::mutex"),
+    (re.compile(r"\bstd::condition_variable(_any)?\b"),
+     "std::condition_variable"),
+    (re.compile(r"\bstd::(lock_guard|unique_lock|scoped_lock|shared_lock)\b"),
+     "raw lock scope"),
+    (re.compile(r'#\s*include\s*<(mutex|condition_variable|shared_mutex)>'),
+     "raw synchronization header"),
+]
+
+RNG_SEED_PATTERNS = [
+    (re.compile(r"\bstd::random_device\b"), "std::random_device"),
+    (re.compile(r"\bsrand\s*\("), "srand()"),
+    (re.compile(r"\btime\s*\(\s*(nullptr|NULL|0)\s*\)"), "time(...)"),
+    (re.compile(r"\bseed\s*\(\s*std::chrono\b"), "clock-seeded RNG"),
+]
+
+# The engine must see the database only through immutable TripleSource
+# views: snapshot isolation is enforced at the storage layer, and an
+# evaluator holding the version set itself could observe a torn epoch.
+VERSION_SET_RE = re.compile(r"\bVersionSet\b")
+
+# Answer*/Evaluate* declarations in headers must be [[nodiscard]], either
+# on the declaration (or the line above it) or via a [[nodiscard]] return
+# type.
+ENTRY_POINT_RE = re.compile(
+    r"^\s*(?:virtual\s+)?"
+    r"(?P<ret>[A-Za-z_][\w:<>,\s&*]*?)\s+"
+    r"(?P<name>Answer\w*|Evaluate\w*)\s*\(")
+NODISCARD_RETURN_RE = re.compile(r"^(Result\s*<|::rdfref::Status\b|Status\b|void\b)")
+
+INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
+
+# Library-level allowed dependencies (edges not listed here are findings).
+# This is the architecture: `common` at the bottom of everything, the
+# engine never reaching into the federation, `testing` alone allowed to
+# see it all. Adding an edge is a deliberate design change — do it here,
+# in the change that introduces the include.
+ALLOWED_DEPS = {
+    "common": set(),
+    "rdf": {"common"},
+    "schema": {"rdf", "common"},
+    "query": {"common", "rdf"},
+    "storage": {"common", "rdf"},
+    "reasoner": {"rdf", "schema", "common"},
+    "cost": {"query", "rdf", "storage", "common"},
+    "engine": {"common", "query", "rdf", "storage"},
+    "datagen": {"common", "rdf"},
+    "reformulation": {"common", "query", "rdf", "schema"},
+    "datalog": {"common", "engine", "query", "rdf", "storage"},
+    "optimizer": {"common", "cost", "query", "reformulation"},
+    "federation": {"common", "cost", "engine", "optimizer", "query", "rdf",
+                   "reformulation", "schema", "storage"},
+    "api": {"common", "datalog", "engine", "optimizer", "query", "rdf",
+            "reasoner", "reformulation", "schema", "storage"},
+    # Closed-loop workload driver: sits above api (it drives a shared
+    # QueryAnswerer) and uses datagen's sp2b scenario for its pinned mix.
+    "workload": {"api", "common", "datagen", "engine", "query", "rdf",
+                 "storage"},
+    "testing": {"api", "common", "engine", "federation", "query", "rdf",
+                "reformulation", "schema", "storage", "datagen"},
+}
+
+
+def library_of(rel):
+    """The src/ library a repo-relative path belongs to, or None."""
+    parts = rel.split("/")
+    if len(parts) > 2 and parts[0] == "src" and parts[1] in ALLOWED_DEPS:
+        return parts[1]
+    return None
+
+
+def line_findings(rel, lines):
+    """raw-sync, rng-seed, delta-mutation and nodiscard over one file."""
+    lib = library_of(rel)
+    for i, line in enumerate(lines, 1):
+        if rel != SYNC_SHIM:
+            for pattern, what in RAW_SYNC_PATTERNS:
+                if pattern.search(line):
+                    yield Finding(
+                        rel, i, "raw-sync",
+                        f"{what} outside common/synchronization.h — use "
+                        "common::Mutex / common::MutexLock / common::CondVar")
+                    break
+        for pattern, what in RNG_SEED_PATTERNS:
+            if pattern.search(line):
+                yield Finding(
+                    rel, i, "rng-seed",
+                    f"{what}: rdfref randomness must be explicitly seeded "
+                    "(deterministic replay of faults/fuzzing/jitter)")
+                break
+        # Prose mentions in comments are fine.
+        if lib == "engine" and VERSION_SET_RE.search(line.split("//", 1)[0]):
+            yield Finding(
+                rel, i, "delta-mutation",
+                "engine code must not name the mutable VersionSet — "
+                "evaluate an immutable TripleSource; pin a SnapshotSource "
+                "via api::QueryAnswerer::PinSnapshot()")
+        m = ENTRY_POINT_RE.match(line) if rel.endswith(".h") else None
+        if m:
+            ret = m.group("ret").strip()
+            above = lines[i - 2] if i >= 2 else ""
+            if not NODISCARD_RETURN_RE.match(ret) and \
+                    "[[nodiscard]]" not in above + " " + line:
+                yield Finding(
+                    rel, i, "nodiscard",
+                    f"{m.group('name')}() returns {ret} without "
+                    "[[nodiscard]] — answer-producing entry points must not "
+                    "be silently droppable")
+
+
+def include_cycles(graph):
+    """File-level #include cycles among headers (iterative DFS)."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = defaultdict(int)
+    out = []
+    for start in sorted(graph):
+        if color[start] != WHITE:
+            continue
+        color[start] = GRAY
+        stack = [(start, iter(graph[start]))]
+        trail = [start]
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if color[nxt] == GRAY:
+                    cycle = trail[trail.index(nxt):] + [nxt]
+                    out.append(Finding(nxt, 1, "include-cycle",
+                                       "#include cycle: " + " -> ".join(cycle)))
+                elif color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    stack.append((nxt, iter(graph.get(nxt, ()))))
+                    trail.append(nxt)
+                    break
+            else:
+                color[node] = BLACK
+                stack.pop()
+                trail.pop()
+    return out
+
+
+def text_pass(source, relpaths):
+    """Text-rule findings over `relpaths` with escapes applied, and the
+    escapes that excused something."""
+    raw = []
+    graph = {}  # header -> the src/ files it includes
+    for rel in relpaths:
+        lines = source.lines(rel)
+        raw.extend(line_findings(rel, lines))
+        lib = library_of(rel)
+        edges = []
+        for i, line in enumerate(lines, 1):
+            m = INCLUDE_RE.search(line)
+            target = library_of("src/" + m.group(1)) if m else None
+            if target is None:
+                continue  # not an intra-src include
+            edges.append("src/" + m.group(1))
+            if lib is not None and target != lib and \
+                    target not in ALLOWED_DEPS[lib]:
+                raw.append(Finding(
+                    rel, i, "layering",
+                    f'library "{lib}" must not include "{target}" '
+                    f'("{m.group(1)}"); allowed deps: '
+                    f'{sorted(ALLOWED_DEPS[lib]) or "none"}'))
+        if rel.endswith(".h"):
+            graph[rel] = edges
+    used = set()
+    kept = apply_escapes(raw, source, used)
+    return kept + include_cycles(graph), used
+
+
+# ---- AST pass ------------------------------------------------------------
 
 def qual_type(node):
     t = node.get("type")
@@ -630,7 +848,7 @@ class TuAnalyzer:
                         "RDFREF_NOT_GUARDED(\"why\")")
 
 
-# ---- escapes -----------------------------------------------------------
+# ---- escapes -------------------------------------------------------------
 
 def apply_escapes(findings, source, used_escapes):
     """Drop findings excused by a nearby `// rdfref-check: allow(rule)`.
@@ -650,33 +868,41 @@ def apply_escapes(findings, source, used_escapes):
     return kept
 
 
-def scan_escape_comments(source, relpaths):
-    """All rdfref-check escape comments in the given files."""
+def escape_findings(source, relpaths, used_escapes, passes_run):
+    """Stale and unknown escapes are findings themselves: a suppression
+    must die with the code it excused. An escape is stale only if the pass
+    owning its rule ran, since a skipped pass used nothing."""
     out = []
     for rel in relpaths:
-        for idx, text in enumerate(source.lines(rel), start=1):
+        for line, text in enumerate(source.lines(rel), start=1):
             for m in ESCAPE_RE.finditer(text):
-                out.append((rel, idx, m.group(1)))
+                rule = m.group(1)
+                if rule not in RULE_PASS:
+                    out.append(Finding(
+                        rel, line, "unknown-escape",
+                        f"escape names unknown rule '{rule}'; known rules: "
+                        f"{', '.join(TEXT_RULES + AST_RULES)}"))
+                elif RULE_PASS[rule] in passes_run and \
+                        (rel, line, rule) not in used_escapes:
+                    out.append(Finding(
+                        rel, line, "stale-escape",
+                        f"escape for '{rule}' no longer suppresses anything; "
+                        "delete it"))
     return out
 
 
-def escape_findings(source, relpaths, used_escapes):
-    """Stale and unknown escapes are findings themselves: a suppression
-    must die with the code it excused."""
-    out = []
-    for rel, line, rule in scan_escape_comments(source, relpaths):
-        if rule not in CHECK_RULES:
-            out.append(Finding(
-                rel, line, "unknown-escape",
-                f"escape names unknown rule '{rule}'; known rules: "
-                f"{', '.join(CHECK_RULES)} (rdfref_lint.py escapes use "
-                "'rdfref-lint: allow(...)')"))
-        elif (rel, line, rule) not in used_escapes:
-            out.append(Finding(
-                rel, line, "stale-escape",
-                f"escape for '{rule}' no longer suppresses anything; "
-                "delete it"))
-    return out
+def unique_sorted(findings):
+    """One finding per (file, line, rule): a header's AST findings repeat
+    in every TU that includes it."""
+    by_key = {}
+    for f in findings:
+        by_key.setdefault(f.key(), f)
+    return sorted(by_key.values(), key=Finding.key)
+
+
+def write_json(path, findings):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"findings": [x.as_json() for x in findings]}, f, indent=2)
 
 
 # ---- clang driving -----------------------------------------------------
@@ -799,90 +1025,101 @@ def analyze_tu(entry, clang, repo_root, cache_dir, log):
 
 def repo_source_files():
     out = []
-    for base in ("src",):
-        for dirpath, _, names in os.walk(os.path.join(REPO, base)):
-            for n in names:
-                if n.endswith((".h", ".cc")):
-                    rel = os.path.relpath(os.path.join(dirpath, n), REPO)
-                    out.append(rel.replace(os.sep, "/"))
+    for dirpath, _, names in os.walk(os.path.join(REPO, "src")):
+        for n in names:
+            if n.endswith((".h", ".cc")):
+                rel = os.path.relpath(os.path.join(dirpath, n), REPO)
+                out.append(rel.replace(os.sep, "/"))
     return sorted(out)
 
 
-# ---- modes -------------------------------------------------------------
-
-def run_full_tree(opts):
+def ast_pass(opts):
+    """AST findings and used escapes over the compile database's src/ TUs,
+    or None and the reason the pass was skipped."""
     clang = find_clang()
     if clang is None:
-        msg = ("rdfref_check: no clang++ on PATH; AST analysis skipped "
-               "(the CI static-analysis job installs clang-19 and passes "
-               "--require-clang). Run --self-test for the clang-free "
-               "fixture suite.")
-        if opts.require_clang:
-            print(msg, file=sys.stderr)
-            return 2
-        print(msg)
-        return 0
+        return None, "no clang++ on PATH"
     try:
         db = load_compile_db(opts.build_dir)
     except OSError as e:
-        print(f"rdfref_check: cannot read compile database: {e}\n"
-              "configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON",
-              file=sys.stderr)
-        return 2
+        return None, (f"cannot read compile database ({e}); configure with "
+                      "-DCMAKE_EXPORT_COMPILE_COMMANDS=ON")
     entries = [e for e in db
                if os.path.abspath(e["file"]).startswith(
                    os.path.join(REPO, "src") + os.sep)
                and e["file"].endswith(".cc")]
     entries.sort(key=lambda e: e["file"])
-    all_findings = {}
-    used = set()
-    hits = 0
+    findings, used, hits = [], set(), 0
     for entry in entries:
-        findings, tu_used, was_hit = analyze_tu(
+        tu_findings, tu_used, was_hit = analyze_tu(
             entry, clang, REPO, opts.cache_dir,
             lambda m: print(m, file=sys.stderr))
         hits += was_hit
         used |= tu_used
-        for f in findings:
-            all_findings.setdefault(f.key(), f)
+        findings += tu_findings
+    return (findings, used), f"{len(entries)} TUs ({hits} cache hits)"
+
+
+# ---- modes -------------------------------------------------------------
+
+def analyze(source, relpaths, ast, check_escapes=True):
+    """The text pass over `relpaths`, merged with the AST pass's findings
+    and used escapes (`ast`, None when it did not run), plus the escape
+    accounting."""
+    findings, used = text_pass(source, relpaths)
+    passes_run = {"text"}
+    if ast is not None:
+        findings += ast[0]
+        used |= ast[1]
+        passes_run.add("ast")
+    if check_escapes:
+        findings += escape_findings(source, relpaths, used, passes_run)
+    return unique_sorted(findings)
+
+
+def run_full_tree(opts):
     source = SourceIndex(REPO)
-    for f in escape_findings(source, repo_source_files(), used):
-        all_findings.setdefault(f.key(), f)
-    findings = sorted(all_findings.values(), key=Finding.key)
-    print(f"rdfref_check: {len(entries)} TUs analyzed "
-          f"({hits} cache hits), {len(findings)} finding(s)")
+    relpaths = repo_source_files()
+    ast, note = ast_pass(opts)
+    findings = analyze(source, relpaths, ast)
+    if ast is None:
+        note = "skipped: " + note
+    print(f"rdfref_check: text pass {len(relpaths)} files; AST pass {note}; "
+          f"{len(findings)} finding(s)")
     for f in findings:
         print(f"  {f}")
     if opts.json_out:
-        with open(opts.json_out, "w", encoding="utf-8") as f:
-            json.dump({"findings": [x.as_json() for x in findings]}, f,
-                      indent=2)
+        write_json(opts.json_out, findings)
+    if ast is None and opts.require_clang:
+        return 2
     return 1 if findings else 0
 
 
 def load_fixture(path):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    if "ast" in doc:
-        return doc
-    return {"ast": doc, "source_files": {}, "expect": None}
+    if "kind" in doc:  # a bare clang AST dump
+        return {"ast": doc}
+    return doc
+
+
+def check_fixture(doc, repo_root):
+    """Both passes over a fixture: the text pass over its embedded files,
+    the AST pass over its AST when it has one; escapes are accounted when
+    the fixture asks for it."""
+    source = SourceIndex(repo_root, virtual_files=doc.get("source_files"))
+    ast = analyze_ast(doc["ast"], source, repo_root) if "ast" in doc else None
+    return analyze(source, sorted(doc.get("source_files", {})), ast,
+                   doc.get("check_escapes"))
 
 
 def run_ast_json(opts):
-    doc = load_fixture(opts.ast_json)
-    source = SourceIndex(opts.source_root or REPO,
-                         virtual_files=doc.get("source_files"))
-    findings, used = analyze_ast(doc["ast"], source, opts.source_root or REPO)
-    if doc.get("check_escapes"):
-        findings += escape_findings(source,
-                                    sorted(doc.get("source_files", {})), used)
-    findings.sort(key=Finding.key)
+    findings = check_fixture(load_fixture(opts.ast_json),
+                             opts.source_root or REPO)
     for f in findings:
         print(f)
     if opts.json_out:
-        with open(opts.json_out, "w", encoding="utf-8") as f:
-            json.dump({"findings": [x.as_json() for x in findings]}, f,
-                      indent=2)
+        write_json(opts.json_out, findings)
     return 1 if findings else 0
 
 
@@ -922,11 +1159,7 @@ def run_self_test(opts):
     failures = 0
     for name in fixtures:
         doc = load_fixture(os.path.join(testdata, name))
-        source = SourceIndex(REPO, virtual_files=doc.get("source_files"))
-        findings, used = analyze_ast(doc["ast"], source, REPO)
-        if doc.get("check_escapes"):
-            findings += escape_findings(
-                source, sorted(doc.get("source_files", {})), used)
+        findings = check_fixture(doc, REPO)
         got = sorted(f"{f.rule}@{f.path}:{f.line}" for f in findings)
         want = sorted(doc.get("expect") or [])
         if got == want:
@@ -949,7 +1182,8 @@ def main(argv=None):
                     default=os.path.join(REPO, ".rdfref_check_cache"),
                     help="per-TU findings cache directory")
     ap.add_argument("--require-clang", action="store_true",
-                    help="fail (exit 2) instead of skipping without clang++")
+                    help="fail (exit 2) instead of skipping the AST pass "
+                         "without clang++ or a compile database")
     ap.add_argument("--ast-json", metavar="FILE",
                     help="analyze one pre-dumped AST or fixture file")
     ap.add_argument("--source-root", help="repo root for --ast-json paths")
