@@ -180,15 +180,20 @@ JoinPlan OrderAtoms(const ScanCache& cache, const Cq& q) {
 // depends only on the visible triples the pattern matches: the per-binding
 // choice rests on it, so every evaluation over the same visible set — a
 // cold one, a cached view's fill, either side of a Compact — chooses
-// alike (DESIGN.md §9). An interval atom sums the exact counts of its
-// interval's ids, because CountIntervalMatches widens the shapes no
-// clustered order serves contiguously.
+// alike (DESIGN.md §9). An interval atom whose bound shape some clustered
+// order keeps contiguous is one CountIntervalMatches call, exact for that
+// shape; the two shapes no order serves, which CountIntervalMatches
+// widens, sum the exact counts of their interval's ids.
 size_t CountBound(const storage::TripleSource& source, const Atom& atom,
                   const std::vector<rdf::TermId>& bindings) {
   const rdf::TermId s = Resolve(atom.s, bindings);
   const rdf::TermId p = Resolve(atom.p, bindings);
   const rdf::TermId o = Resolve(atom.o, bindings);
   if (!atom.has_range()) return source.CountMatches(s, p, o);
+  if (storage::Store::IntervalOrder(s, p, o, atom.range_pos).has_value()) {
+    return source.CountIntervalMatches(s, p, o, atom.range_pos,
+                                       atom.range_hi);
+  }
   const bool on_p = atom.range_pos == Atom::kRangeP;
   size_t count = 0;
   // Enumerates the encoded interval's member ids, which are contiguous.
@@ -478,7 +483,7 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
                                            atom.range_hi);
       } else {
         f.range = f.cursor.ResetInterval(*store_, ps, pp, po, atom.range_pos,
-                                         atom.range_hi, residual);
+                                         atom.range_hi, residual, &f.hint);
       }
     } else if (d == 0 && !residual.any()) {
       f.range = cache->LeafRange(ps, pp, po);

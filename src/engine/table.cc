@@ -1,13 +1,13 @@
 #include "engine/table.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace rdfref {
 namespace engine {
@@ -19,27 +19,57 @@ namespace {
   std::abort();
 }
 
-// Hashes `stride` ids starting at `base + index * stride`. Used by Dedup
-// and HashJoin to key hash containers on arena slices by row index — the
-// arena pointer must stay fixed while the container lives.
-struct SliceHash {
-  const rdf::TermId* base;
-  size_t stride;
-  size_t operator()(size_t index) const {
-    const rdf::TermId* row = base + index * stride;
-    size_t seed = 0x51ed270b;
-    for (size_t k = 0; k < stride; ++k) seed = HashCombine(seed, row[k]);
-    return seed;
-  }
-};
+constexpr uint32_t kEmptySlot = std::numeric_limits<uint32_t>::max();
 
-struct SliceEq {
-  const rdf::TermId* base;
-  size_t stride;
-  bool operator()(size_t a, size_t b) const {
-    return std::memcmp(base + a * stride, base + b * stride,
-                       stride * sizeof(rdf::TermId)) == 0;
+size_t HashSlice(const rdf::TermId* row, size_t stride) {
+  size_t seed = 0x51ed270b;
+  for (size_t k = 0; k < stride; ++k) seed = HashCombine(seed, row[k]);
+  return seed;
+}
+
+bool SameSlice(const rdf::TermId* a, const rdf::TermId* b, size_t stride) {
+  for (size_t k = 0; k < stride; ++k) {
+    if (a[k] != b[k]) return false;
   }
+  return true;
+}
+
+// Open-addressing hash index over the `stride`-id slices of a flat arena,
+// for Dedup and HashJoin's build side. A slot is empty or a 32-bit slice
+// index. Exactly 2n slots for up to n slices keep the load at or below one
+// half in 8n bytes, no more than a node-based hash set's bucket array
+// alone. The home slot is the high half of the hash times the slot count
+// (multiply-shift, any slot count); collisions probe linearly. The arena
+// must not move while the index is used.
+class SliceIndex {
+ public:
+  SliceIndex(size_t capacity, const rdf::TermId* arena, size_t stride)
+      : arena_(arena), stride_(stride) {
+    // A slice index that does not fit a slot would wrap into a wrong row:
+    // abort rather than truncate an answer.
+    if (capacity >= kEmptySlot) {
+      TableFatal("more rows than a 32-bit hash slot can index");
+    }
+    slots_.assign(2 * capacity, kEmptySlot);
+  }
+
+  // The slot holding a slice equal to `key`, or the empty slot where it
+  // belongs. Storing an index there inserts it.
+  uint32_t& Find(const rdf::TermId* key) {
+    const size_t n = slots_.size();
+    size_t i = static_cast<size_t>(
+        (static_cast<unsigned __int128>(HashSlice(key, stride_)) * n) >> 64);
+    while (slots_[i] != kEmptySlot &&
+           !SameSlice(arena_ + size_t{slots_[i]} * stride_, key, stride_)) {
+      if (++i == n) i = 0;
+    }
+    return slots_[i];
+  }
+
+ private:
+  const rdf::TermId* arena_;
+  size_t stride_;
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace
@@ -125,20 +155,20 @@ void Table::Dedup() {
   }
   const size_t n = NumRows();
   if (n < 2) return;
-  // Compact kept rows toward the front: candidate row r is copied to write
-  // position w (w <= r, so nothing unprocessed is clobbered), then looked
-  // up among the already-kept slices [0, w). The set stores compacted row
-  // indexes and hashes the arena in place.
-  SliceHash hash{data_.data(), arity_};
-  SliceEq eq{data_.data(), arity_};
-  std::unordered_set<size_t, SliceHash, SliceEq> seen(n, hash, eq);
+  // Compact kept rows toward the front: candidate row r is looked up
+  // among the already-kept rows [0, w) and, when new, copied to write
+  // position w (w < r, so nothing unprocessed is clobbered) and indexed.
+  SliceIndex seen(n, data_.data(), arity_);
   size_t w = 0;
   for (size_t r = 0; r < n; ++r) {
+    const rdf::TermId* row = data_.data() + r * arity_;
+    uint32_t& slot = seen.Find(row);
+    if (slot != kEmptySlot) continue;
     if (w != r) {
-      std::memmove(data_.data() + w * arity_, data_.data() + r * arity_,
-                   arity_ * sizeof(rdf::TermId));
+      std::memcpy(data_.data() + w * arity_, row,
+                  arity_ * sizeof(rdf::TermId));
     }
-    if (seen.insert(w).second) ++w;
+    slot = static_cast<uint32_t>(w++);
   }
   data_.resize(w * arity_);
 }
@@ -230,39 +260,29 @@ Table HashJoin(const Table& left, const Table& right) {
     return out;
   }
 
-  // Build on the right side: one flat key arena (one slot per build row,
-  // plus a scratch slot the probe key is written into), and first/next
-  // chains so each key's rows replay in build order.
-  std::vector<rdf::TermId> keys((nr + 1) * nk);
+  // Build on the right side: one flat key arena, and an index from each
+  // key to the first build row carrying it, with `next` chaining the rest.
+  // Rows are linked from the last to the first, each in front of the
+  // later ones, so a chain replays its key's rows in build order.
+  std::vector<rdf::TermId> keys(nr * nk);
   for (size_t r = 0; r < nr; ++r) {
     std::span<const rdf::TermId> rrow = right.row(r);
     for (size_t k = 0; k < nk; ++k) keys[r * nk + k] = rrow[right_key[k]];
   }
-  constexpr size_t kNone = static_cast<size_t>(-1);
-  std::vector<size_t> next(nr, kNone);
-  SliceHash hash{keys.data(), nk};
-  SliceEq eq{keys.data(), nk};
-  // key-arena row index -> (first, last) build row of its chain.
-  std::unordered_map<size_t, std::pair<size_t, size_t>, SliceHash, SliceEq>
-      build(nr, hash, eq);
-  for (size_t r = 0; r < nr; ++r) {
-    auto [it, inserted] = build.try_emplace(r, r, r);
-    if (!inserted) {
-      next[it->second.second] = r;
-      it->second.second = r;
-    }
+  SliceIndex build(nr, keys.data(), nk);
+  std::vector<uint32_t> next(nr);
+  for (size_t r = nr; r-- > 0;) {
+    uint32_t& first = build.Find(keys.data() + r * nk);
+    next[r] = first;  // kEmptySlot ends the chain
+    first = static_cast<uint32_t>(r);
   }
 
-  // Probe with the left side; the scratch slot holds the probe key.
-  const size_t scratch = nr;
+  // Probe with the left side.
+  std::vector<rdf::TermId> probe(nk);
   for (size_t l = 0; l < nl; ++l) {
     std::span<const rdf::TermId> lrow = left.row(l);
-    for (size_t k = 0; k < nk; ++k) {
-      keys[scratch * nk + k] = lrow[left_key[k]];
-    }
-    auto it = build.find(scratch);
-    if (it == build.end()) continue;
-    for (size_t r = it->second.first; r != kNone; r = next[r]) {
+    for (size_t k = 0; k < nk; ++k) probe[k] = lrow[left_key[k]];
+    for (uint32_t r = build.Find(probe.data()); r != kEmptySlot; r = next[r]) {
       rdf::TermId* slot = out.AppendUninitialized();
       if (!lrow.empty()) {
         std::memcpy(slot, lrow.data(), lrow.size() * sizeof(rdf::TermId));

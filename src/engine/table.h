@@ -143,7 +143,8 @@ class Table {
   std::set<std::vector<rdf::TermId>> RowSet() const;
 
   /// \brief Removes duplicate rows (set semantics), keeping first
-  /// occurrences in order; in place, one hash-set allocation total.
+  /// occurrences in order; in place, with one flat hash index of 2n 32-bit
+  /// slots. Aborts when the table has 2^32 - 1 rows or more.
   void Dedup();
 
   /// \brief Sorts rows lexicographically (deterministic output for tests).
@@ -162,9 +163,11 @@ class Table {
 
 /// \brief Hash-joins two tables on their shared columns (natural join).
 /// With no shared column this is the cross product. Output columns are
-/// left.columns followed by the non-shared right columns. Keys are hashed
-/// as stride slices of a flat build-side key arena — no per-row
-/// materialization.
+/// left.columns followed by the non-shared right columns. Rows come out
+/// left-major, each left row's partners in right (build) order. Keys are
+/// hashed as stride slices of a flat build-side key arena, indexed by 2n
+/// 32-bit slots — no per-row materialization. Aborts when the right side
+/// has 2^32 - 1 rows or more.
 Table HashJoin(const Table& left, const Table& right);
 
 }  // namespace engine

@@ -91,8 +91,15 @@ Status SaveGraph(const rdf::Graph& graph, const std::string& path) {
 }
 
 Result<rdf::Graph> LoadGraph(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("cannot open: " + path);
+  // Lengths read from the image are checked against the bytes it has left
+  // before anything is sized from them.
+  const std::streamoff image_size = in.tellg();
+  in.seekg(0);
+  if (image_size < 0 || !in) {
+    return Status::ParseError("cannot size RDFB graph image: " + path);
+  }
 
   char magic[4];
   if (!in.read(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
@@ -112,10 +119,18 @@ Result<rdf::Graph> LoadGraph(const std::string& path) {
 
   rdf::Graph graph;
   for (uint32_t id = 0; id < num_terms; ++id) {
-    char kind;
+    char kind = 0;
     uint32_t length = 0;
     if (!in.read(&kind, 1) || !ReadU32(in, &length)) {
       return Status::ParseError("truncated term table");
+    }
+    if (static_cast<unsigned char>(kind) >
+        static_cast<unsigned char>(rdf::TermKind::kBlank)) {
+      return Status::ParseError("unknown term kind in RDFB term table");
+    }
+    const std::streamoff left = image_size - in.tellg();
+    if (static_cast<std::streamoff>(length) > left) {
+      return Status::ParseError("RDFB term longer than the image");
     }
     std::string lexical(length, '\0');
     if (length > 0 && !in.read(lexical.data(), length)) {

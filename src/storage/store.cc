@@ -264,9 +264,11 @@ std::optional<IndexOrder> Store::IntervalOrder(rdf::TermId s, rdf::TermId p,
   return std::nullopt;  // (? [lo..hi] o)
 }
 
-bool Store::TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                                int range_pos, rdf::TermId hi,
-                                std::span<const rdf::Triple>* out) const {
+bool Store::TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p,
+                                      rdf::TermId o, int range_pos,
+                                      rdf::TermId hi,
+                                      std::span<const rdf::Triple>* out,
+                                      RangeHint* hint) const {
   const std::optional<IndexOrder> order = IntervalOrder(s, p, o, range_pos);
   if (!order.has_value()) return false;
   // In the chosen order the bound positions lead, the ranged one follows
@@ -284,16 +286,16 @@ bool Store::TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
   Range r{nullptr, nullptr};
   switch (*order) {
     case IndexOrder::kSpo:
-      r = PrefixRange<OrderSpo>(spo_, lo, hi_fence);
+      r = PrefixRangeImpl<OrderSpo>(spo_, lo, hi_fence, hint);
       break;
     case IndexOrder::kPso:
-      r = PrefixRange<OrderPso>(pso_, lo, hi_fence);
+      r = PrefixRangeImpl<OrderPso>(pso_, lo, hi_fence, hint);
       break;
     case IndexOrder::kPos:
-      r = PrefixRange<OrderPos>(pos_, lo, hi_fence);
+      r = PrefixRangeImpl<OrderPos>(pos_, lo, hi_fence, hint);
       break;
     case IndexOrder::kOsp:
-      r = PrefixRange<OrderOsp>(osp_, lo, hi_fence);
+      r = PrefixRangeImpl<OrderOsp>(osp_, lo, hi_fence, hint);
       break;
   }
   *out = {r.first, static_cast<size_t>(r.second - r.first)};

@@ -118,7 +118,18 @@ class Store : public TripleSource {
   /// IntervalOrder). The matches come back in that permutation's order.
   bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                            int range_pos, rdf::TermId hi,
-                           std::span<const rdf::Triple>* out) const override;
+                           std::span<const rdf::Triple>* out) const override {
+    return TryGetIntervalRangeHinted(s, p, o, range_pos, hi, out, nullptr);
+  }
+
+  /// \brief Hinted interval fast path: the same span as TryGetIntervalRange,
+  /// found by galloping from `hint` as EqualRangeSpanHinted does (a null
+  /// hint binary-searches).
+  RDFREF_BORROWS_FROM(this)
+  bool TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                                 int range_pos, rdf::TermId hi,
+                                 std::span<const rdf::Triple>* out,
+                                 RangeHint* hint) const override;
 
   /// \brief The clustered permutation that stores an interval shape
   /// contiguously: the bound positions, then the ranged one, lead its key —

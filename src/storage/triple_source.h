@@ -172,6 +172,20 @@ class TripleSource {
     return false;
   }
 
+  /// \brief Hinted interval fast path: TryGetIntervalRange with the
+  /// position hint of TryGetRangeHinted, so a join's inner interval atom
+  /// gallops forward from its previous lookup like a classic atom does.
+  /// The hint is advisory; sources without a fast path ignore it.
+  RDFREF_BORROWS_FROM(this)
+  virtual bool TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p,
+                                         rdf::TermId o, int range_pos,
+                                         rdf::TermId hi,
+                                         std::span<const rdf::Triple>* out,
+                                         RangeHint* hint) const {
+    (void)hint;
+    return TryGetIntervalRange(s, p, o, range_pos, hi, out);
+  }
+
   /// \brief Interval batch fallback: clears `*out` and appends every match
   /// of the pattern with the ranged position relaxed to [lo, hi]. The
   /// default reads the pattern with the ranged position widened to a
@@ -277,13 +291,16 @@ class RDFREF_BORROWS_FROM(source, this) PatternCursor {
 
   /// \brief Re-binds the cursor to an interval pattern (the ranged position
   /// holds the interval's low endpoint; see TryGetIntervalRange). Zero-copy
-  /// when the source exposes the interval contiguously, buffered otherwise.
+  /// when the source exposes the interval contiguously, buffered otherwise;
+  /// `hint` is threaded through as in Reset.
   std::span<const rdf::Triple> ResetInterval(
       const TripleSource& source RDFREF_LIFETIME_BOUND, rdf::TermId s,
       rdf::TermId p, rdf::TermId o, int range_pos, rdf::TermId hi,
-      ResidualEq residual = {}) RDFREF_LIFETIME_BOUND {
+      ResidualEq residual = {},
+      RangeHint* hint = nullptr) RDFREF_LIFETIME_BOUND {
     if (!residual.any()) {
-      if (source.TryGetIntervalRange(s, p, o, range_pos, hi, &view_)) {
+      if (source.TryGetIntervalRangeHinted(s, p, o, range_pos, hi, &view_,
+                                           hint)) {
         return view_;
       }
       source.ScanIntervalInto(s, p, o, range_pos, hi, &buffer_);
@@ -291,7 +308,8 @@ class RDFREF_BORROWS_FROM(source, this) PatternCursor {
       return view_;
     }
     std::span<const rdf::Triple> raw;
-    if (source.TryGetIntervalRange(s, p, o, range_pos, hi, &raw)) {
+    if (source.TryGetIntervalRangeHinted(s, p, o, range_pos, hi, &raw,
+                                         hint)) {
       buffer_.clear();
       for (const rdf::Triple& t : raw) {
         if (residual.Accepts(t)) buffer_.push_back(t);

@@ -186,6 +186,12 @@ bool SnapshotSource::TryGetRangeHinted(rdf::TermId s, rdf::TermId p,
 bool SnapshotSource::TryGetIntervalRange(
     rdf::TermId s, rdf::TermId p, rdf::TermId o, int range_pos, rdf::TermId hi,
     std::span<const rdf::Triple>* out) const {
+  return TryGetIntervalRangeHinted(s, p, o, range_pos, hi, out, nullptr);
+}
+
+bool SnapshotSource::TryGetIntervalRangeHinted(
+    rdf::TermId s, rdf::TermId p, rdf::TermId o, int range_pos, rdf::TermId hi,
+    std::span<const rdf::Triple>* out, RangeHint* hint) const {
   // Presence probes must cover every id the interval spans, so the ranged
   // position is widened to a wildcard: conservative, never unsound.
   const bool on_p = range_pos == 1;
@@ -195,7 +201,8 @@ bool SnapshotSource::TryGetIntervalRange(
   if (!head_.empty() && head_.MayAffect(ws, wp, wo)) return false;
   if (version_->RunsMayRemove(ws, wp, wo)) return false;
   std::span<const rdf::Triple> chosen;
-  if (!version_->base->TryGetIntervalRange(s, p, o, range_pos, hi, &chosen)) {
+  if (!version_->base->TryGetIntervalRangeHinted(s, p, o, range_pos, hi,
+                                                 &chosen, hint)) {
     return false;  // interval not contiguous in any clustered order
   }
   if (!version_->RunsMayAdd(ws, wp, wo)) {

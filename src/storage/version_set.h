@@ -163,6 +163,14 @@ class SnapshotSource : public TripleSource {
                            int range_pos, rdf::TermId hi,
                            std::span<const rdf::Triple>* out) const override;
 
+  /// \brief Hinted interval fast path: the hint tracks the base's interval
+  /// lookups, as in TryGetRangeHinted.
+  RDFREF_BORROWS_FROM(this)
+  bool TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                                 int range_pos, rdf::TermId hi,
+                                 std::span<const rdf::Triple>* out,
+                                 RangeHint* hint) const override;
+
   void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                 std::vector<rdf::Triple>* out) const override;
 

@@ -334,8 +334,9 @@ TEST_F(EvaluatorTest, ExplainJucqIndentsEveryNestedPlanLine) {
   EXPECT_EQ(plan.find("\n  scan"), std::string::npos);
 }
 
-// Forwards to a store and counts the rows its lookups return, so a test
-// can bound the work a plan does instead of timing it.
+// Forwards to a store and counts the rows its lookups return and the
+// count calls it answers, so a test can bound the work a plan does instead
+// of timing it.
 class RowCountingSource : public storage::TripleSource {
  public:
   explicit RowCountingSource(const storage::TripleSource* inner)
@@ -359,9 +360,37 @@ class RowCountingSource : public storage::TripleSource {
     inner_->ScanInto(s, p, o, out);
     rows_ += out->size();
   }
+  bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                           int range_pos, rdf::TermId hi,
+                           std::span<const rdf::Triple>* out) const override {
+    return TryGetIntervalRangeHinted(s, p, o, range_pos, hi, out, nullptr);
+  }
+  bool TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                                 int range_pos, rdf::TermId hi,
+                                 std::span<const rdf::Triple>* out,
+                                 storage::RangeHint* hint) const override {
+    if (!inner_->TryGetIntervalRangeHinted(s, p, o, range_pos, hi, out,
+                                           hint)) {
+      return false;
+    }
+    rows_ += out->size();
+    return true;
+  }
+  void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                        int range_pos, rdf::TermId hi,
+                        std::vector<rdf::Triple>* out) const override {
+    inner_->ScanIntervalInto(s, p, o, range_pos, hi, out);
+    rows_ += out->size();
+  }
   size_t CountMatches(rdf::TermId s, rdf::TermId p,
                       rdf::TermId o) const override {
+    ++count_calls_;
     return inner_->CountMatches(s, p, o);
+  }
+  size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                              int range_pos, rdf::TermId hi) const override {
+    ++count_calls_;
+    return inner_->CountIntervalMatches(s, p, o, range_pos, hi);
   }
   const rdf::Dictionary& dict() const override { return inner_->dict(); }
 
@@ -371,9 +400,17 @@ class RowCountingSource : public storage::TripleSource {
     return rows;
   }
 
+  // CountMatches and CountIntervalMatches calls since the last take.
+  uint64_t TakeCountCalls() {
+    const uint64_t calls = count_calls_;
+    count_calls_ = 0;
+    return calls;
+  }
+
  private:
   const storage::TripleSource* inner_;
   mutable uint64_t rows_ = 0;
+  mutable uint64_t count_calls_ = 0;
 };
 
 // SP2Bench's authorship skew on the coauthor-cites triangle. One hub
@@ -443,6 +480,84 @@ TEST(EvaluatorSkewTest, TriangleOnHubAuthorScansLinearRows) {
   EXPECT_EQ(eval.EvaluateCq(*pairs).NumRows(),
             static_cast<size_t>(kHub * kHub + 2 * 2 * kCold));
   EXPECT_GT(source.TakeRows(), static_cast<uint64_t>(kHub * kHub));
+}
+
+// The coauthor-cites triangle again, with its citation atom an encoded
+// reformulation's interval over four sub-properties, (?x [c0..c3] ?y).
+// Once t0 binds ?x and ?a, t1 (?y hasAuthor ?a) and the interval atom
+// compete per binding, and the interval's bound shape (x [c0..c3] ?) is
+// contiguous on SPO: one CountIntervalMatches answers it exactly. Hub
+// papers cite one paper each and so open the interval; cold first papers
+// cite six and open t1; cold second papers cite none.
+TEST(EvaluatorSkewTest, ContiguousIntervalExpansionCostsOneCountPerBinding) {
+  constexpr int kHub = 60;
+  constexpr int kCold = 20;
+  rdf::Graph graph;
+  auto uri = [&](const std::string& name) {
+    return graph.dict().InternUri("http://ex/" + name);
+  };
+  std::vector<rdf::TermId> cites;
+  for (int i = 0; i < 4; ++i) cites.push_back(uri("cites" + std::to_string(i)));
+  ASSERT_EQ(cites[3], cites[0] + 3);  // interned consecutively: an interval
+  const rdf::TermId has_author = uri("hasAuthor");
+  for (int i = 0; i < kHub; ++i) {
+    const rdf::TermId paper = uri("hub/" + std::to_string(i));
+    graph.Add(paper, has_author, uri("hub"));
+    if (i + 1 < kHub) {
+      graph.Add(paper, cites[i % 4], uri("hub/" + std::to_string(i + 1)));
+    }
+  }
+  for (int k = 0; k < kCold; ++k) {
+    const std::string author = "cold" + std::to_string(k);
+    graph.Add(uri(author + "/0"), has_author, uri(author));
+    graph.Add(uri(author + "/1"), has_author, uri(author));
+    graph.Add(uri(author + "/0"), cites[k % 4], uri(author + "/1"));
+    for (int j = 0; j < 5; ++j) {
+      graph.Add(uri(author + "/0"), cites[(k + j) % 4],
+                uri(author + "/ref" + std::to_string(j)));
+    }
+  }
+  // Unrelated citations keep the interval the larger atom unbound, so the
+  // static order opens t0 and t1 first.
+  for (int j = 0; j < 4 * kHub; ++j) {
+    graph.Add(uri("other/" + std::to_string(j)), cites[j % 4],
+              uri("other/" + std::to_string(j + 1)));
+  }
+  storage::Store store(graph);
+  RowCountingSource source(&store);
+  Evaluator eval(&source);
+
+  auto q = query::ParseSparql(
+      "SELECT ?x ?y ?a WHERE { ?x <http://ex/hasAuthor> ?a . "
+      "?y <http://ex/hasAuthor> ?a . ?x <http://ex/cites0> ?y . }",
+      &graph.dict());
+  ASSERT_TRUE(q.ok()) << q.status();
+  Atom& interval = (*q->mutable_body())[2];
+  interval.range_pos = Atom::kRangeP;
+  interval.range_hi = cites[3];
+
+  EXPECT_EQ(eval.ExplainCq(*q),
+            "CQ plan (index nested-loop join):\n"
+            "  scan  t0  (~" + std::to_string(kHub + 2 * kCold) +
+                " index matches unbound)\n"
+            "  probe t1|t2  (per binding: fewest matches)\n"
+            "  probe t1|t2  (per binding: follows the choice above)\n");
+
+  // Planning's own counts, measured apart from the join's.
+  source.TakeCountCalls();
+  EXPECT_EQ(eval.AtomOrder(*q), (std::vector<int>{0, 1, 2}));
+  const uint64_t plan_calls = source.TakeCountCalls();
+  const Table got = eval.EvaluateCq(*q);
+  const uint64_t eval_calls = source.TakeCountCalls();
+  EXPECT_EQ(got.NumRows(), static_cast<size_t>(kHub - 1 + kCold));
+  const Table want = rdfref::testing::ReferenceEvaluateCq(store, *q);
+  const rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
+      "interval-skew", got, want, *q, graph.dict());
+  EXPECT_FALSE(d.found) << d.detail;
+  // Each of t0's bindings counts t1 once and the interval once; summing
+  // the interval per id would cost four calls for it instead.
+  const uint64_t bindings = kHub + 2 * kCold;
+  EXPECT_EQ(eval_calls, plan_calls + 2 * bindings);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
 
 #include "datagen/bibliography.h"
 #include "rdf/parser.h"
@@ -84,6 +87,75 @@ TEST(SerializeTest, TruncatedFileRejected) {
     out.write(data.data(), half);
   }
   EXPECT_EQ(LoadGraph(path).status().code(), StatusCode::kParseError);
+  std::remove(path.c_str());
+}
+
+// Reads a saved image, lets `patch` edit the record of term `id` (at
+// `record`: its kind byte, then its little-endian u32 length), and writes
+// the image back.
+void PatchTermRecord(const std::string& path, rdf::TermId id,
+                     const std::function<void(std::string*, size_t record)>&
+                         patch) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  in.close();
+  std::string image = buffer.str();
+  size_t record = 16;  // magic, version, term count, triple count
+  for (rdf::TermId i = 0; i < id; ++i) {
+    uint32_t length = 0;
+    for (int b = 0; b < 4; ++b) {
+      length |= static_cast<uint32_t>(
+                    static_cast<unsigned char>(image[record + 1 + b]))
+                << (8 * b);
+    }
+    record += 5 + length;
+  }
+  ASSERT_LT(record + 5, image.size());
+  patch(&image, record);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(image.data(), static_cast<std::streamsize>(image.size()));
+}
+
+TEST(SerializeTest, TermLongerThanTheImageRejectedBeforeAllocating) {
+  rdf::Graph graph;
+  graph.AddUri("http://s", "http://p", "http://o");
+  const rdf::TermId last = graph.dict().InternUri("http://o");
+  const std::string path = TempPath("long_term.rdfb");
+  // A length just past the bytes left, then one claiming 4 GiB: both are
+  // refused from the length alone.
+  for (uint32_t extra : {1u, 0u}) {
+    ASSERT_TRUE(SaveGraph(graph, path).ok());
+    PatchTermRecord(path, last, [extra](std::string* image, size_t record) {
+      const uint32_t length =
+          extra == 0 ? 0xffffffffu
+                     : static_cast<uint32_t>(image->size() - record - 5) +
+                           extra;
+      for (int b = 0; b < 4; ++b) {
+        (*image)[record + 1 + b] = static_cast<char>((length >> (8 * b)) & 0xff);
+      }
+    });
+    auto loaded = LoadGraph(path);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << "extra " << extra << ": " << loaded.status();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, UnknownTermKindRejected) {
+  rdf::Graph graph;
+  graph.AddUri("http://s", "http://p", "http://o");
+  const rdf::TermId last = graph.dict().InternUri("http://o");
+  const std::string path = TempPath("bad_kind.rdfb");
+  ASSERT_TRUE(SaveGraph(graph, path).ok());
+  // The last term's id check passes whatever its kind, so only the kind
+  // check can refuse it.
+  PatchTermRecord(path, last, [](std::string* image, size_t record) {
+    (*image)[record] = 3;  // one past TermKind::kBlank
+  });
+  auto loaded = LoadGraph(path);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+      << loaded.status();
   std::remove(path.c_str());
 }
 

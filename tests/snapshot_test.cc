@@ -314,10 +314,19 @@ TEST(SnapshotIntervalScanTest, MatchesAPristineStoreElementForElement) {
 
   constexpr int kRangeP = 1;  // query::Atom::kRangeP
   constexpr int kRangeO = 2;  // query::Atom::kRangeO
+  size_t zero_copy = 0;
+  size_t declined = 0;
   auto check_all_shapes = [&](const SnapshotSource& snap) {
     const Store pristine(&graph.dict(), snap.Materialize());
     PatternCursor got_cursor;
     PatternCursor want_cursor;
+    PatternCursor hinted_cursor;
+    // One hint threaded through the whole sequence below, which sweeps
+    // subjects forward, switches shape (and so index) between probes and
+    // jumps backward; the hinted calls must equal the unhinted ones,
+    // including where the snapshot declines the zero-copy path.
+    RangeHint hint;
+    RangeHint cursor_hint;
     auto check = [&](rdf::TermId s, rdf::TermId p, rdf::TermId o,
                      int range_pos, rdf::TermId hi) {
       SCOPED_TRACE(::testing::Message()
@@ -329,6 +338,22 @@ TEST(SnapshotIntervalScanTest, MatchesAPristineStoreElementForElement) {
           want_cursor.ResetInterval(pristine, s, p, o, range_pos, hi);
       EXPECT_EQ(std::vector<rdf::Triple>(got.begin(), got.end()),
                 std::vector<rdf::Triple>(want.begin(), want.end()));
+      std::span<const rdf::Triple> hinted = hinted_cursor.ResetInterval(
+          snap, s, p, o, range_pos, hi, {}, &cursor_hint);
+      EXPECT_EQ(std::vector<rdf::Triple>(hinted.begin(), hinted.end()),
+                std::vector<rdf::Triple>(want.begin(), want.end()));
+      std::span<const rdf::Triple> plain_span;
+      std::span<const rdf::Triple> hinted_span;
+      const bool plain_ok =
+          snap.TryGetIntervalRange(s, p, o, range_pos, hi, &plain_span);
+      EXPECT_EQ(snap.TryGetIntervalRangeHinted(s, p, o, range_pos, hi,
+                                               &hinted_span, &hint),
+                plain_ok);
+      if (plain_ok) {
+        EXPECT_EQ(hinted_span.data(), plain_span.data());
+        EXPECT_EQ(hinted_span.size(), plain_span.size());
+      }
+      ++(plain_ok ? zero_copy : declined);
       EXPECT_EQ(snap.CountIntervalMatches(s, p, o, range_pos, hi),
                 pristine.CountIntervalMatches(s, p, o, range_pos, hi));
     };
@@ -362,6 +387,8 @@ TEST(SnapshotIntervalScanTest, MatchesAPristineStoreElementForElement) {
   check_all_shapes(*compacted);
   // The pinned pre-compaction snapshot still answers identically.
   check_all_shapes(*overlaid);
+  EXPECT_GT(zero_copy, 0u);
+  EXPECT_GT(declined, 0u);
 }
 
 TEST_F(SnapshotTest, CompactPreservesVisibilityAndDrainsRuns) {

@@ -185,6 +185,69 @@ TEST_F(StoreTest, HintedRangesMatchPlainRangesUnderAnyLookupOrder) {
   // Empty results, hinted and not.
   same(subjects.front(), other, uri("nope"), &hint);
   same(uri("ghost"), prop, kAny, &hint);
+
+  // Interval probes: every shape Store::IntervalOrder serves, one hint
+  // threaded through all of them (and through the classic lookups above),
+  // so each shape meets a hint from another index before its own sweep.
+  // [prop..other] is an id interval (interned consecutively); object
+  // intervals are id ranges too, whatever terms they happen to span.
+  constexpr int kRangeP = 1;  // query::Atom::kRangeP
+  constexpr int kRangeO = 2;  // query::Atom::kRangeO
+  ASSERT_EQ(other, prop + 1);
+  const rdf::TermId o0 = uri("o0");
+  const rdf::TermId o2 = uri("o2");
+  const rdf::TermId x = uri("x");
+  const rdf::TermId ghost = uri("ghost");
+  auto same_interval = [&](rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                           int range_pos, rdf::TermId hi) {
+    SCOPED_TRACE(::testing::Message() << "s=" << s << " p=" << p << " o=" << o
+                                      << " range_pos=" << range_pos
+                                      << " hi=" << hi);
+    std::span<const rdf::Triple> plain;
+    std::span<const rdf::Triple> hinted;
+    ASSERT_TRUE(store.TryGetIntervalRange(s, p, o, range_pos, hi, &plain));
+    ASSERT_TRUE(store.TryGetIntervalRangeHinted(s, p, o, range_pos, hi,
+                                                &hinted, &hint));
+    EXPECT_EQ(plain.data(), hinted.data());
+    EXPECT_EQ(plain.size(), hinted.size());
+  };
+  // (s p [lo..hi]) on SPO and (s [lo..hi] ?) on SPO: monotone sweeps with
+  // repeats, then a backward lookup.
+  for (rdf::TermId s : subjects) {
+    same_interval(s, prop, o0, kRangeO, o2);
+    same_interval(s, prop, o0, kRangeO, o2);
+  }
+  same_interval(subjects.front(), prop, o0, kRangeO, x);
+  for (rdf::TermId s : subjects) {
+    same_interval(s, prop, kAny, kRangeP, other);
+    same_interval(s, prop, kAny, kRangeP, other);
+  }
+  same_interval(subjects[3], prop, kAny, kRangeP, prop);
+  // (s [lo..hi] o) on OSP under the prefix (o, s).
+  for (rdf::TermId o : {o0, x}) {
+    for (rdf::TermId s : subjects) same_interval(s, prop, o, kRangeP, other);
+  }
+  same_interval(subjects.front(), prop, o0, kRangeP, other);
+  // (? p [lo..hi]) on POS, (? [lo..hi] ?) on PSO and (? ? [lo..hi]) on OSP,
+  // each with widening, repeated and shrinking intervals.
+  for (rdf::TermId p : {prop, other}) {
+    same_interval(kAny, p, o0, kRangeO, o0);
+    same_interval(kAny, p, o0, kRangeO, o2);
+    same_interval(kAny, p, o0, kRangeO, o2);
+    same_interval(kAny, p, o2, kRangeO, x);
+  }
+  same_interval(kAny, prop, kAny, kRangeP, other);
+  same_interval(kAny, other, kAny, kRangeP, other);
+  same_interval(kAny, prop, kAny, kRangeP, prop);
+  for (rdf::TermId lo : {o0, o2, x, o0}) {
+    same_interval(kAny, kAny, lo, kRangeO, x);
+  }
+  // Empty intervals: an unknown subject, an id range past every object and
+  // one holding no property.
+  same_interval(ghost, prop, kAny, kRangeP, other);
+  same_interval(kAny, kAny, ghost, kRangeO, ghost);
+  same_interval(kAny, o0, kAny, kRangeP, o0);
+  same_interval(subjects.back(), prop, o0, kRangeO, o2);
 }
 
 TEST_F(StoreTest, ClassCardinalities) {

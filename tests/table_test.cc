@@ -1,10 +1,14 @@
 #include "engine/table.h"
 
 #include <limits>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/hash.h"
 
 namespace rdfref {
 namespace engine {
@@ -177,6 +181,139 @@ TEST(HashJoinTest, EmptySideOfCrossProductYieldsEmpty) {
   EXPECT_EQ(HashJoin(empty, nonempty).NumRows(), 0u);
   EXPECT_EQ(HashJoin(nonempty, empty).NumRows(), 0u);
   EXPECT_EQ(HashJoin(empty, nonempty).columns.size(), 2u);
+}
+
+using Rows = std::vector<std::vector<rdf::TermId>>;
+
+// A table over `cols` with `rows` rows drawn from a pool of
+// ceil(rows / dup) distinct random rows, so each row repeats about `dup`
+// times. Ids come from a range wide enough to spread the hash and narrow
+// enough that join keys meet.
+Table RandomTable(Rng* rng, std::vector<query::VarId> cols, size_t rows,
+                  size_t dup, uint64_t id_range) {
+  const size_t arity = cols.size();
+  Rows pool((rows + dup - 1) / dup, std::vector<rdf::TermId>(arity));
+  for (std::vector<rdf::TermId>& row : pool) {
+    for (rdf::TermId& id : row) {
+      id = static_cast<rdf::TermId>(rng->Uniform(id_range));
+    }
+  }
+  Table t;
+  t.columns = std::move(cols);
+  t.SetArity(arity);
+  for (size_t i = 0; i < rows; ++i) {
+    t.AppendRow(pool[rng->Uniform(pool.size())]);
+  }
+  return t;
+}
+
+// First-occurrence dedup, the naive way.
+Rows NaiveDedup(const Rows& rows) {
+  std::set<std::vector<rdf::TermId>> seen;
+  Rows kept;
+  for (const std::vector<rdf::TermId>& row : rows) {
+    if (seen.insert(row).second) kept.push_back(row);
+  }
+  return kept;
+}
+
+// Nested-loop natural join on the columns both sides name (each right
+// column keyed against the left's first column of that name), left-major
+// with the right rows in their own order.
+Rows NestedLoopJoin(const Table& left, const Table& right) {
+  std::vector<std::pair<size_t, size_t>> key;
+  std::vector<size_t> carry;
+  for (size_t j = 0; j < right.columns.size(); ++j) {
+    const int li = left.ColumnOf(right.columns[j]);
+    if (li >= 0) {
+      key.emplace_back(static_cast<size_t>(li), j);
+    } else {
+      carry.push_back(j);
+    }
+  }
+  const Rows right_rows = right.RowVectors();
+  Rows out;
+  for (const std::vector<rdf::TermId>& l : left.RowVectors()) {
+    for (const std::vector<rdf::TermId>& r : right_rows) {
+      bool match = true;
+      for (const auto& [li, rj] : key) match = match && l[li] == r[rj];
+      if (!match) continue;
+      std::vector<rdf::TermId> row = l;
+      for (size_t j : carry) row.push_back(r[j]);
+      out.push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
+// Seeded property test of the flat hash index behind Dedup: random tables
+// of arity 0-4, up to 20,000 rows, each row repeated 1-50 times, and one
+// table of a single repeated row, against the naive first-occurrence
+// dedup, row for row.
+TEST(TablePropertyTest, DedupEqualsFirstOccurrenceReference) {
+  Rng rng(20);
+  for (int round = 0; round < 40; ++round) {
+    const size_t arity = rng.Uniform(5);
+    const size_t rows = rng.Uniform(20001);
+    const size_t dup = 1 + rng.Uniform(50);
+    const uint64_t id_range = rng.Chance(0.5) ? 16 : uint64_t{1} << 32;
+    std::vector<query::VarId> cols(arity);
+    for (size_t c = 0; c < arity; ++c) cols[c] = static_cast<query::VarId>(c);
+    Table t = RandomTable(&rng, cols, rows, dup, id_range);
+    SCOPED_TRACE(::testing::Message() << "round " << round << ": arity "
+                                      << arity << ", " << rows << " rows, dup "
+                                      << dup << ", id range " << id_range);
+    const Rows want = NaiveDedup(t.RowVectors());
+    t.Dedup();
+    EXPECT_EQ(t.RowVectors(), want);
+  }
+  Table same;
+  same.SetArity(3);
+  for (int i = 0; i < 20000; ++i) same.AppendRow({7, 8, 9});
+  same.Dedup();
+  EXPECT_EQ(same.RowVectors(), (Rows{{7, 8, 9}}));
+}
+
+// Seeded property test of HashJoin's flat build side against a
+// nested-loop join, row for row: one- and multi-column keys, no shared
+// column (the cross product), a kConstColumn column on both sides and
+// empty sides.
+TEST(TablePropertyTest, HashJoinEqualsNestedLoopReference) {
+  Rng rng(21);
+  for (int round = 0; round < 60; ++round) {
+    // Column names from a small pool, so the sides share 0-4 of them.
+    auto columns = [&rng]() {
+      std::vector<query::VarId> cols;
+      const size_t arity = 1 + rng.Uniform(4);
+      while (cols.size() < arity) {
+        const query::VarId v = rng.Chance(0.1)
+                                   ? kConstColumn
+                                   : static_cast<query::VarId>(rng.Uniform(6));
+        if (std::find(cols.begin(), cols.end(), v) == cols.end()) {
+          cols.push_back(v);
+        }
+      }
+      return cols;
+    };
+    auto side_rows = [&rng]() -> size_t {
+      return rng.Chance(0.1) ? 0 : rng.Uniform(400);
+    };
+    const uint64_t id_range = 2 + rng.Uniform(12);
+    Table left =
+        RandomTable(&rng, columns(), side_rows(), 1 + rng.Uniform(50), id_range);
+    Table right =
+        RandomTable(&rng, columns(), side_rows(), 1 + rng.Uniform(50), id_range);
+    SCOPED_TRACE(::testing::Message()
+                 << "round " << round << ": " << left.NumRows() << " x "
+                 << right.NumRows() << " rows");
+    const Table joined = HashJoin(left, right);
+    std::vector<query::VarId> want_columns = left.columns;
+    for (query::VarId v : right.columns) {
+      if (left.ColumnOf(v) < 0) want_columns.push_back(v);
+    }
+    EXPECT_EQ(joined.columns, want_columns);
+    EXPECT_EQ(joined.RowVectors(), NestedLoopJoin(left, right));
+  }
 }
 
 TEST(TableTest, ToStringTruncates) {
