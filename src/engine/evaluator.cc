@@ -37,14 +37,6 @@ constexpr rdf::TermId kUnbound = rdf::kInvalidTermId;
   std::abort();
 }
 
-// Resolves a query term under the current bindings: a constant, a bound
-// variable's value, or kAny when still free.
-rdf::TermId Resolve(const QTerm& t, const std::vector<rdf::TermId>& bindings) {
-  if (!t.is_var) return t.term();
-  rdf::TermId v = bindings[t.var()];
-  return v == kUnbound ? storage::kAny : v;
-}
-
 // The join plan of one CQ: the greedy static order, plus each atom's
 // variables as a bitmask for the per-binding expansion choice
 // (ChooseAtDepth). Masks are 64 bits wide, so a CQ with more than 64 atoms
@@ -122,13 +114,7 @@ JoinPlan OrderAtoms(const ScanCache& cache, const Cq& q) {
   std::vector<uint64_t> base(n);
   std::vector<std::vector<VarId>> atom_vars(n);
   for (int i = 0; i < n; ++i) {
-    rdf::TermId s = body[i].s.is_var ? storage::kAny : body[i].s.term();
-    rdf::TermId p = body[i].p.is_var ? storage::kAny : body[i].p.term();
-    rdf::TermId o = body[i].o.is_var ? storage::kAny : body[i].o.term();
-    base[i] = body[i].has_range()
-                  ? cache.CountIntervalMatches(s, p, o, body[i].range_pos,
-                                               body[i].range_hi)
-                  : cache.CountMatches(s, p, o);
+    base[i] = cache.Count(AtomPattern(body[i]));
     const std::set<VarId> vars = Cq::AtomVars(body[i]);
     atom_vars[i].assign(vars.begin(), vars.end());
     if (plan.dynamic) {
@@ -180,27 +166,24 @@ JoinPlan OrderAtoms(const ScanCache& cache, const Cq& q) {
 // depends only on the visible triples the pattern matches: the per-binding
 // choice rests on it, so every evaluation over the same visible set — a
 // cold one, a cached view's fill, either side of a Compact — chooses
-// alike (DESIGN.md §9). An interval atom whose bound shape some clustered
-// order keeps contiguous is one CountIntervalMatches call, exact for that
-// shape; the two shapes no order serves, which CountIntervalMatches
+// alike (DESIGN.md §9). A classic pattern, and an interval whose bound
+// shape some clustered order keeps contiguous, is one CountPattern call,
+// exact for that shape; the two shapes no order serves, which CountPattern
 // widens, sum the exact counts of their interval's ids.
 size_t CountBound(const storage::TripleSource& source, const Atom& atom,
                   const std::vector<rdf::TermId>& bindings) {
-  const rdf::TermId s = Resolve(atom.s, bindings);
-  const rdf::TermId p = Resolve(atom.p, bindings);
-  const rdf::TermId o = Resolve(atom.o, bindings);
-  if (!atom.has_range()) return source.CountMatches(s, p, o);
-  if (storage::Store::IntervalOrder(s, p, o, atom.range_pos).has_value()) {
-    return source.CountIntervalMatches(s, p, o, atom.range_pos,
-                                       atom.range_hi);
+  const storage::Pattern pat = AtomPattern(atom, &bindings);
+  if (storage::Store::OrderFor(pat).has_value()) {
+    return source.CountPattern(pat);
   }
-  const bool on_p = atom.range_pos == Atom::kRangeP;
+  storage::Pattern member = pat.Widened();
+  rdf::TermId& slot = atom.range_pos == Atom::kRangeP ? member.p : member.o;
   size_t count = 0;
   // Enumerates the encoded interval's member ids, which are contiguous.
   // rdfref-check: allow(termid-arith)
   for (rdf::TermId id = atom.range_lo(); id <= atom.range_hi; ++id) {
-    count += on_p ? source.CountMatches(s, id, o)
-                  : source.CountMatches(s, p, id);
+    slot = id;
+    count += source.CountPattern(member);
     if (id == atom.range_hi) break;  // range_hi may be the largest id
   }
   return count;
@@ -353,17 +336,11 @@ std::string Evaluator::ExplainCq(const Cq& q) const {
           << ")\n";
       continue;
     }
-    const Atom& atom = q.body()[static_cast<size_t>(atoms[0])];
-    rdf::TermId s = atom.s.is_var ? storage::kAny : atom.s.term();
-    rdf::TermId p = atom.p.is_var ? storage::kAny : atom.p.term();
-    rdf::TermId o = atom.o.is_var ? storage::kAny : atom.o.term();
-    const size_t count =
-        atom.has_range()
-            ? store_->CountIntervalMatches(s, p, o, atom.range_pos,
-                                           atom.range_hi)
-            : store_->CountMatches(s, p, o);
-    out << "t" << atoms[0] << "  (~" << count << " index matches unbound"
-        << (atom.has_range() ? ", interval" : "") << ")\n";
+    const storage::Pattern pat =
+        AtomPattern(q.body()[static_cast<size_t>(atoms[0])]);
+    out << "t" << atoms[0] << "  (~" << store_->CountPattern(pat)
+        << " index matches unbound" << (pat.has_range() ? ", interval" : "")
+        << ")\n";
   }
   return out.str();
 }
@@ -461,35 +438,21 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
       f.atom = chosen;
     }
     const Atom& atom = body[static_cast<size_t>(f.atom)];
-    const rdf::TermId ps = Resolve(atom.s, bindings);
-    const rdf::TermId pp = Resolve(atom.p, bindings);
-    const rdf::TermId po = Resolve(atom.o, bindings);
+    const storage::Pattern pat = AtomPattern(atom, &bindings);
     // An intra-atom repeated *unbound* variable becomes a residual filter
     // (a bound repeat is already a constant in the pattern).
     storage::ResidualEq residual;
     residual.s_eq_p = atom.s.is_var && atom.p.is_var &&
-                      atom.s.var() == atom.p.var() && ps == storage::kAny;
+                      atom.s.var() == atom.p.var() && pat.s == storage::kAny;
     residual.s_eq_o = atom.s.is_var && atom.o.is_var &&
-                      atom.s.var() == atom.o.var() && ps == storage::kAny;
+                      atom.s.var() == atom.o.var() && pat.s == storage::kAny;
     residual.p_eq_o = atom.p.is_var && atom.o.is_var &&
-                      atom.p.var() == atom.o.var() && pp == storage::kAny;
+                      atom.p.var() == atom.o.var() && pat.p == storage::kAny;
     f.pos = 0;
     f.num_new = 0;
-    if (atom.has_range()) {
-      // Interval atom (hierarchy-encoded reformulation): the ranged
-      // position's pattern value is the interval's low endpoint.
-      if (d == 0 && !residual.any()) {
-        f.range = cache->LeafIntervalRange(ps, pp, po, atom.range_pos,
-                                           atom.range_hi);
-      } else {
-        f.range = f.cursor.ResetInterval(*store_, ps, pp, po, atom.range_pos,
-                                         atom.range_hi, residual, &f.hint);
-      }
-    } else if (d == 0 && !residual.any()) {
-      f.range = cache->LeafRange(ps, pp, po);
-    } else {
-      f.range = f.cursor.Reset(*store_, ps, pp, po, residual, &f.hint);
-    }
+    f.range = d == 0 && !residual.any()
+                  ? cache->Leaf(pat)
+                  : f.cursor.Reset(*store_, pat, residual, &f.hint);
   };
 
   // Binds the free variables of frame d's atom against triple t, recording
@@ -625,57 +588,36 @@ Result<Table> Evaluator::EvaluateUcqWithCache(const query::Ucq& ucq,
     }
     table.SetArity(ucq.members()[0].head().size());
   }
-  if (threads_ <= 1 || ucq.size() < 2) {
-    return EvaluateUcqSequential(ucq, deadline, cache, std::move(table));
-  }
-  return EvaluateUcqParallel(ucq, deadline, cache, std::move(table));
-}
-
-Result<Table> Evaluator::EvaluateUcqSequential(const query::Ucq& ucq,
-                                               const Deadline& deadline,
-                                               ScanCache* cache,
-                                               Table table) const {
-  CancelToken token(&deadline);
-  size_t evaluated = 0;
-  for (const Cq& member : ucq.members()) {
-    if (deadline.expired() ||
-        !EvaluateCqInto(member, token, cache, &table)) {
-      return UcqDeadlineError(evaluated, ucq.size());
-    }
-    ++evaluated;
-  }
-  table.Dedup();
-  return table;
-}
-
-Result<Table> Evaluator::EvaluateUcqParallel(const query::Ucq& ucq,
-                                             const Deadline& deadline,
-                                             ScanCache* cache,
-                                             Table table) const {
   const size_t n = ucq.size();
   // One contiguous chunk per thread: concurrency is honestly bounded by
   // the `threads` knob, and concatenating the chunk tables in chunk order
-  // reproduces the sequential append order exactly — so the single dedup
-  // below yields a bit-identical table. All chunks share the UCQ-level
-  // scan cache (it is thread-safe).
-  const size_t chunks = std::min(n, static_cast<size_t>(threads_));
+  // reproduces the member order exactly — so the single dedup below yields
+  // a bit-identical table for every thread count. All chunks share the
+  // UCQ-level scan cache (it is thread-safe). One chunk runs here, without
+  // the std::function ParallelFor takes, and appends straight into `table`.
+  const size_t chunks =
+      std::max<size_t>(1, std::min(n, static_cast<size_t>(threads_)));
   const std::vector<std::pair<size_t, size_t>> ranges = SplitRanges(n, chunks);
-  std::vector<Table> buffers(chunks);
+  std::vector<Table> buffers(chunks > 1 ? chunks : 0);
   std::atomic<bool> stop{false};
   std::atomic<size_t> completed{0};
   CancelToken token(&deadline, &stop);
-  common::ThreadPool::Shared().ParallelFor(chunks, [&](size_t c) {
+  auto run_chunk = [&](size_t c) {
+    Table* out = chunks > 1 ? &buffers[c] : &table;
     auto [lo, hi] = ranges[c];
     for (size_t i = lo; i < hi; ++i) {
       // CQ-boundary check: stop promptly when a sibling chunk saw the
       // deadline expire (or it expired here).
       if (token.ShouldStop()) return;
-      if (!EvaluateCqInto(ucq.members()[i], token, cache, &buffers[c])) {
-        return;
-      }
+      if (!EvaluateCqInto(ucq.members()[i], token, cache, out)) return;
       completed.fetch_add(1, std::memory_order_relaxed);
     }
-  });
+  };
+  if (chunks == 1) {
+    run_chunk(0);
+  } else {
+    common::ThreadPool::Shared().ParallelFor(chunks, run_chunk);
+  }
   if (stop.load(std::memory_order_relaxed)) {
     return UcqDeadlineError(completed.load(std::memory_order_relaxed), n);
   }

@@ -199,14 +199,6 @@ class Evaluator {
                                             const Deadline& deadline,
                                             ScanCache* cache) const;
 
-  // Sequential / parallel bodies of the deadline-bounded EvaluateUcq.
-  Result<Table> EvaluateUcqSequential(const query::Ucq& ucq,
-                                      const Deadline& deadline,
-                                      ScanCache* cache, Table table) const;
-  Result<Table> EvaluateUcqParallel(const query::Ucq& ucq,
-                                    const Deadline& deadline,
-                                    ScanCache* cache, Table table) const;
-
   const storage::TripleSource* store_;
   int threads_;
   ViewCache* view_cache_ = nullptr;  // not owned; optional

@@ -5,75 +5,34 @@
 namespace rdfref {
 namespace engine {
 
-size_t ScanCache::CountMatches(rdf::TermId s, rdf::TermId p,
-                               rdf::TermId o) const {
-  const PatternKey key{s, p, o};
+size_t ScanCache::Count(const storage::Pattern& pat) const {
   {
     common::MutexLock lock(&mu_);
-    auto it = counts_.find(key);
+    auto it = counts_.find(pat);
     if (it != counts_.end()) return it->second;
   }
   // Compute outside the lock: a federation count fans out to every
   // endpoint, and sibling chunks must not queue behind it.
-  const size_t count = source_->CountMatches(s, p, o);
+  const size_t count = source_->CountPattern(pat);
   common::MutexLock lock(&mu_);
-  return counts_.emplace(key, count).first->second;
+  return counts_.emplace(pat, count).first->second;
 }
 
-size_t ScanCache::CountIntervalMatches(rdf::TermId s, rdf::TermId p,
-                                       rdf::TermId o, int range_pos,
-                                       rdf::TermId hi) const {
-  const PatternKey key{s, p, o, range_pos, hi};
-  {
-    common::MutexLock lock(&mu_);
-    auto it = counts_.find(key);
-    if (it != counts_.end()) return it->second;
-  }
-  const size_t count = source_->CountIntervalMatches(s, p, o, range_pos, hi);
-  common::MutexLock lock(&mu_);
-  return counts_.emplace(key, count).first->second;
-}
-
-std::span<const rdf::Triple> ScanCache::LeafIntervalRange(
-    rdf::TermId s, rdf::TermId p, rdf::TermId o, int range_pos,
-    rdf::TermId hi) const {
+std::span<const rdf::Triple> ScanCache::Leaf(
+    const storage::Pattern& pat) const {
   std::span<const rdf::Triple> range;
-  if (source_->TryGetIntervalRange(s, p, o, range_pos, hi, &range)) {
-    return range;  // zero-copy: the interval is contiguous in some order
-  }
-  const PatternKey key{s, p, o, range_pos, hi};
+  if (source_->TryGetPattern(pat, &range)) return range;  // zero-copy
   {
     common::MutexLock lock(&mu_);
-    auto it = leaves_.find(key);
+    auto it = leaves_.find(pat);
     if (it != leaves_.end()) return {it->second->data(), it->second->size()};
   }
   auto owned = std::make_unique<std::vector<rdf::Triple>>();
-  source_->ScanIntervalInto(s, p, o, range_pos, hi, owned.get());
+  source_->ScanPatternInto(pat, owned.get());
   common::MutexLock lock(&mu_);
-  auto it = leaves_.find(key);
+  auto it = leaves_.find(pat);
   if (it == leaves_.end()) {
-    it = leaves_.emplace(key, std::move(owned)).first;
-  }
-  return {it->second->data(), it->second->size()};
-}
-
-std::span<const rdf::Triple> ScanCache::LeafRange(rdf::TermId s, rdf::TermId p,
-                                                  rdf::TermId o) const {
-  std::span<const rdf::Triple> range;
-  if (source_->TryGetRange(s, p, o, &range)) return range;  // zero-copy
-
-  const PatternKey key{s, p, o};
-  {
-    common::MutexLock lock(&mu_);
-    auto it = leaves_.find(key);
-    if (it != leaves_.end()) return {it->second->data(), it->second->size()};
-  }
-  auto owned = std::make_unique<std::vector<rdf::Triple>>();
-  source_->ScanInto(s, p, o, owned.get());
-  common::MutexLock lock(&mu_);
-  auto it = leaves_.find(key);
-  if (it == leaves_.end()) {
-    it = leaves_.emplace(key, std::move(owned)).first;
+    it = leaves_.emplace(pat, std::move(owned)).first;
   }
   // On a lost race `owned` is dropped: first insert wins, so every caller
   // sees one stable buffer.

@@ -9,11 +9,31 @@
 #include "common/annotations.h"
 #include "common/hash.h"
 #include "common/synchronization.h"
+#include "query/cq.h"
 #include "rdf/triple.h"
 #include "storage/triple_source.h"
 
 namespace rdfref {
 namespace engine {
+
+/// \brief The storage pattern an atom scans: its constants, each variable's
+/// value in `bindings` (indexed by VarId; kAny while unbound, and for every
+/// variable when `bindings` is null), and its interval, if any. Inline: the
+/// join builds one per opened frame.
+inline storage::Pattern AtomPattern(
+    const query::Atom& atom,
+    const std::vector<rdf::TermId>* bindings = nullptr) {
+  static_assert(storage::Pattern::kRangeP == query::Atom::kRangeP &&
+                storage::Pattern::kRangeO == query::Atom::kRangeO &&
+                storage::Pattern::kRangeNone == query::Atom::kRangeNone);
+  // An unbound slot holds rdf::kInvalidTermId, which is storage::kAny.
+  auto resolve = [bindings](const query::QTerm& t) {
+    if (!t.is_var) return t.term();
+    return bindings == nullptr ? storage::kAny : (*bindings)[t.var()];
+  };
+  return {resolve(atom.s), resolve(atom.p), resolve(atom.o), atom.range_pos,
+          atom.range_hi};
+}
 
 /// \brief Per-query scan memo shared across the members of one UCQ (or all
 /// fragment UCQs of one JUCQ).
@@ -23,16 +43,17 @@ namespace engine {
 /// reformulation touches a handful of distinct properties), so the same
 /// bound pattern is counted by OrderAtoms and range-scanned at join depth 0
 /// over and over — once per member in the seed engine. The ScanCache keys
-/// both on the bound `(s, p, o)` pattern:
+/// both on the bound storage::Pattern, classic or interval:
 ///
-///  - `CountMatches` memoizes the source's cardinality answers, so a
-///    462-member UCQ pays one count per *distinct* pattern instead of one
-///    per member atom (this matters most for the federation mediator, where
-///    a count is a per-endpoint fan-out);
-///  - `LeafRange` memoizes materialized leaf scans for sources that cannot
-///    expose a contiguous range (overlay and mediator sources). Range-
-///    capable sources bypass the cache entirely — their span is already
-///    zero-copy and caching it would only add a lock.
+///  - `Count` memoizes the source's cardinality answers, so a 462-member
+///    UCQ pays one count per *distinct* pattern instead of one per member
+///    atom (this matters most for the federation mediator, where a count is
+///    a per-endpoint fan-out);
+///  - `Leaf` memoizes materialized leaf scans for patterns the source
+///    cannot expose as a contiguous range (overlay and mediator sources,
+///    and the interval shapes no clustered order keeps contiguous).
+///    Zero-copy ranges bypass the cache entirely — caching them would only
+///    add a lock.
 ///
 /// Thread-safety: all methods are const and safe to call concurrently; the
 /// parallel UCQ chunk path and the parallel JUCQ fragment path share one
@@ -56,30 +77,13 @@ class ScanCache {
   ScanCache(const ScanCache&) = delete;
   ScanCache& operator=(const ScanCache&) = delete;
 
-  /// \brief Memoized source->CountMatches(s, p, o).
-  size_t CountMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o) const
-      RDFREF_EXCLUDES(mu_);
+  /// \brief Memoized source->CountPattern(pat).
+  size_t Count(const storage::Pattern& pat) const RDFREF_EXCLUDES(mu_);
 
-  /// \brief Memoized source->CountIntervalMatches: the interval-atom
-  /// analogue, keyed on (pattern, range_pos, hi) so classic and interval
-  /// probes of the same bound pattern never collide.
-  size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                              int range_pos, rdf::TermId hi) const
-      RDFREF_EXCLUDES(mu_);
-
-  /// \brief All matches of the pattern as a contiguous span: zero-copy
-  /// when the source is range-capable, otherwise materialized once per
+  /// \brief All matches of `pat` as a contiguous span: zero-copy when the
+  /// source's TryGetPattern succeeds, otherwise materialized once per
   /// distinct pattern and shared by every later caller (and every thread).
-  std::span<const rdf::Triple> LeafRange(rdf::TermId s, rdf::TermId p,
-                                         rdf::TermId o) const
-      RDFREF_LIFETIME_BOUND RDFREF_EXCLUDES(mu_);
-
-  /// \brief Interval analogue of LeafRange: zero-copy when the source
-  /// exposes the interval contiguously, else one shared materialization of
-  /// the widened-and-filtered scan per distinct interval pattern.
-  std::span<const rdf::Triple> LeafIntervalRange(rdf::TermId s, rdf::TermId p,
-                                                 rdf::TermId o, int range_pos,
-                                                 rdf::TermId hi) const
+  std::span<const rdf::Triple> Leaf(const storage::Pattern& pat) const
       RDFREF_LIFETIME_BOUND RDFREF_EXCLUDES(mu_);
 
   const storage::TripleSource& source() const RDFREF_LIFETIME_BOUND {
@@ -97,34 +101,22 @@ class ScanCache {
   }
 
  private:
-  struct PatternKey {
-    rdf::TermId s, p, o;
-    // Interval annotation; 3 (query::Atom::kRangeNone) + 0 for classic
-    // patterns, so classic and interval entries share one map without
-    // colliding.
-    int range_pos = 3;
-    rdf::TermId range_hi = 0;
-    friend bool operator==(const PatternKey& a, const PatternKey& b) {
-      return a.s == b.s && a.p == b.p && a.o == b.o &&
-             a.range_pos == b.range_pos && a.range_hi == b.range_hi;
-    }
-  };
-  struct PatternKeyHash {
-    size_t operator()(const PatternKey& k) const {
+  struct PatternHash {
+    size_t operator()(const storage::Pattern& k) const {
       size_t h = HashCombine(HashCombine(HashCombine(0x5ca9c4a3, k.s), k.p), k.o);
       return HashCombine(HashCombine(h, static_cast<size_t>(k.range_pos)),
-                         k.range_hi);
+                         k.hi);
     }
   };
 
   const storage::TripleSource* source_;
   mutable common::Mutex mu_;
-  mutable std::unordered_map<PatternKey, size_t, PatternKeyHash> counts_
+  mutable std::unordered_map<storage::Pattern, size_t, PatternHash> counts_
       RDFREF_GUARDED_BY(mu_);
   // unique_ptr: span stability across rehash; entries are never erased.
-  mutable std::unordered_map<PatternKey,
+  mutable std::unordered_map<storage::Pattern,
                              std::unique_ptr<std::vector<rdf::Triple>>,
-                             PatternKeyHash>
+                             PatternHash>
       leaves_ RDFREF_GUARDED_BY(mu_);
 };
 

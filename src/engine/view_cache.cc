@@ -1,75 +1,52 @@
 #include "engine/view_cache.h"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
+#include "engine/scan_cache.h"
 #include "query/canonical.h"
-#include "storage/triple_source.h"
 
 namespace rdfref {
 namespace engine {
-
-namespace {
-
-std::tuple<rdf::TermId, rdf::TermId, rdf::TermId, uint8_t, rdf::TermId,
-           rdf::TermId>
-PatternTuple(const ViewFootprint::Pattern& p) {
-  return {p.s, p.p, p.o, p.range_pos, p.range_lo, p.range_hi};
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ViewFootprint
 // ---------------------------------------------------------------------------
 
-void ViewFootprint::AddCq(const query::Cq& q) {
+void ViewFootprint::AddAtoms(const query::Cq& q) {
   for (const query::Atom& a : q.body()) {
-    Pattern pat;
-    pat.s = a.s.is_var ? storage::kAny : a.s.term();
-    pat.p = a.p.is_var ? storage::kAny : a.p.term();
-    pat.o = a.o.is_var ? storage::kAny : a.o.term();
-    pat.range_pos = a.range_pos;
-    pat.range_lo = a.has_range() ? a.range_lo() : 0;
-    pat.range_hi = a.range_hi;
-    patterns_.push_back(pat);
+    patterns_.push_back(AtomPattern(a));
     if (a.range_pos == query::Atom::kRangeP || a.p.is_var) {
       any_property_ = true;
     } else {
       properties_.insert(a.p.term());
     }
   }
-  std::sort(patterns_.begin(), patterns_.end(),
-            [](const Pattern& x, const Pattern& y) {
-              return PatternTuple(x) < PatternTuple(y);
-            });
-  patterns_.erase(std::unique(patterns_.begin(), patterns_.end(),
-                              [](const Pattern& x, const Pattern& y) {
-                                return PatternTuple(x) == PatternTuple(y);
-                              }),
+}
+
+void ViewFootprint::Normalize() {
+  std::sort(patterns_.begin(), patterns_.end());
+  patterns_.erase(std::unique(patterns_.begin(), patterns_.end()),
                   patterns_.end());
 }
 
+void ViewFootprint::AddCq(const query::Cq& q) {
+  AddAtoms(q);
+  Normalize();
+}
+
 void ViewFootprint::AddUcq(const query::Ucq& ucq) {
-  for (const query::Cq& member : ucq.members()) AddCq(member);
+  for (const query::Cq& member : ucq.members()) AddAtoms(member);
+  Normalize();
 }
 
 bool ViewFootprint::MayTouch(const rdf::Triple& t) const {
   if (!any_property_ && properties_.find(t.p) == properties_.end()) {
     return false;
   }
-  for (const Pattern& pat : patterns_) {
-    bool s_ok = pat.s == storage::kAny || pat.s == t.s;
-    bool p_ok = pat.range_pos == query::Atom::kRangeP
-                    ? (t.p >= pat.range_lo && t.p <= pat.range_hi)
-                    : (pat.p == storage::kAny || pat.p == t.p);
-    bool o_ok = pat.range_pos == query::Atom::kRangeO
-                    ? (t.o >= pat.range_lo && t.o <= pat.range_hi)
-                    : (pat.o == storage::kAny || pat.o == t.o);
-    if (s_ok && p_ok && o_ok) return true;
-  }
-  return false;
+  return std::any_of(
+      patterns_.begin(), patterns_.end(),
+      [&t](const storage::Pattern& pat) { return pat.Matches(t); });
 }
 
 // ---------------------------------------------------------------------------
@@ -176,7 +153,7 @@ void ViewCache::Install(const ViewKey& key, uint64_t epoch,
       result.data().size() * sizeof(rdf::TermId) +
       result.columns.size() * sizeof(query::VarId) + sizeof(Entry) +
       key.full.size() + key.canonical.size() +
-      entry->footprint.patterns().size() * sizeof(ViewFootprint::Pattern);
+      entry->footprint.patterns().size() * sizeof(storage::Pattern);
   entry->canonical_key = key.canonical;
   entry->computed_epoch = epoch;
   entry->valid_hi = epoch;

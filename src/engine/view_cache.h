@@ -18,6 +18,7 @@
 #include "query/ucq.h"
 #include "rdf/triple.h"
 #include "storage/epoch_observer.h"
+#include "storage/triple_source.h"
 
 namespace rdfref {
 namespace engine {
@@ -85,13 +86,8 @@ struct ViewKey {
 /// side holds the wildcards and the probe is a concrete triple.
 class ViewFootprint {
  public:
-  struct Pattern {
-    rdf::TermId s, p, o;  ///< bound ids, or storage::kAny for variables
-    uint8_t range_pos;    ///< query::Atom::kRange{P,O,None}
-    rdf::TermId range_lo, range_hi;  ///< inclusive; meaningful iff ranged
-  };
-
-  /// \brief Adds every atom of every member (deduplicated).
+  /// \brief Adds every atom of every member; the pattern list is sorted
+  /// and deduplicated once per call.
   void AddUcq(const query::Ucq& ucq);
   void AddCq(const query::Cq& q);
 
@@ -99,10 +95,15 @@ class ViewFootprint {
   bool MayTouch(const rdf::Triple& t) const;
 
   RDFREF_BORROWS_FROM(this)
-  std::span<const Pattern> patterns() const { return patterns_; }
+  std::span<const storage::Pattern> patterns() const { return patterns_; }
 
  private:
-  std::vector<Pattern> patterns_;
+  // Appends q's atom patterns, unsorted.
+  void AddAtoms(const query::Cq& q);
+  // Sorts and deduplicates patterns_.
+  void Normalize();
+
+  std::vector<storage::Pattern> patterns_;
   // Quick reject on the property position: most writes (e.g. the workload
   // driver's churn property) miss every cached view, and one hash probe
   // settles that without walking patterns_.

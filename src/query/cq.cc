@@ -1,6 +1,7 @@
 #include "query/cq.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <unordered_map>
 
@@ -68,34 +69,54 @@ bool Cq::IsSafe() const {
 
 std::string Cq::CanonicalKey() const {
   std::unordered_map<VarId, uint32_t> renaming;
-  auto canon = [&renaming](const QTerm& t) -> std::string {
-    if (!t.is_var) return "c" + std::to_string(t.id);
-    auto it = renaming.find(t.var());
-    if (it == renaming.end()) {
-      it = renaming.emplace(t.var(), static_cast<uint32_t>(renaming.size()))
-               .first;
-    }
-    return "v" + std::to_string(it->second);
+  std::string key;
+  auto number = [&key](uint32_t n) {
+    char digits[10];
+    key.append(digits, std::to_chars(digits, digits + sizeof(digits), n).ptr);
   };
-  std::ostringstream key;
-  for (const QTerm& t : head_) key << canon(t) << ",";
-  key << ":-";
+  auto canon = [&](const QTerm& t) {
+    if (!t.is_var) {
+      key += 'c';
+      number(t.id);
+      return;
+    }
+    key += 'v';
+    number(renaming
+               .try_emplace(t.var(), static_cast<uint32_t>(renaming.size()))
+               .first->second);
+  };
+  for (const QTerm& t : head_) {
+    canon(t);
+    key += ',';
+  }
+  key += ":-";
   for (const Atom& a : body_) {
-    key << canon(a.s) << " " << canon(a.p) << " " << canon(a.o);
+    canon(a.s);
+    key += ' ';
+    canon(a.p);
+    key += ' ';
+    canon(a.o);
     if (a.has_range()) {
       // Interval atoms reference concrete dictionary intervals, so the raw
       // bounds (not renamed) are the canonical form.
-      key << "R" << static_cast<int>(a.range_pos) << ".."
-          << std::to_string(a.range_hi);
+      key += 'R';
+      number(a.range_pos);
+      key += "..";
+      number(a.range_hi);
     }
-    key << ".";
+    key += '.';
   }
   // Resource constraints distinguish otherwise-identical CQs.
   for (VarId v : resource_vars_) {
     auto it = renaming.find(v);
-    if (it != renaming.end()) key << "r" << it->second << ";";
+    if (it == renaming.end()) continue;
+    key += 'r';
+    number(it->second);
+    key += ';';
   }
-  return key.str();
+  // Keys are held in dedup sets and cache maps: keep no growth slack.
+  key.shrink_to_fit();
+  return key;
 }
 
 std::string Cq::ToString(const rdf::Dictionary& dict) const {

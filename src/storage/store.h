@@ -44,12 +44,9 @@ inline bool IndexLess(IndexOrder order, const rdf::Triple& a,
 ///
 /// This plays the role of the relational back-ends of the demonstration (the
 /// paper evaluates reformulated queries "through performant RDBMSs"): a
-/// single Triple(s, p, o) table, fully indexed so that any triple pattern is
-/// answerable by a binary-searched range scan:
-///   - SPO  serves  (s ? ?), (s p ?), (s p o)
-///   - PSO  serves  (? p ?)
-///   - POS  serves  (? p o)
-///   - OSP  serves  (? ? o), (s ? o)
+/// single Triple(s, p, o) table, fully indexed so that any classic triple
+/// pattern, and every interval pattern but two shapes, is answerable by a
+/// binary-searched range scan of the permutation OrderFor names.
 ///
 /// The store is read-only after Build; the Sat strategy rebuilds it from the
 /// saturated graph (mirroring the paper's "materialize then query" setup).
@@ -68,83 +65,98 @@ class Store : public TripleSource {
   Store(Store&&) = default;
   Store& operator=(Store&&) = default;
 
-  /// \brief Zero-overhead range scan: every pattern is a binary-searched
-  /// contiguous run of one clustered permutation (SPO/PSO/POS/OSP), so the
-  /// matches come back as one span into the index — no callback, no copy.
-  /// Valid for the store's lifetime (the store is immutable after build).
-  std::span<const rdf::Triple> EqualRangeSpan(rdf::TermId s, rdf::TermId p,
-                                              rdf::TermId o) const
-      RDFREF_LIFETIME_BOUND;
+  /// \brief The clustered permutation that stores `pat`'s matches as one
+  /// contiguous run: its key leads with the bound positions, then the
+  /// ranged one, then the free ones —
+  ///   SPO  (? ? ?) (s ? ?) (s p ?) (s p o) (s p [lo..hi]) (s [lo..hi] ?)
+  ///   PSO  (? p ?) (? [lo..hi] ?)
+  ///   POS  (? p o) (? p [lo..hi])
+  ///   OSP  (? ? o) (s ? o) (? ? [lo..hi]) (s [lo..hi] o)
+  /// and nullopt for the two interval shapes every order interleaves with
+  /// other ids, (s ? [lo..hi]) and (? [lo..hi] o). A constant table lookup
+  /// by bound positions × ranged position.
+  static std::optional<IndexOrder> OrderFor(const Pattern& pat) {
+    using enum IndexOrder;
+    // Rows: the ranged position (kRangeP, kRangeO, kRangeNone). Columns:
+    // the bound positions, s = 1, p = 2, o = 4; a ranged position holds its
+    // low endpoint, so it counts as bound. Empty entries are the two shapes
+    // no order keeps contiguous, and masks a ranged row cannot have.
+    static constexpr std::optional<IndexOrder> kOrders[3][8] = {
+        // none  s     p     sp    o     so    po    spo
+        {{},     {},   kPso, kSpo, {},   {},   {},   kOsp},   // [p]
+        {{},     {},   {},   {},   kOsp, {},   kPos, kSpo},   // [o]
+        {kSpo,   kSpo, kPso, kSpo, kOsp, kOsp, kPos, kSpo}};  // classic
+    const int bound = (pat.s != kAny ? 1 : 0) | (pat.p != kAny ? 2 : 0) |
+                      (pat.o != kAny ? 4 : 0);
+    return kOrders[pat.range_pos - 1][bound];
+  }
 
-  /// \brief Hinted range scan: identical result to EqualRangeSpan, found by
-  /// galloping forward from the previous lookup's position when the hint is
-  /// for the same permutation index and the new prefix is not below it
-  /// (O(log gap) instead of O(log n) for the monotone lookup sequences a
-  /// nested-loop join produces). A stale or backward hint falls back to the
-  /// full binary search; the hint is updated to the returned range.
-  std::span<const rdf::Triple> EqualRangeSpanHinted(rdf::TermId s,
-                                                    rdf::TermId p,
-                                                    rdf::TermId o,
-                                                    RangeHint* hint) const
-      RDFREF_LIFETIME_BOUND;
+  /// \brief Fenced lookup: when OrderFor(pat) names an order, sets `*out`
+  /// to the run of that index between the pattern with its free positions
+  /// at their minimum and at their maximum (the ranged one at the
+  /// interval's low and high endpoint) and returns true; the span is
+  /// zero-copy and valid for the store's lifetime. Restricted to a classic
+  /// pattern's matches every order is SPO order; an interval's come back in
+  /// the named order.
+  ///
+  /// With a non-null `hint` the run is found by galloping forward from the
+  /// previous lookup's position when the hint is for the same index and
+  /// the new prefix is not below it (O(log gap) instead of O(log n) for the
+  /// monotone lookup sequences a nested-loop join produces). A stale or
+  /// backward hint falls back to a full search; the hint is updated to the
+  /// returned run. The result never depends on the hint.
+  RDFREF_BORROWS_FROM(this)
+  bool Lookup(const Pattern& pat, std::span<const rdf::Triple>* out,
+              RangeHint* hint = nullptr) const;
 
-  /// \brief Batch fast path: always succeeds (see EqualRangeSpan).
+  /// \brief Number of `pat`'s matches when OrderFor names an order, else
+  /// of pat.Widened()'s (index-only).
+  size_t Count(const Pattern& pat) const;
+
   RDFREF_BORROWS_FROM(this)
   bool TryGetRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                    std::span<const rdf::Triple>* out) const override {
-    *out = EqualRangeSpan(s, p, o);
-    return true;
+    return Lookup({s, p, o}, out);
   }
 
-  /// \brief Hinted batch fast path (see EqualRangeSpanHinted).
   RDFREF_BORROWS_FROM(this)
   bool TryGetRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                          std::span<const rdf::Triple>* out,
                          RangeHint* hint) const override {
-    *out = hint == nullptr ? EqualRangeSpan(s, p, o)
-                           : EqualRangeSpanHinted(s, p, o, hint);
-    return true;
+    return Lookup({s, p, o}, out, hint);
   }
 
-  /// \brief Batch fallback: a copy of the EqualRangeSpan matches.
   void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                 std::vector<rdf::Triple>* out) const override {
-    std::span<const rdf::Triple> range = EqualRangeSpan(s, p, o);
+    std::span<const rdf::Triple> range;
+    Lookup({s, p, o}, &range);
     out->assign(range.begin(), range.end());
   }
 
-  /// \brief Interval fast path for hierarchy-encoded atoms: succeeds when
-  /// one clustered permutation stores the interval contiguously (see
-  /// IntervalOrder). The matches come back in that permutation's order.
+  size_t CountMatches(rdf::TermId s, rdf::TermId p,
+                      rdf::TermId o) const override {
+    return Count({s, p, o});
+  }
+
+  RDFREF_BORROWS_FROM(this)
   bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                            int range_pos, rdf::TermId hi,
                            std::span<const rdf::Triple>* out) const override {
-    return TryGetIntervalRangeHinted(s, p, o, range_pos, hi, out, nullptr);
+    return Lookup({s, p, o, range_pos, hi}, out);
   }
 
-  /// \brief Hinted interval fast path: the same span as TryGetIntervalRange,
-  /// found by galloping from `hint` as EqualRangeSpanHinted does (a null
-  /// hint binary-searches).
   RDFREF_BORROWS_FROM(this)
   bool TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                  int range_pos, rdf::TermId hi,
                                  std::span<const rdf::Triple>* out,
-                                 RangeHint* hint) const override;
+                                 RangeHint* hint) const override {
+    return Lookup({s, p, o, range_pos, hi}, out, hint);
+  }
 
-  /// \brief The clustered permutation that stores an interval shape
-  /// contiguously: the bound positions, then the ranged one, lead its key —
-  ///   object interval   (s p [lo..hi]) on SPO, (? p [lo..hi]) on POS,
-  ///                     (? ? [lo..hi]) on OSP;
-  ///   property interval (s [lo..hi] ?) on SPO, (? [lo..hi] ?) on PSO,
-  ///                     (s [lo..hi] o) on OSP under the prefix (o, s).
-  /// The remaining shapes, (s ? [lo..hi]) and (? [lo..hi] o), interleave
-  /// other ids inside every order: nullopt (buffered fallback).
-  static std::optional<IndexOrder> IntervalOrder(rdf::TermId s, rdf::TermId p,
-                                                 rdf::TermId o, int range_pos);
-
-  /// \brief Exact number of triples matching the pattern (index-only).
-  size_t CountMatches(rdf::TermId s, rdf::TermId p,
-                      rdf::TermId o) const override;
+  size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                              int range_pos, rdf::TermId hi) const override {
+    return Count({s, p, o, range_pos, hi});
+  }
 
   /// \brief Membership test for a fully bound triple.
   bool Contains(const rdf::Triple& t) const;
@@ -157,13 +169,6 @@ class Store : public TripleSource {
   const Statistics& stats() const RDFREF_LIFETIME_BOUND { return stats_; }
 
  private:
-  // Returns [begin, end) of the index range matching the bound prefix.
-  // With a non-null `hint`, searches resume from the hinted position.
-  using Range = std::pair<const rdf::Triple*, const rdf::Triple*>;
-  Range EqualRange(rdf::TermId s, rdf::TermId p, rdf::TermId o) const;
-  Range EqualRangeImpl(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                       RangeHint* hint) const;
-
   const rdf::Dictionary* dict_;
   std::vector<rdf::Triple> spo_;  // sorted (s, p, o)
   std::vector<rdf::Triple> pso_;  // sorted (p, s, o)

@@ -1,6 +1,7 @@
 #ifndef RDFREF_STORAGE_TRIPLE_SOURCE_H_
 #define RDFREF_STORAGE_TRIPLE_SOURCE_H_
 
+#include <compare>
 #include <functional>
 #include <span>
 #include <unordered_set>
@@ -16,13 +17,55 @@ namespace storage {
 /// \brief Wildcard marker in scan patterns ("any value at this position").
 inline constexpr rdf::TermId kAny = rdf::kInvalidTermId;
 
-/// \brief True when triple `t` matches the (s, p, o) pattern; kAny
-/// wildcards a position.
-inline bool MatchesPattern(const rdf::Triple& t, rdf::TermId s, rdf::TermId p,
-                           rdf::TermId o) {
-  return (s == kAny || t.s == s) && (p == kAny || t.p == p) &&
-         (o == kAny || t.o == o);
-}
+/// \brief One triple pattern as the scan path reads it: each position a
+/// bound id or kAny, and at most one *ranged* position — a hierarchy-encoded
+/// atom (rdf/encoding.h) — whose value is the low endpoint of the inclusive
+/// id interval [value, hi]. `range_pos` takes query::Atom's values: kRangeP,
+/// kRangeO, or kRangeNone for a classic pattern, which is an interval
+/// pattern with no ranged position.
+struct Pattern {
+  static constexpr int kRangeP = 1;
+  static constexpr int kRangeO = 2;
+  static constexpr int kRangeNone = 3;
+
+  rdf::TermId s = kAny;
+  rdf::TermId p = kAny;
+  rdf::TermId o = kAny;
+  int range_pos = kRangeNone;
+  rdf::TermId hi = 0;  ///< inclusive upper bound; meaningful iff ranged
+
+  bool has_range() const { return range_pos != kRangeNone; }
+
+  /// \brief True when `t` matches: every bound position equal, the ranged
+  /// one inside [value, hi].
+  bool Matches(const rdf::Triple& t) const {
+    auto eq = [](rdf::TermId want, rdf::TermId got) {
+      return want == kAny || got == want;
+    };
+    switch (range_pos) {
+      case kRangeP:
+        return eq(s, t.s) && t.p >= p && t.p <= hi && eq(o, t.o);
+      case kRangeO:
+        return eq(s, t.s) && eq(p, t.p) && t.o >= o && t.o <= hi;
+      default:
+        return eq(s, t.s) && eq(p, t.p) && eq(o, t.o);
+    }
+  }
+
+  /// \brief The classic pattern with the ranged position wildcarded (itself
+  /// for a classic pattern): the neighbourhood an interval is read from
+  /// where no clustered order keeps it contiguous.
+  Pattern Widened() const {
+    Pattern w = *this;
+    if (range_pos == kRangeP) w.p = kAny;
+    if (range_pos == kRangeO) w.o = kAny;
+    w.range_pos = kRangeNone;
+    w.hi = 0;
+    return w;
+  }
+
+  friend auto operator<=>(const Pattern&, const Pattern&) = default;
+};
 
 /// \brief Conservative index of which triple patterns a set of overlay
 /// triples can intersect: the distinct subjects, properties and objects the
@@ -33,10 +76,9 @@ inline bool MatchesPattern(const rdf::Triple& t, rdf::TermId s, rdf::TermId p,
 /// the zero-copy base fast path for scans the overlay provably cannot
 /// affect.
 ///
-/// MayMatch checks EXACT ids only. An interval probe (TryGetIntervalRange)
-/// must NOT pass the interval's low endpoint here — that would miss overlay
-/// triples touching ids strictly inside (lo, hi]. Interval callers widen the
-/// ranged position to kAny before consulting any presence filter.
+/// MayMatch checks EXACT ids, so it treats a ranged position as a wildcard
+/// (it probes the pattern Widened()): an interval names only its low
+/// endpoint, and the triples it matches may touch any id up to hi.
 class PatternPresence {
  public:
   void Add(const rdf::Triple& t) {
@@ -51,17 +93,22 @@ class PatternPresence {
     o_.clear();
   }
 
-  bool MayMatch(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
+  bool MayMatch(const Pattern& pat) const {
     if (p_.empty()) return false;  // nothing tracked
-    return (s == kAny || s_.count(s) > 0) && (p == kAny || p_.count(p) > 0) &&
-           (o == kAny || o_.count(o) > 0);
+    auto may = [](const std::unordered_set<rdf::TermId>& ids, rdf::TermId v,
+                  bool ranged) {
+      return ranged || v == kAny || ids.count(v) > 0;
+    };
+    return may(s_, pat.s, false) &&
+           may(p_, pat.p, pat.range_pos == Pattern::kRangeP) &&
+           may(o_, pat.o, pat.range_pos == Pattern::kRangeO);
   }
 
  private:
   std::unordered_set<rdf::TermId> s_, p_, o_;
 };
 
-/// \brief Opaque position hint threaded through TryGetRangeHinted calls.
+/// \brief Opaque position hint threaded through the hinted lookups.
 /// `index` identifies which physical ordering the position refers to (the
 /// source compares it against its own index identity and ignores a stale
 /// hint); `pos` is the begin offset of the previous result in that index.
@@ -78,13 +125,19 @@ struct RangeHint {
 /// Section 1 of the paper: data "split across independent sources").
 ///
 /// Access comes in two granularities:
-///   - the batch API (`TryGetRange` / `ScanInto`), which every source
-///     implements and the columnar engine drives: a whole pattern's matches
-///     at once, as a contiguous block (zero-copy when the source is
-///     range-capable, one buffered copy otherwise);
+///   - the batch API (lookup / scan / count), which every source implements
+///     and the columnar engine drives: a whole pattern's matches at once,
+///     as a contiguous block (zero-copy when the source is range-capable,
+///     one buffered copy otherwise);
 ///   - the per-triple callback `Scan`, a base-class convenience over the
 ///     batch API for the endpoint, the Datalog loader and the reference
 ///     evaluator.
+///
+/// The batch API takes one storage::Pattern through three non-virtual
+/// entry points (TryGetPattern, ScanPatternInto, CountPattern). Each routes
+/// a classic pattern to its classic virtual and an interval pattern to its
+/// interval virtual, so wrapping sources see per-kind calls; Store and
+/// SnapshotSource serve both kinds with one body each.
 class TripleSource {
  public:
   virtual ~TripleSource() = default;
@@ -93,7 +146,7 @@ class TripleSource {
   /// (rdf::kInvalidTermId) wildcards a position. May deliver duplicates
   /// across underlying sources; the engine deduplicates answers. Iterates
   /// TryGetRange when it succeeds, otherwise a ScanInto buffer. Hot code
-  /// should use TryGetRange/ScanInto directly.
+  /// should use the batch API directly.
   virtual void Scan(
       rdf::TermId s, rdf::TermId p, rdf::TermId o,
       const std::function<void(const rdf::Triple&)>& fn) const {  // rdfref-check: allow(std-function)
@@ -107,15 +160,60 @@ class TripleSource {
     for (const rdf::Triple& t : buffer) fn(t);
   }
 
-  /// \brief Batch fast path: when the source can expose every match as one
-  /// contiguous block (valid until the source is modified), sets `*out`
-  /// and returns true. The local Store answers every pattern this way from
-  /// its clustered permutation indexes; overlay and mediator sources
-  /// return false and are served by ScanInto.
+  /// \brief Batch fast path: when the source can expose every match of
+  /// `pat` as one contiguous block (valid until the source is modified),
+  /// sets `*out` and returns true; otherwise ScanPatternInto serves it.
+  /// With a non-null `hint` the source may gallop forward from its previous
+  /// lookup: when a nested-loop join drives an inner atom from an
+  /// index-ordered outer range, successive patterns have non-decreasing
+  /// bound prefixes, so O(log gap) replaces O(log n). The hint is advisory
+  /// — results are always exactly the pattern's matches.
   ///
   /// Borrow contract: `*out` points into storage owned (or pinned) by this
   /// source and is invalidated by its modification or destruction — never
   /// store it in a field or by-value capture that outlives the source.
+  RDFREF_BORROWS_FROM(this)
+  bool TryGetPattern(const Pattern& pat, std::span<const rdf::Triple>* out,
+                     RangeHint* hint = nullptr) const {
+    if (!pat.has_range()) {
+      return hint == nullptr
+                 ? TryGetRange(pat.s, pat.p, pat.o, out)
+                 : TryGetRangeHinted(pat.s, pat.p, pat.o, out, hint);
+    }
+    return hint == nullptr
+               ? TryGetIntervalRange(pat.s, pat.p, pat.o, pat.range_pos,
+                                     pat.hi, out)
+               : TryGetIntervalRangeHinted(pat.s, pat.p, pat.o,
+                                           pat.range_pos, pat.hi, out, hint);
+  }
+
+  /// \brief Batch fallback: clears `*out` and appends every match of
+  /// `pat`, in the order TryGetPattern would return them when it succeeds.
+  void ScanPatternInto(const Pattern& pat,
+                       std::vector<rdf::Triple>* out) const {
+    if (!pat.has_range()) {
+      ScanInto(pat.s, pat.p, pat.o, out);
+    } else {
+      ScanIntervalInto(pat.s, pat.p, pat.o, pat.range_pos, pat.hi, out);
+    }
+  }
+
+  /// \brief Number of triples matching `pat`: exact for local stores on a
+  /// classic pattern and on an interval some clustered order keeps
+  /// contiguous; otherwise the count of pat.Widened() — an upper bound,
+  /// which is what the join-ordering and costing consumers need (and what
+  /// federations return for every pattern).
+  size_t CountPattern(const Pattern& pat) const {
+    if (!pat.has_range()) return CountMatches(pat.s, pat.p, pat.o);
+    return CountIntervalMatches(pat.s, pat.p, pat.o, pat.range_pos, pat.hi);
+  }
+
+  // The per-kind virtuals behind the three entry points above. A classic
+  // call means Pattern{s, p, o}; an interval call means
+  // Pattern{s, p, o, range_pos, hi}, the ranged position holding the
+  // interval's low endpoint.
+
+  /// \brief TryGetPattern of a classic pattern, unhinted.
   RDFREF_BORROWS_FROM(this)
   virtual bool TryGetRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                            std::span<const rdf::Triple>* out) const {
@@ -126,14 +224,7 @@ class TripleSource {
     return false;
   }
 
-  /// \brief Hinted batch fast path: like TryGetRange, but carries a
-  /// position hint between successive lookups. When a nested-loop join
-  /// drives its inner atom from an index-ordered outer range, successive
-  /// patterns have non-decreasing bound prefixes, so the next range starts
-  /// at or after the previous one: range-capable sources gallop forward
-  /// from the hint (O(log gap)) instead of binary-searching the whole
-  /// index (O(log n)). The hint is advisory — results are always exactly
-  /// the pattern's matches — and sources without a fast path ignore it.
+  /// \brief TryGetPattern of a classic pattern, hinted.
   RDFREF_BORROWS_FROM(this)
   virtual bool TryGetRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                  std::span<const rdf::Triple>* out,
@@ -142,23 +233,15 @@ class TripleSource {
     return TryGetRange(s, p, o, out);
   }
 
-  /// \brief Batch fallback: clears `*out` and appends every match, in the
-  /// order TryGetRange would return them when it succeeds.
+  /// \brief ScanPatternInto of a classic pattern.
   virtual void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                         std::vector<rdf::Triple>* out) const = 0;
 
-  /// \brief Number of triples matching the pattern (exact for local
-  /// stores; an upper bound for federations).
+  /// \brief CountPattern of a classic pattern.
   virtual size_t CountMatches(rdf::TermId s, rdf::TermId p,
                               rdf::TermId o) const = 0;
 
-  /// \brief Interval batch fast path, for the hierarchy-encoded atoms of
-  /// rdf/encoding.h: like TryGetRange, but the position selected by
-  /// `range_pos` (query::Atom::kRangeP = property, kRangeO = object)
-  /// matches any id in [its pattern value, hi] instead of exactly one id.
-  /// Range-capable sources answer when one of their clustered orders makes
-  /// the interval contiguous; everyone else returns false and is served by
-  /// ScanIntervalInto.
+  /// \brief TryGetPattern of an interval pattern, unhinted.
   RDFREF_BORROWS_FROM(this)
   virtual bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                    int range_pos, rdf::TermId hi,
@@ -172,10 +255,7 @@ class TripleSource {
     return false;
   }
 
-  /// \brief Hinted interval fast path: TryGetIntervalRange with the
-  /// position hint of TryGetRangeHinted, so a join's inner interval atom
-  /// gallops forward from its previous lookup like a classic atom does.
-  /// The hint is advisory; sources without a fast path ignore it.
+  /// \brief TryGetPattern of an interval pattern, hinted.
   RDFREF_BORROWS_FROM(this)
   virtual bool TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p,
                                          rdf::TermId o, int range_pos,
@@ -186,39 +266,35 @@ class TripleSource {
     return TryGetIntervalRange(s, p, o, range_pos, hi, out);
   }
 
-  /// \brief Interval batch fallback: clears `*out` and appends every match
-  /// of the pattern with the ranged position relaxed to [lo, hi]. The
-  /// default reads the pattern with the ranged position widened to a
-  /// wildcard through the batch API (TryGetRange, else ScanInto) and keeps
-  /// the triples inside the interval, in the order that read delivered;
-  /// sources with better access paths may override.
+  /// \brief ScanPatternInto of an interval pattern. The default reads the
+  /// widened pattern through the batch API (TryGetRange, else ScanInto)
+  /// and keeps the triples inside the interval, in the order that read
+  /// delivered.
   virtual void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                 int range_pos, rdf::TermId hi,
                                 std::vector<rdf::Triple>* out) const {
-    const bool on_p = range_pos == 1;
+    const Pattern wide = Pattern{s, p, o, range_pos, hi}.Widened();
+    // The widened read matched every other position already.
+    const bool on_p = range_pos == Pattern::kRangeP;
     const rdf::TermId lo = on_p ? p : o;
-    const rdf::TermId wp = on_p ? kAny : p;
-    const rdf::TermId wo = on_p ? o : kAny;
     auto outside = [&](const rdf::Triple& t) {
       const rdf::TermId v = on_p ? t.p : t.o;
       return v < lo || v > hi;
     };
     std::span<const rdf::Triple> range;
-    if (TryGetRange(s, wp, wo, &range)) {
+    if (TryGetRange(wide.s, wide.p, wide.o, &range)) {
       out->clear();
       for (const rdf::Triple& t : range) {
         if (!outside(t)) out->push_back(t);
       }
       return;
     }
-    ScanInto(s, wp, wo, out);
+    ScanInto(wide.s, wide.p, wide.o, out);
     std::erase_if(*out, outside);
   }
 
-  /// \brief Number of triples matching the interval pattern: exact when the
-  /// interval is contiguous in some clustered order, otherwise the count of
-  /// the widened (wildcarded) pattern — an upper bound, which is what the
-  /// join-ordering and costing consumers need.
+  /// \brief CountPattern of an interval pattern. The default is exact when
+  /// TryGetIntervalRange succeeds and the widened pattern's count otherwise.
   virtual size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p,
                                       rdf::TermId o, int range_pos,
                                       rdf::TermId hi) const {
@@ -226,8 +302,8 @@ class TripleSource {
     if (TryGetIntervalRange(s, p, o, range_pos, hi, &range)) {
       return range.size();
     }
-    const bool on_p = range_pos == 1;
-    return CountMatches(s, on_p ? kAny : p, on_p ? o : kAny);
+    const Pattern wide = Pattern{s, p, o, range_pos, hi}.Widened();
+    return CountMatches(wide.s, wide.p, wide.o);
   }
 
   /// \brief The dictionary the triples are encoded against.
@@ -249,8 +325,8 @@ struct ResidualEq {
   }
 };
 
-/// \brief Reusable pattern cursor: binds to one (s, p, o) pattern at a time
-/// and exposes the matches as a contiguous span. Range-capable sources are
+/// \brief Reusable pattern cursor: binds to one pattern at a time and
+/// exposes the matches as a contiguous span. Range-capable sources are
 /// served zero-copy; others are materialized into an internal buffer that
 /// is reused across Reset calls, so a join's inner atoms amortize to zero
 /// allocations. The optional residual filter materializes only the triples
@@ -258,68 +334,29 @@ struct ResidualEq {
 /// for patterns a prefix range cannot express).
 class RDFREF_BORROWS_FROM(source, this) PatternCursor {
  public:
-  /// \brief Re-binds the cursor. The returned span (also available via
-  /// triples()) is valid until the next Reset or the cursor's destruction;
-  /// for zero-copy sources, until the source is modified.
+  /// \brief Re-binds the cursor to `pat` (classic or interval). The
+  /// returned span (also available via triples()) is valid until the next
+  /// Reset or the cursor's destruction; for zero-copy sources, until the
+  /// source is modified. `hint` is threaded through to TryGetPattern.
   std::span<const rdf::Triple> Reset(
-      const TripleSource& source RDFREF_LIFETIME_BOUND, rdf::TermId s,
-      rdf::TermId p, rdf::TermId o, ResidualEq residual = {},
+      const TripleSource& source RDFREF_LIFETIME_BOUND, const Pattern& pat,
+      ResidualEq residual = {},
       RangeHint* hint = nullptr) RDFREF_LIFETIME_BOUND {
     if (!residual.any()) {
-      if (source.TryGetRangeHinted(s, p, o, &view_, hint)) return view_;
-      source.ScanInto(s, p, o, &buffer_);
+      if (source.TryGetPattern(pat, &view_, hint)) return view_;
+      source.ScanPatternInto(pat, &buffer_);
       view_ = buffer_;
       return view_;
     }
     // Residual filtering: copy only the accepted triples.
     std::span<const rdf::Triple> raw;
-    if (source.TryGetRangeHinted(s, p, o, &raw, hint)) {
-      buffer_.clear();
-      for (const rdf::Triple& t : raw) {
-        if (residual.Accepts(t)) buffer_.push_back(t);
-      }
-    } else {
-      source.ScanInto(s, p, o, &scratch_);
-      buffer_.clear();
-      for (const rdf::Triple& t : scratch_) {
-        if (residual.Accepts(t)) buffer_.push_back(t);
-      }
+    if (!source.TryGetPattern(pat, &raw, hint)) {
+      source.ScanPatternInto(pat, &scratch_);
+      raw = scratch_;
     }
-    view_ = buffer_;
-    return view_;
-  }
-
-  /// \brief Re-binds the cursor to an interval pattern (the ranged position
-  /// holds the interval's low endpoint; see TryGetIntervalRange). Zero-copy
-  /// when the source exposes the interval contiguously, buffered otherwise;
-  /// `hint` is threaded through as in Reset.
-  std::span<const rdf::Triple> ResetInterval(
-      const TripleSource& source RDFREF_LIFETIME_BOUND, rdf::TermId s,
-      rdf::TermId p, rdf::TermId o, int range_pos, rdf::TermId hi,
-      ResidualEq residual = {},
-      RangeHint* hint = nullptr) RDFREF_LIFETIME_BOUND {
-    if (!residual.any()) {
-      if (source.TryGetIntervalRangeHinted(s, p, o, range_pos, hi, &view_,
-                                           hint)) {
-        return view_;
-      }
-      source.ScanIntervalInto(s, p, o, range_pos, hi, &buffer_);
-      view_ = buffer_;
-      return view_;
-    }
-    std::span<const rdf::Triple> raw;
-    if (source.TryGetIntervalRangeHinted(s, p, o, range_pos, hi, &raw,
-                                         hint)) {
-      buffer_.clear();
-      for (const rdf::Triple& t : raw) {
-        if (residual.Accepts(t)) buffer_.push_back(t);
-      }
-    } else {
-      source.ScanIntervalInto(s, p, o, range_pos, hi, &scratch_);
-      buffer_.clear();
-      for (const rdf::Triple& t : scratch_) {
-        if (residual.Accepts(t)) buffer_.push_back(t);
-      }
+    buffer_.clear();
+    for (const rdf::Triple& t : raw) {
+      if (residual.Accepts(t)) buffer_.push_back(t);
     }
     view_ = buffer_;
     return view_;

@@ -16,9 +16,9 @@ DeltaRun::DeltaRun(const rdf::Dictionary* dict, std::vector<rdf::Triple> added,
                    std::vector<rdf::Triple> removed)
     : adds_(dict, std::move(added)), removed_(std::move(removed)) {
   std::sort(removed_.begin(), removed_.end());
-  for (const rdf::Triple& t : adds_.EqualRangeSpan(kAny, kAny, kAny)) {
-    added_presence_.Add(t);
-  }
+  std::span<const rdf::Triple> all;
+  adds_.Lookup({}, &all);
+  for (const rdf::Triple& t : all) added_presence_.Add(t);
   for (const rdf::Triple& t : removed_) removed_presence_.Add(t);
 }
 
@@ -26,14 +26,11 @@ bool DeltaRun::Removes(const rdf::Triple& t) const {
   return std::binary_search(removed_.begin(), removed_.end(), t);
 }
 
-size_t DeltaRun::CountRemovedMatches(rdf::TermId s, rdf::TermId p,
-                                     rdf::TermId o) const {
-  if (!MayRemoveMatch(s, p, o)) return 0;
-  size_t count = 0;
-  for (const rdf::Triple& t : removed_) {
-    if (MatchesPattern(t, s, p, o)) ++count;
-  }
-  return count;
+size_t DeltaRun::CountRemovedMatches(const Pattern& pat) const {
+  if (!MayRemoveMatch(pat)) return 0;
+  return static_cast<size_t>(std::count_if(
+      removed_.begin(), removed_.end(),
+      [&pat](const rdf::Triple& t) { return pat.Matches(t); }));
 }
 
 namespace {
@@ -41,9 +38,9 @@ namespace {
 /// Folds one sealed run into a version's combined presence union.
 void AddRunToPresence(const DeltaRun& run, PatternPresence* added,
                       PatternPresence* removed) {
-  for (const rdf::Triple& t : run.adds().EqualRangeSpan(kAny, kAny, kAny)) {
-    added->Add(t);
-  }
+  std::span<const rdf::Triple> all;
+  run.adds().Lookup({}, &all);
+  for (const rdf::Triple& t : all) added->Add(t);
   for (const rdf::Triple& t : run.removed()) removed->Add(t);
 }
 
@@ -86,96 +83,31 @@ bool SnapshotSource::Contains(const rdf::Triple& t) const {
   return version_->base->Contains(t);
 }
 
-void SnapshotSource::ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                              std::vector<rdf::Triple>* out) const {
-  out->clear();
-  const auto& runs = version_->runs;
-  // One pattern-level presence check decides whether any generation's
-  // removals can filter this scan; when none can, every span is appended
-  // verbatim with no per-triple membership probes.
-  bool filter =
-      !head_.removed.empty() && head_.removed_presence.MayMatch(s, p, o);
-  if (!filter && version_->RunsMayRemove(s, p, o)) {
-    for (const auto& run : runs) {
-      filter = filter || run->MayRemoveMatch(s, p, o);
-    }
-  }
-  const bool runs_may_add = version_->RunsMayAdd(s, p, o);
-  size_t sorted_contributors = 0;  // spans appended verbatim, each sorted
-  std::span<const rdf::Triple> base = version_->base->EqualRangeSpan(s, p, o);
-  if (!filter) {
-    if (!base.empty()) ++sorted_contributors;
-    out->insert(out->end(), base.begin(), base.end());
-    if (runs_may_add) {
-      for (const auto& run : runs) {
-        if (!run->MayAddMatch(s, p, o)) continue;
-        std::span<const rdf::Triple> adds = run->adds().EqualRangeSpan(s, p, o);
-        if (!adds.empty()) ++sorted_contributors;
-        out->insert(out->end(), adds.begin(), adds.end());
-      }
-    }
-  } else {
-    sorted_contributors = 2;  // filtered interleaving: always re-sort
-    for (const rdf::Triple& t : base) {
-      if (!RemovedAbove(t, 0)) out->push_back(t);
-    }
-    if (runs_may_add) {
-      for (size_t i = 0; i < runs.size(); ++i) {
-        if (!runs[i]->MayAddMatch(s, p, o)) continue;
-        for (const rdf::Triple& t : runs[i]->adds().EqualRangeSpan(s, p, o)) {
-          if (!RemovedAbove(t, i + 1)) out->push_back(t);
-        }
-      }
-    }
-  }
-  if (!head_.added.empty() && head_.added_presence.MayMatch(s, p, o)) {
-    for (const rdf::Triple& t : head_.added) {  // hash order: needs re-sort
-      if (MatchesPattern(t, s, p, o)) {
-        out->push_back(t);
-        sorted_contributors = 2;
-      }
-    }
-  }
-  // Deliver in SPO order. Restricted to one pattern, every clustered
-  // permutation of a Store is SPO-ordered too (the bound positions are
-  // constant across the matches), so snapshot scans return matches in
-  // exactly the order a pristine Store over the visible set would — the
-  // invariant that makes pinned-epoch evaluation bit-identical to
-  // from-scratch evaluation. A single verbatim span is already sorted.
-  if (sorted_contributors > 1) std::sort(out->begin(), out->end());
-}
-
-bool SnapshotSource::TryGetRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                                 std::span<const rdf::Triple>* out) const {
-  return TryGetRangeHinted(s, p, o, out, nullptr);
-}
-
-bool SnapshotSource::TryGetRangeHinted(rdf::TermId s, rdf::TermId p,
-                                       rdf::TermId o,
-                                       std::span<const rdf::Triple>* out,
-                                       RangeHint* hint) const {
-  // Zero-copy iff (a) the frozen head cannot touch the pattern, (b) no
-  // run's removals can filter it, and (c) at most one sealed generation
-  // holds matches — then that generation's clustered range IS the answer.
+bool SnapshotSource::Lookup(const Pattern& pat,
+                            std::span<const rdf::Triple>* out,
+                            RangeHint* hint) const {
   // The combined presence unions make the hot case (pattern untouched by
   // every run) cost two presence checks regardless of the run count, so a
   // snapshot probe stays within a few percent of a pristine Store's.
-  if (!head_.empty() && head_.MayAffect(s, p, o)) return false;
-  if (version_->RunsMayRemove(s, p, o)) return false;
+  if (!head_.empty() && head_.MayAffect(pat)) return false;
+  if (version_->RunsMayRemove(pat)) return false;
   // The hint always tracks the base index: in the monotone lookup sequences
   // it accelerates, the base is overwhelmingly the contributing generation.
-  std::span<const rdf::Triple> chosen =
-      hint == nullptr ? version_->base->EqualRangeSpan(s, p, o)
-                      : version_->base->EqualRangeSpanHinted(s, p, o, hint);
-  if (!version_->RunsMayAdd(s, p, o)) {
+  std::span<const rdf::Triple> chosen;
+  if (!version_->base->Lookup(pat, &chosen, hint)) return false;
+  if (!version_->RunsMayAdd(pat)) {
     *out = chosen;
     return true;
   }
   size_t contributors = chosen.empty() ? 0 : 1;
   for (const auto& run : version_->runs) {
-    if (!run->MayAddMatch(s, p, o)) continue;
-    std::span<const rdf::Triple> adds = run->adds().EqualRangeSpan(s, p, o);
-    if (adds.empty()) continue;
+    // Every generation is a Store, so a shape the base serves contiguously
+    // is contiguous in each run's adds too.
+    std::span<const rdf::Triple> adds;
+    if (!run->MayAddMatch(pat) || !run->adds().Lookup(pat, &adds) ||
+        adds.empty()) {
+      continue;
+    }
     if (++contributors > 1) return false;
     chosen = adds;
   }
@@ -183,169 +115,81 @@ bool SnapshotSource::TryGetRangeHinted(rdf::TermId s, rdf::TermId p,
   return true;
 }
 
-bool SnapshotSource::TryGetIntervalRange(
-    rdf::TermId s, rdf::TermId p, rdf::TermId o, int range_pos, rdf::TermId hi,
-    std::span<const rdf::Triple>* out) const {
-  return TryGetIntervalRangeHinted(s, p, o, range_pos, hi, out, nullptr);
-}
-
-bool SnapshotSource::TryGetIntervalRangeHinted(
-    rdf::TermId s, rdf::TermId p, rdf::TermId o, int range_pos, rdf::TermId hi,
-    std::span<const rdf::Triple>* out, RangeHint* hint) const {
-  // Presence probes must cover every id the interval spans, so the ranged
-  // position is widened to a wildcard: conservative, never unsound.
-  const bool on_p = range_pos == 1;
-  const rdf::TermId ws = s;
-  const rdf::TermId wp = on_p ? kAny : p;
-  const rdf::TermId wo = on_p ? o : kAny;
-  if (!head_.empty() && head_.MayAffect(ws, wp, wo)) return false;
-  if (version_->RunsMayRemove(ws, wp, wo)) return false;
-  std::span<const rdf::Triple> chosen;
-  if (!version_->base->TryGetIntervalRangeHinted(s, p, o, range_pos, hi,
-                                                 &chosen, hint)) {
-    return false;  // interval not contiguous in any clustered order
-  }
-  if (!version_->RunsMayAdd(ws, wp, wo)) {
-    *out = chosen;
-    return true;
-  }
-  size_t contributors = chosen.empty() ? 0 : 1;
-  for (const auto& run : version_->runs) {
-    if (!run->MayAddMatch(ws, wp, wo)) continue;
-    std::span<const rdf::Triple> adds;
-    if (!run->adds().TryGetIntervalRange(s, p, o, range_pos, hi, &adds)) {
-      return false;
-    }
-    if (adds.empty()) continue;
-    if (++contributors > 1) return false;
-    chosen = adds;
-  }
-  *out = chosen;
-  return true;
-}
-
-void SnapshotSource::ScanIntervalInto(rdf::TermId s, rdf::TermId p,
-                                      rdf::TermId o, int range_pos,
-                                      rdf::TermId hi,
-                                      std::vector<rdf::Triple>* out) const {
-  const std::optional<IndexOrder> order =
-      Store::IntervalOrder(s, p, o, range_pos);
+void SnapshotSource::Collect(const Pattern& pat,
+                             std::vector<rdf::Triple>* out) const {
+  const std::optional<IndexOrder> order = Store::OrderFor(pat);
   if (!order.has_value()) {
-    TripleSource::ScanIntervalInto(s, p, o, range_pos, hi, out);
+    TripleSource::ScanIntervalInto(pat.s, pat.p, pat.o, pat.range_pos, pat.hi,
+                                   out);
     return;
   }
   auto less = [order](const rdf::Triple& a, const rdf::Triple& b) {
     return IndexLess(*order, a, b);
   };
-  // Presence probes use the widened pattern, as in TryGetIntervalRange.
-  const bool on_p = range_pos == 1;
-  const rdf::TermId lo = on_p ? p : o;
-  const rdf::TermId wp = on_p ? kAny : p;
-  const rdf::TermId wo = on_p ? o : kAny;
-  bool filter =
-      !head_.removed.empty() && head_.removed_presence.MayMatch(s, wp, wo);
-  if (!filter && version_->RunsMayRemove(s, wp, wo)) {
+  // One pattern-level presence check decides whether any generation's
+  // removals can filter this scan; when none can, every run is appended
+  // verbatim with no per-triple membership probes.
+  bool filter = !head_.removed.empty() && head_.removed_presence.MayMatch(pat);
+  if (!filter && version_->RunsMayRemove(pat)) {
     for (const auto& run : version_->runs) {
-      filter = filter || run->MayRemoveMatch(s, wp, wo);
+      filter = filter || run->MayRemoveMatch(pat);
     }
   }
   out->clear();
-  // Appends generation `gen`'s interval range (a sorted run of `*order`)
-  // and merges it with what is already there.
+  // Appends generation `gen`'s run (sorted in `*order`) and merges it with
+  // what is already there.
   auto append = [&](const Store& store, size_t gen) {
     std::span<const rdf::Triple> range;
-    store.TryGetIntervalRange(s, p, o, range_pos, hi, &range);
+    store.Lookup(pat, &range);
     const size_t mid = out->size();
-    for (const rdf::Triple& t : range) {
-      if (!filter || !RemovedAbove(t, gen)) out->push_back(t);
+    if (!filter) {
+      out->insert(out->end(), range.begin(), range.end());
+    } else {
+      for (const rdf::Triple& t : range) {
+        if (!RemovedAbove(t, gen)) out->push_back(t);
+      }
     }
     std::inplace_merge(out->begin(), out->begin() + mid, out->end(), less);
   };
   append(*version_->base, 0);
-  if (version_->RunsMayAdd(s, wp, wo)) {
+  if (version_->RunsMayAdd(pat)) {
     const auto& runs = version_->runs;
     for (size_t i = 0; i < runs.size(); ++i) {
-      if (runs[i]->MayAddMatch(s, wp, wo)) append(runs[i]->adds(), i + 1);
+      if (runs[i]->MayAddMatch(pat)) append(runs[i]->adds(), i + 1);
     }
   }
-  if (!head_.added.empty() && head_.added_presence.MayMatch(s, wp, wo)) {
+  if (!head_.added.empty() && head_.added_presence.MayMatch(pat)) {
     const size_t mid = out->size();
     for (const rdf::Triple& t : head_.added) {  // hash order: sort the tail
-      const rdf::TermId v = on_p ? t.p : t.o;
-      if (MatchesPattern(t, s, wp, wo) && v >= lo && v <= hi) {
-        out->push_back(t);
-      }
+      if (pat.Matches(t)) out->push_back(t);
     }
     std::sort(out->begin() + mid, out->end(), less);
     std::inplace_merge(out->begin(), out->begin() + mid, out->end(), less);
   }
 }
 
-size_t SnapshotSource::CountMatches(rdf::TermId s, rdf::TermId p,
-                                    rdf::TermId o) const {
+size_t SnapshotSource::Count(const Pattern& pat) const {
+  std::span<const rdf::Triple> range;
+  if (!version_->base->Lookup(pat, &range)) return Count(pat.Widened());
   // Exact by the generation invariants: every add was invisible when
   // recorded, every removal kills exactly one visible older occurrence.
-  size_t count = version_->base->CountMatches(s, p, o);
-  if (version_->RunsMayAdd(s, p, o) || version_->RunsMayRemove(s, p, o)) {
-    for (const auto& run : version_->runs) {
-      if (run->MayAddMatch(s, p, o)) count += run->adds().CountMatches(s, p, o);
-      count -= run->CountRemovedMatches(s, p, o);
-    }
-  }
-  if (!head_.added.empty() && head_.added_presence.MayMatch(s, p, o)) {
-    for (const rdf::Triple& t : head_.added) {
-      if (MatchesPattern(t, s, p, o)) ++count;
-    }
-  }
-  if (!head_.removed.empty() && head_.removed_presence.MayMatch(s, p, o)) {
-    for (const rdf::Triple& t : head_.removed) {
-      if (MatchesPattern(t, s, p, o)) --count;
-    }
-  }
-  return count;
-}
-
-size_t SnapshotSource::CountIntervalMatches(rdf::TermId s, rdf::TermId p,
-                                            rdf::TermId o, int range_pos,
-                                            rdf::TermId hi) const {
-  // Overlays are probed with the ranged position widened, as in
-  // TryGetIntervalRange; only the triples inside the interval count.
-  const bool on_p = range_pos == 1;
-  const rdf::TermId wp = on_p ? kAny : p;
-  const rdf::TermId wo = on_p ? o : kAny;
-  std::span<const rdf::Triple> range;
-  if (!version_->base->TryGetIntervalRange(s, p, o, range_pos, hi, &range)) {
-    return CountMatches(s, wp, wo);  // no order keeps this shape contiguous
-  }
-  const rdf::TermId lo = on_p ? p : o;
-  auto in_interval = [&](const rdf::Triple& t) {
-    const rdf::TermId v = on_p ? t.p : t.o;
-    return MatchesPattern(t, s, wp, wo) && v >= lo && v <= hi;
-  };
   size_t count = range.size();
-  if (version_->RunsMayAdd(s, wp, wo) || version_->RunsMayRemove(s, wp, wo)) {
+  if (version_->RunsMayAdd(pat) || version_->RunsMayRemove(pat)) {
     for (const auto& run : version_->runs) {
-      // Every generation is a Store, so a shape the base serves
-      // contiguously is contiguous in each run's adds too.
-      if (run->MayAddMatch(s, wp, wo) &&
-          run->adds().TryGetIntervalRange(s, p, o, range_pos, hi, &range)) {
+      if (run->MayAddMatch(pat) && run->adds().Lookup(pat, &range)) {
         count += range.size();
       }
-      if (run->MayRemoveMatch(s, wp, wo)) {
-        for (const rdf::Triple& t : run->removed()) {
-          if (in_interval(t)) --count;
-        }
-      }
+      count -= run->CountRemovedMatches(pat);
     }
   }
-  if (!head_.added.empty() && head_.added_presence.MayMatch(s, wp, wo)) {
+  if (!head_.added.empty() && head_.added_presence.MayMatch(pat)) {
     for (const rdf::Triple& t : head_.added) {
-      if (in_interval(t)) ++count;
+      if (pat.Matches(t)) ++count;
     }
   }
-  if (!head_.removed.empty() && head_.removed_presence.MayMatch(s, wp, wo)) {
+  if (!head_.removed.empty() && head_.removed_presence.MayMatch(pat)) {
     for (const rdf::Triple& t : head_.removed) {
-      if (in_interval(t)) --count;
+      if (pat.Matches(t)) --count;
     }
   }
   return count;
@@ -353,7 +197,7 @@ size_t SnapshotSource::CountIntervalMatches(rdf::TermId s, rdf::TermId p,
 
 std::vector<rdf::Triple> SnapshotSource::Materialize() const {
   std::vector<rdf::Triple> triples;
-  ScanInto(kAny, kAny, kAny, &triples);  // already SPO-sorted (see ScanInto)
+  Collect({}, &triples);  // SPO-sorted (see Collect)
   return triples;
 }
 

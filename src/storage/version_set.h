@@ -50,8 +50,8 @@ class DeltaRun {
   /// \brief Conservatively true when an added triple could match the
   /// pattern — three hash probes that let hot scans skip the adds index
   /// entirely for the (common) patterns a small run cannot touch.
-  bool MayAddMatch(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    return adds_.size() > 0 && added_presence_.MayMatch(s, p, o);
+  bool MayAddMatch(const Pattern& pat) const {
+    return adds_.size() > 0 && added_presence_.MayMatch(pat);
   }
 
   /// \brief True when this generation removed `t` from an older one.
@@ -63,14 +63,13 @@ class DeltaRun {
   }
 
   /// \brief Conservatively true when a removal could filter the pattern.
-  bool MayRemoveMatch(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    return !removed_.empty() && removed_presence_.MayMatch(s, p, o);
+  bool MayRemoveMatch(const Pattern& pat) const {
+    return !removed_.empty() && removed_presence_.MayMatch(pat);
   }
 
   /// \brief Exact number of removed triples matching the pattern (linear;
   /// runs stay small relative to the base by compaction policy).
-  size_t CountRemovedMatches(rdf::TermId s, rdf::TermId p,
-                             rdf::TermId o) const;
+  size_t CountRemovedMatches(const Pattern& pat) const;
 
  private:
   Store adds_;
@@ -91,9 +90,9 @@ struct HeadDelta {
 
   bool empty() const { return added.empty() && removed.empty(); }
   size_t size() const { return added.size() + removed.size(); }
-  bool MayAffect(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    return (!added.empty() && added_presence.MayMatch(s, p, o)) ||
-           (!removed.empty() && removed_presence.MayMatch(s, p, o));
+  bool MayAffect(const Pattern& pat) const {
+    return (!added.empty() && added_presence.MayMatch(pat)) ||
+           (!removed.empty() && removed_presence.MayMatch(pat));
   }
 };
 
@@ -111,11 +110,11 @@ struct Version {
   PatternPresence runs_added_presence;
   PatternPresence runs_removed_presence;
 
-  bool RunsMayAdd(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    return !runs.empty() && runs_added_presence.MayMatch(s, p, o);
+  bool RunsMayAdd(const Pattern& pat) const {
+    return !runs.empty() && runs_added_presence.MayMatch(pat);
   }
-  bool RunsMayRemove(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    return !runs.empty() && runs_removed_presence.MayMatch(s, p, o);
+  bool RunsMayRemove(const Pattern& pat) const {
+    return !runs.empty() && runs_removed_presence.MayMatch(pat);
   }
 };
 
@@ -128,13 +127,11 @@ struct Version {
 /// (oldest first), generation R+1 the frozen head. A triple is visible iff
 /// some generation adds it and no *newer* generation removes it.
 ///
-/// The batch fast path generalizes the empty-overlay zero-copy rule to
-/// every sealed generation: when the frozen head cannot affect a pattern,
-/// no run's removals can filter it, and exactly one generation holds
-/// matches, the matching range of that generation's own clustered index is
-/// returned as-is — so a fully compacted snapshot (or any pattern whose
-/// matches live in one generation) scans exactly as fast as a pristine
-/// Store, hinted galloping search included.
+/// Every TripleSource call is a one-line forward to one of three
+/// per-generation bodies, each taking a storage::Pattern, classic or
+/// interval alike: Lookup (the zero-copy fast path), Collect (the buffered
+/// scan) and Count. Presence filters are probed with the pattern widened
+/// (see PatternPresence), so an interval is gated by every id it spans.
 class SnapshotSource : public TripleSource {
  public:
   SnapshotSource(uint64_t epoch, std::shared_ptr<const Version> version,
@@ -146,57 +143,52 @@ class SnapshotSource : public TripleSource {
 
   RDFREF_BORROWS_FROM(this)
   bool TryGetRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                   std::span<const rdf::Triple>* out) const override;
+                   std::span<const rdf::Triple>* out) const override {
+    return Lookup({s, p, o}, out, nullptr);
+  }
 
   RDFREF_BORROWS_FROM(this)
   bool TryGetRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                          std::span<const rdf::Triple>* out,
-                         RangeHint* hint) const override;
+                         RangeHint* hint) const override {
+    return Lookup({s, p, o}, out, hint);
+  }
 
-  /// \brief Interval fast path: zero-copy iff no generation's overlays can
-  /// touch the *widened* pattern (ranged position wildcarded — an interval
-  /// probe must be conservative against every id it spans) and at most one
-  /// sealed generation holds matches, delegating to that generation's own
-  /// contiguity table. Everyone else is served by ScanIntervalInto.
   RDFREF_BORROWS_FROM(this)
   bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                            int range_pos, rdf::TermId hi,
-                           std::span<const rdf::Triple>* out) const override;
+                           std::span<const rdf::Triple>* out) const override {
+    return Lookup({s, p, o, range_pos, hi}, out, nullptr);
+  }
 
-  /// \brief Hinted interval fast path: the hint tracks the base's interval
-  /// lookups, as in TryGetRangeHinted.
   RDFREF_BORROWS_FROM(this)
   bool TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                  int range_pos, rdf::TermId hi,
                                  std::span<const rdf::Triple>* out,
-                                 RangeHint* hint) const override;
+                                 RangeHint* hint) const override {
+    return Lookup({s, p, o, range_pos, hi}, out, hint);
+  }
 
   void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                std::vector<rdf::Triple>* out) const override;
+                std::vector<rdf::Triple>* out) const override {
+    Collect({s, p, o}, out);
+  }
 
-  /// \brief Interval scan per generation, as ScanInto: the interval's
-  /// contiguous range of the base and of each run's adds, plus the frozen
-  /// head's adds inside the interval, minus what a newer generation
-  /// removes, merged in the order Store::IntervalOrder names. The result is
-  /// element for element what a pristine Store over Materialize() returns.
-  /// The two shapes no order keeps contiguous take the TripleSource default
-  /// (the widened pattern, SPO-ordered, filtered), which is that Store's
-  /// order for them too.
   void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                         int range_pos, rdf::TermId hi,
-                        std::vector<rdf::Triple>* out) const override;
+                        std::vector<rdf::Triple>* out) const override {
+    Collect({s, p, o, range_pos, hi}, out);
+  }
 
   size_t CountMatches(rdf::TermId s, rdf::TermId p,
-                      rdf::TermId o) const override;
+                      rdf::TermId o) const override {
+    return Count({s, p, o});
+  }
 
-  /// \brief Interval count that depends only on the visible triple set,
-  /// never on how the overlays happen to lay it out (which decides whether
-  /// TryGetIntervalRange succeeds): exact when the base Store keeps the
-  /// interval's shape contiguous, otherwise the exact count of the widened
-  /// pattern. The engine's join choices rest on it (DESIGN.md §9), so a
-  /// Freeze or Compact never changes a plan.
   size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                              int range_pos, rdf::TermId hi) const override;
+                              int range_pos, rdf::TermId hi) const override {
+    return Count({s, p, o, range_pos, hi});
+  }
 
   const rdf::Dictionary& dict() const RDFREF_LIFETIME_BOUND override {
     return version_->base->dict();
@@ -214,6 +206,36 @@ class SnapshotSource : public TripleSource {
   size_t head_size() const { return head_.size(); }
 
  private:
+  // The zero-copy fast path, which generalizes the empty-overlay rule to
+  // every sealed generation: when the frozen head cannot affect the
+  // pattern, no run's removals can filter it, the base Store keeps its
+  // shape contiguous and at most one generation holds matches, that
+  // generation's own run of the order Store::OrderFor names is returned
+  // as-is — so a fully compacted snapshot (or any pattern whose matches
+  // live in one generation) scans exactly as fast as a pristine Store,
+  // hinted galloping search included. Everyone else is served by Collect.
+  RDFREF_BORROWS_FROM(this)
+  bool Lookup(const Pattern& pat, std::span<const rdf::Triple>* out,
+              RangeHint* hint) const;
+
+  // The buffered scan: each generation's run of the order Store::OrderFor
+  // names (the base, each run's adds, the frozen head's matches sorted),
+  // minus what a newer generation removes, merged in that order. The
+  // result is element for element what a pristine Store over Materialize()
+  // returns: SPO order for a classic pattern, since every order is SPO
+  // order restricted to one classic pattern's matches. The two interval
+  // shapes no order keeps contiguous read the widened pattern and filter
+  // it (the TripleSource default), which is that Store's order for them.
+  void Collect(const Pattern& pat, std::vector<rdf::Triple>* out) const;
+
+  // The match count, which depends only on the visible triple set and
+  // never on how the overlays happen to lay it out (which decides whether
+  // Lookup succeeds): exact when Store::OrderFor names an order for the
+  // shape, otherwise the exact count of the widened pattern. The engine's
+  // join choices rest on it (DESIGN.md §9), so a Freeze or Compact never
+  // changes a plan.
+  size_t Count(const Pattern& pat) const;
+
   // True when some generation newer than `gen` (0 = base, i = runs[i-1],
   // R+1 = head) removes `t`.
   bool RemovedAbove(const rdf::Triple& t, size_t gen) const;

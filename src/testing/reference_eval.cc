@@ -137,8 +137,8 @@ int ReferenceChooseAtom(const storage::TripleSource& store, const Cq& q,
     storage::PatternCursor cursor;
     size_t count =
         atom.has_range()
-            ? cursor.ResetInterval(store, s, p, o, atom.range_pos,
-                                   atom.range_hi).size()
+            ? cursor.Reset(store, {s, p, o, atom.range_pos, atom.range_hi})
+                  .size()
             : store.CountMatches(s, p, o);
     if (best == -1 || count < best_count) {
       best = a;
@@ -212,8 +212,8 @@ void ReferenceEvaluateCqInto(const storage::TripleSource& store, const Cq& q,
       // path delivers (same order — the bit-for-bit comparison depends on
       // the enumeration order, not just the set).
       storage::PatternCursor cursor;
-      for (const rdf::Triple& t : cursor.ResetInterval(
-               store, ps, pp, po, atom.range_pos, atom.range_hi)) {
+      for (const rdf::Triple& t : cursor.Reset(
+               store, {ps, pp, po, atom.range_pos, atom.range_hi})) {
         per_triple(t);
       }
     } else {

@@ -91,6 +91,35 @@ TEST(CqTest, CanonicalKeyDistinguishesVarFromConst) {
   EXPECT_NE(a.CanonicalKey(), b.CanonicalKey());
 }
 
+// CanonicalKey is an exact serialization: the reformulator's dedup sets
+// and the view cache's plan keys compare it byte for byte, so its
+// spelling is pinned — variables renamed by first occurrence (head first),
+// constants and interval bounds raw, resource constraints last.
+TEST(CqTest, CanonicalKeyGolden) {
+  Cq q;
+  VarId w = q.AddVar("w");
+  VarId x = q.AddVar("x");
+  VarId y = q.AddVar("y");
+  q.AddHead(QTerm::Var(y));
+  q.AddHead(QTerm::Const(5));
+  q.AddHead(QTerm::Var(x));
+  q.AddAtom(Atom(QTerm::Var(x), QTerm::Const(77), QTerm::Var(y)));
+  Atom on_p(QTerm::Var(y), QTerm::Const(100), QTerm::Var(w));
+  on_p.range_pos = Atom::kRangeP;
+  on_p.range_hi = 120;
+  q.AddAtom(on_p);
+  Atom on_o(QTerm::Var(w), QTerm::Const(rdf::vocab::kTypeId),
+            QTerm::Const(4000000000u));
+  on_o.range_pos = Atom::kRangeO;
+  on_o.range_hi = 4294967294u;
+  q.AddAtom(on_o);
+  q.AddResourceVar(w);
+  q.AddResourceVar(x);
+  EXPECT_EQ(q.CanonicalKey(),
+            "v0,c5,v1,:-v1 c77 v0.v0 c100 v2R1..120.v2 c0 "
+            "c4000000000R2..4294967294.r2;r1;");
+}
+
 TEST(CqTest, FreshVarsGetDistinctNames) {
   Cq q;
   VarId f1 = q.FreshVar();

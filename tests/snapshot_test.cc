@@ -153,7 +153,8 @@ TEST_F(SnapshotTest, ZeroCopyForwardsSingleGenerationRanges) {
 
   // Base-only pattern: the span aliases the base store's own index.
   ASSERT_TRUE(snap->TryGetRange(kAny, p_, kAny, &span));
-  std::span<const rdf::Triple> plain = base_->EqualRangeSpan(kAny, p_, kAny);
+  std::span<const rdf::Triple> plain;
+  ASSERT_TRUE(base_->Lookup({kAny, p_, kAny}, &plain));
   EXPECT_EQ(span.data(), plain.data());
   EXPECT_EQ(span.size(), plain.size());
 
@@ -182,7 +183,9 @@ TEST_F(SnapshotTest, ZeroCopyForwardsSingleGenerationRanges) {
   EXPECT_FALSE(with_head->TryGetRange(s1_, kAny, kAny, &span));
   ASSERT_TRUE(with_head->TryGetRange(kAny, q_, kAny, &span));
   EXPECT_EQ(span.size(), 2u);
-  EXPECT_EQ(span.data(), base_->EqualRangeSpan(kAny, q_, kAny).data());
+  std::span<const rdf::Triple> base_q;
+  ASSERT_TRUE(base_->Lookup({kAny, q_, kAny}, &base_q));
+  EXPECT_EQ(span.data(), base_q.data());
   ASSERT_TRUE(with_head->TryGetRangeHinted(s2_, p_, kAny, &span, &hint));
   EXPECT_EQ(span.size(), 1u);
 
@@ -241,7 +244,7 @@ TEST_F(SnapshotTest, IntervalProbesAreConservativeAgainstMidIntervalOverlays) {
   // The buffered interval path delivers the overlay triple.
   PatternCursor cursor;
   std::span<const rdf::Triple> rows =
-      cursor.ResetInterval(*dirty, kAny, p_, o1_, kRangeO, o2_);
+      cursor.Reset(*dirty, {kAny, p_, o1_, kRangeO, o2_});
   EXPECT_EQ(rows.size(), 4u);
   size_t overlay_hits = 0;
   for (const rdf::Triple& t : rows) {
@@ -327,35 +330,28 @@ TEST(SnapshotIntervalScanTest, MatchesAPristineStoreElementForElement) {
     // including where the snapshot declines the zero-copy path.
     RangeHint hint;
     RangeHint cursor_hint;
-    auto check = [&](rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                     int range_pos, rdf::TermId hi) {
+    auto check = [&](const Pattern& pat) {
       SCOPED_TRACE(::testing::Message()
-                   << "s=" << s << " p=" << p << " o=" << o
-                   << " range_pos=" << range_pos << " hi=" << hi);
-      std::span<const rdf::Triple> got =
-          got_cursor.ResetInterval(snap, s, p, o, range_pos, hi);
-      std::span<const rdf::Triple> want =
-          want_cursor.ResetInterval(pristine, s, p, o, range_pos, hi);
+                   << "s=" << pat.s << " p=" << pat.p << " o=" << pat.o
+                   << " range_pos=" << pat.range_pos << " hi=" << pat.hi);
+      std::span<const rdf::Triple> got = got_cursor.Reset(snap, pat);
+      std::span<const rdf::Triple> want = want_cursor.Reset(pristine, pat);
       EXPECT_EQ(std::vector<rdf::Triple>(got.begin(), got.end()),
                 std::vector<rdf::Triple>(want.begin(), want.end()));
-      std::span<const rdf::Triple> hinted = hinted_cursor.ResetInterval(
-          snap, s, p, o, range_pos, hi, {}, &cursor_hint);
+      std::span<const rdf::Triple> hinted =
+          hinted_cursor.Reset(snap, pat, {}, &cursor_hint);
       EXPECT_EQ(std::vector<rdf::Triple>(hinted.begin(), hinted.end()),
                 std::vector<rdf::Triple>(want.begin(), want.end()));
       std::span<const rdf::Triple> plain_span;
       std::span<const rdf::Triple> hinted_span;
-      const bool plain_ok =
-          snap.TryGetIntervalRange(s, p, o, range_pos, hi, &plain_span);
-      EXPECT_EQ(snap.TryGetIntervalRangeHinted(s, p, o, range_pos, hi,
-                                               &hinted_span, &hint),
-                plain_ok);
+      const bool plain_ok = snap.TryGetPattern(pat, &plain_span);
+      EXPECT_EQ(snap.TryGetPattern(pat, &hinted_span, &hint), plain_ok);
       if (plain_ok) {
         EXPECT_EQ(hinted_span.data(), plain_span.data());
         EXPECT_EQ(hinted_span.size(), plain_span.size());
       }
       ++(plain_ok ? zero_copy : declined);
-      EXPECT_EQ(snap.CountIntervalMatches(s, p, o, range_pos, hi),
-                pristine.CountIntervalMatches(s, p, o, range_pos, hi));
+      EXPECT_EQ(snap.CountPattern(pat), pristine.CountPattern(pat));
     };
     std::vector<rdf::TermId> subjects = {kAny};
     std::vector<rdf::TermId> props = {kAny};
@@ -364,15 +360,19 @@ TEST(SnapshotIntervalScanTest, MatchesAPristineStoreElementForElement) {
     props.insert(props.end(), prop.begin(), prop.end());
     objects.insert(objects.end(), obj.begin(), obj.end());
     for (rdf::TermId s : subjects) {
+      // Classic patterns: all eight bound/free shapes.
+      for (rdf::TermId p : props) {
+        for (rdf::TermId o : objects) check({s, p, o});
+      }
       // Property intervals: (s|? [p1..p2] o|?), and one reaching the end.
       for (rdf::TermId o : objects) {
-        check(s, prop[1], o, kRangeP, prop[2]);
-        check(s, prop[2], o, kRangeP, prop[3]);
+        check({s, prop[1], o, kRangeP, prop[2]});
+        check({s, prop[2], o, kRangeP, prop[3]});
       }
       // Object intervals: (s|? p|? [o1..o2]), and one reaching the end.
       for (rdf::TermId p : props) {
-        check(s, p, obj[1], kRangeO, obj[2]);
-        check(s, p, obj[2], kRangeO, obj[3]);
+        check({s, p, obj[1], kRangeO, obj[2]});
+        check({s, p, obj[2], kRangeO, obj[3]});
       }
     }
   };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -61,7 +62,7 @@ TEST_F(StoreTest, PropertyIntervalWithBoundSubjectAndObjectIsZeroCopy) {
   // The cursor hands out the index range itself, not a copy.
   PatternCursor cursor;
   std::span<const rdf::Triple> rows =
-      cursor.ResetInterval(store, s1_, p_, o1_, kRangeP, q_);
+      cursor.Reset(store, {s1_, p_, o1_, kRangeP, q_});
   EXPECT_EQ(rows.data(), span.data());
   EXPECT_EQ(rows.size(), 2u);
 
@@ -139,7 +140,7 @@ TEST_F(StoreTest, StatisticsAreExact) {
   EXPECT_EQ(ps.distinct_objects, 2u);
 }
 
-// The hinted search must return exactly EqualRangeSpan's result for every
+// The hinted search must return exactly the unhinted result for every
 // lookup sequence: monotone (the fast case), repeated, backward (stale
 // hint falls back), and across a change of pattern shape (which switches
 // the permutation index the hint refers to).
@@ -164,9 +165,10 @@ TEST_F(StoreTest, HintedRangesMatchPlainRangesUnderAnyLookupOrder) {
 
   auto same = [&](rdf::TermId s, rdf::TermId p, rdf::TermId o,
                   RangeHint* hint) {
-    std::span<const rdf::Triple> plain = store.EqualRangeSpan(s, p, o);
-    std::span<const rdf::Triple> hinted =
-        store.EqualRangeSpanHinted(s, p, o, hint);
+    std::span<const rdf::Triple> plain;
+    std::span<const rdf::Triple> hinted;
+    ASSERT_TRUE(store.Lookup({s, p, o}, &plain));
+    ASSERT_TRUE(store.Lookup({s, p, o}, &hinted, hint));
     EXPECT_EQ(plain.data(), hinted.data());
     EXPECT_EQ(plain.size(), hinted.size());
   };
@@ -186,7 +188,7 @@ TEST_F(StoreTest, HintedRangesMatchPlainRangesUnderAnyLookupOrder) {
   same(subjects.front(), other, uri("nope"), &hint);
   same(uri("ghost"), prop, kAny, &hint);
 
-  // Interval probes: every shape Store::IntervalOrder serves, one hint
+  // Interval probes: every shape Store::OrderFor serves, one hint
   // threaded through all of them (and through the classic lookups above),
   // so each shape meets a hint from another index before its own sweep.
   // [prop..other] is an id interval (interned consecutively); object
@@ -248,6 +250,34 @@ TEST_F(StoreTest, HintedRangesMatchPlainRangesUnderAnyLookupOrder) {
   same_interval(kAny, kAny, ghost, kRangeO, ghost);
   same_interval(kAny, o0, kAny, kRangeP, o0);
   same_interval(subjects.back(), prop, o0, kRangeO, o2);
+}
+
+// The index each of the 16 pattern shapes reads, pinned to the choice the
+// classic if-tree and the interval table made before one order table
+// replaced both: a moved choice moves row order, and so the answers'
+// enumeration order, even where every row is still found.
+TEST(StoreOrderTest, OrderForPinsTheIndexOfEveryShape) {
+  using enum IndexOrder;
+  const rdf::TermId x = 7, lo = 8, hi = 9;
+  constexpr int kP = Pattern::kRangeP;
+  constexpr int kO = Pattern::kRangeO;
+  const std::optional<IndexOrder> kNone;
+  const std::pair<Pattern, std::optional<IndexOrder>> cases[] = {
+      {{kAny, kAny, kAny}, kSpo},        {{x, kAny, kAny}, kSpo},
+      {{kAny, x, kAny}, kPso},           {{kAny, kAny, x}, kOsp},
+      {{x, x, kAny}, kSpo},              {{x, kAny, x}, kOsp},
+      {{kAny, x, x}, kPos},              {{x, x, x}, kSpo},
+      {{kAny, lo, kAny, kP, hi}, kPso},  {{x, lo, kAny, kP, hi}, kSpo},
+      {{kAny, lo, x, kP, hi}, kNone},    {{x, lo, x, kP, hi}, kOsp},
+      {{kAny, kAny, lo, kO, hi}, kOsp},  {{x, kAny, lo, kO, hi}, kNone},
+      {{kAny, x, lo, kO, hi}, kPos},     {{x, x, lo, kO, hi}, kSpo},
+  };
+  for (const auto& [pat, order] : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "s=" << pat.s << " p=" << pat.p << " o=" << pat.o
+                 << " range_pos=" << pat.range_pos);
+    EXPECT_EQ(Store::OrderFor(pat), order);
+  }
 }
 
 TEST_F(StoreTest, ClassCardinalities) {

@@ -265,7 +265,7 @@ TEST_F(ViewCacheTest, ClearDropsEntriesButKeepsCounters) {
 // ---------------------------------------------------------------------------
 
 // Minimal non-range-capable source: TryGetRange stays false, so every
-// LeafRange call materializes into the cache (the Store would answer
+// Leaf call materializes into the cache (the Store would answer
 // zero-copy and bypass it).
 class VectorSource : public storage::TripleSource {
  public:
@@ -276,7 +276,7 @@ class VectorSource : public storage::TripleSource {
                 std::vector<rdf::Triple>* out) const override {
     out->clear();
     for (const rdf::Triple& t : triples_) {
-      if (storage::MatchesPattern(t, s, p, o)) out->push_back(t);
+      if (storage::Pattern{s, p, o}.Matches(t)) out->push_back(t);
     }
   }
 
@@ -284,7 +284,7 @@ class VectorSource : public storage::TripleSource {
                       rdf::TermId o) const override {
     size_t n = 0;
     for (const rdf::Triple& t : triples_) {
-      if (storage::MatchesPattern(t, s, p, o)) ++n;
+      if (storage::Pattern{s, p, o}.Matches(t)) ++n;
     }
     return n;
   }
@@ -306,14 +306,14 @@ TEST(ScanCacheSpanStabilityTest, EarlySpansSurviveRehashHeavyFill) {
   ScanCache cache(&source);
 
   std::span<const rdf::Triple> early =
-      cache.LeafRange(storage::kAny, 0, storage::kAny);
+      cache.Leaf({storage::kAny, 0, storage::kAny});
   ASSERT_EQ(early.size(), 3u);
   const std::vector<rdf::Triple> snapshot(early.begin(), early.end());
   const rdf::Triple* early_data = early.data();
 
   // Thousands of distinct patterns force many unordered_map rehashes.
   for (rdf::TermId p = 1; p < kPatterns; ++p) {
-    ASSERT_EQ(cache.LeafRange(storage::kAny, p, storage::kAny).size(), 3u);
+    ASSERT_EQ(cache.Leaf({storage::kAny, p, storage::kAny}).size(), 3u);
   }
   EXPECT_EQ(cache.num_cached_leaves(), kPatterns);
 
@@ -322,7 +322,7 @@ TEST(ScanCacheSpanStabilityTest, EarlySpansSurviveRehashHeavyFill) {
   EXPECT_TRUE(std::equal(early.begin(), early.end(), snapshot.begin(),
                          snapshot.end()));
   // And a re-probe of the same pattern returns the shared materialization.
-  EXPECT_EQ(cache.LeafRange(storage::kAny, 0, storage::kAny).data(),
+  EXPECT_EQ(cache.Leaf({storage::kAny, 0, storage::kAny}).data(),
             early_data);
 }
 

@@ -2,10 +2,11 @@
 """bench_runner: pinned perf-smoke subset with machine-readable output.
 
 Runs a fixed, small subset of the benchmark suite — the reformulation-heavy
-strategy comparison (Q6, the largest UCQ of the LUBM suite: 462 CQs after
-reformulation), the parallel-evaluation suite at 1 and 8 threads, the
-snapshot-isolation read-path overhead (pristine store vs sealed delta runs
-vs a racing writer), the hierarchy-encoding comparison (classic
+strategy comparison (Q6, the largest UCQ of the LUBM suite: 79 CQs after
+reformulation with interval atoms, 462 without), the parallel-evaluation
+suite at 1 and 8 threads, the snapshot-isolation read-path overhead
+(pristine store vs sealed delta runs vs a racing writer), the
+hierarchy-encoding comparison (classic
 per-subclass UCQ members vs collapsed interval range scans, T15), and the
 view-cache cold/warm/churn comparison (T17) — plus the sp2b macro
 benchmark (T16): the closed-loop workload_driver replaying the pinned
@@ -46,7 +47,7 @@ diffed months later still says which commit produced it and which pinned
 scenario (binaries, filters, min time) it measured.
 
 CI runs this as the perf-smoke job and uploads the JSON as an artifact;
-compare against the committed BENCH_PR6.json to spot regressions. The job
+compare against the committed BENCH_PR10.json to spot regressions. The job
 is a smoke test, not a gate: shared CI runners are too noisy for hard
 thresholds, so regressions are judged by humans diffing the artifacts.
 """
