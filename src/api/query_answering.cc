@@ -1,5 +1,7 @@
 #include "api/query_answering.h"
 
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -66,6 +68,7 @@ Status QueryAnswerer::InsertSchemaTriple(const rdf::Triple& t) {
   // Closing the *extended* schema over the already-closed one is exact:
   // transitive closure is monotone and idempotent.
   schema_.Saturate();
+  plans_.Clear();  // plans reformulated against the old schema
   // Store the inserted constraint and everything it newly entails. The
   // hierarchy encoding is deliberately left alone: schema growth only adds
   // sub-edges, so every existing interval stays sound, and the new edges
@@ -162,6 +165,7 @@ void QueryAnswerer::DisableViewCache() {
 void QueryAnswerer::ApplyViewSelection(
     const optimizer::ViewSelectionResult& selection) {
   view_hints_ = selection.hints;
+  plans_.Clear();  // GCov chose their covers under the old hints
   if (view_cache_ != nullptr) {
     view_cache_->SetPreferred(selection.chosen_keys);
   }
@@ -218,6 +222,7 @@ schema::EncodingReport QueryAnswerer::Reencode(
     versions_->SetWriteObserver(view_cache_.get());
   }
   encoding_report_ = result.report;
+  plans_.Clear();  // plans embed old ids, the old encoding and statistics
   return encoding_report_;
 }
 
@@ -238,12 +243,118 @@ const storage::Store& QueryAnswerer::sat_store() {
   return *sat_store_;
 }
 
-Result<engine::Table> QueryAnswerer::AnswerUcq(
-    const query::Cq& q, const reformulation::Reformulator& ref,
-    const AnswerOptions& options, AnswerProfile* profile) {
-  Timer prepare;
-  RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq, ref.Reformulate(q));
-  double prepare_ms = prepare.ElapsedMillis();
+namespace {
+
+void AppendU32(std::string* key, uint32_t v) {
+  key->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+void AppendTerm(std::string* key, const query::QTerm& t) {
+  key->push_back(t.is_var ? 'v' : 'c');
+  AppendU32(key, t.id);
+}
+
+// The plan memo's key: the exact query, not an α-canonical form, since a
+// plan's unions label answer columns with q's VarIds. Variable names are
+// left out (nothing evaluated reads them); everything Prepare reads from
+// the call is in: strategy, every reformulation option, the REF-JUCQ cover.
+std::string PlanKey(const query::Cq& q, Strategy strategy,
+                    const AnswerOptions& options) {
+  // A new ReformulationOptions field changes what Prepare builds, so it
+  // must join the key below.
+  static_assert(sizeof(reformulation::ReformulationOptions) == 32);
+  const reformulation::ReformulationOptions& reform = options.reform;
+  std::string key;
+  key.reserve(32 + 8 * q.head().size() + 24 * q.body().size());
+  key.push_back(static_cast<char>(strategy));
+  key.push_back(static_cast<char>(reform.force_worklist));
+  key.push_back(static_cast<char>(reform.minimize));
+  key.push_back(static_cast<char>(reform.use_encoding));
+  key.append(reinterpret_cast<const char*>(&reform.max_cqs),
+             sizeof(reform.max_cqs));
+  key.append(reinterpret_cast<const char*>(&reform.minimize_threshold),
+             sizeof(reform.minimize_threshold));
+  AppendU32(&key, static_cast<uint32_t>(q.num_vars()));
+  AppendU32(&key, static_cast<uint32_t>(q.head().size()));
+  for (const query::QTerm& t : q.head()) AppendTerm(&key, t);
+  AppendU32(&key, static_cast<uint32_t>(q.body().size()));
+  for (const query::Atom& a : q.body()) {
+    AppendTerm(&key, a.s);
+    AppendTerm(&key, a.p);
+    AppendTerm(&key, a.o);
+    key.push_back(static_cast<char>(a.range_pos));
+    AppendU32(&key, a.range_hi);
+  }
+  AppendU32(&key, static_cast<uint32_t>(q.resource_vars().size()));
+  for (query::VarId v : q.resource_vars()) AppendU32(&key, v);
+  if (strategy == Strategy::kRefJucq) {
+    for (const std::vector<int>& fragment : options.cover.fragments()) {
+      AppendU32(&key, static_cast<uint32_t>(fragment.size()));
+      for (int atom : fragment) AppendU32(&key, static_cast<uint32_t>(atom));
+    }
+  }
+  return key;
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const QueryPlan>> QueryAnswerer::Prepare(
+    const query::Cq& q, Strategy strategy, const AnswerOptions& options,
+    optimizer::GcovTrace* search) const {
+  const reformulation::Reformulator complete(&schema_, options.reform,
+                                             &graph_.dict());
+  const reformulation::IncompleteReformulator incomplete(
+      &schema_, options.reform, &graph_.dict());
+  const reformulation::Reformulator& ref =
+      strategy == Strategy::kRefIncomplete ? incomplete : complete;
+  auto plan = std::make_shared<QueryPlan>();
+  switch (strategy) {
+    case Strategy::kRefUcq:
+    case Strategy::kRefIncomplete: {
+      RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq, ref.Reformulate(q));
+      plan->whole_query = true;
+      plan->cover = query::Cover::SingleFragment(q.body().size());
+      plan->total_cqs = ucq.size();
+      plan->fragment_ucqs.push_back(std::move(ucq));
+      return std::shared_ptr<const QueryPlan>(std::move(plan));
+    }
+    case Strategy::kRefScq:
+      plan->cover = query::Cover::Singletons(q.body().size());
+      break;
+    case Strategy::kRefJucq:
+      plan->cover = options.cover;
+      break;
+    case Strategy::kRefGcov: {
+      cost::CostModel cost_model(&ref_store_->stats());
+      optimizer::CoverOptimizer optimizer(
+          &ref, &cost_model, view_hints_.empty() ? nullptr : &view_hints_);
+      optimizer::GcovTrace trace;
+      RDFREF_ASSIGN_OR_RETURN(plan->cover, optimizer.Greedy(q, &trace));
+      plan->search.chosen = trace.chosen;
+      plan->search.chosen_cost = trace.chosen_cost;
+      plan->search.iterations = trace.iterations;
+      if (search != nullptr) *search = std::move(trace);
+      break;
+    }
+    case Strategy::kSaturation:
+    case Strategy::kDatalog:
+      return Status::InvalidArgument("not a Ref strategy");
+  }
+  RDFREF_RETURN_NOT_OK(plan->cover.Validate(q));
+  plan->fragment_queries = plan->cover.FragmentQueries(q);
+  plan->fragment_ucqs.reserve(plan->fragment_queries.size());
+  for (const query::Cq& fq : plan->fragment_queries) {
+    RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq, ref.Reformulate(fq));
+    plan->total_cqs += ucq.size();
+    plan->fragment_ucqs.push_back(std::move(ucq));
+  }
+  return std::shared_ptr<const QueryPlan>(std::move(plan));
+}
+
+Result<engine::Table> QueryAnswerer::Evaluate(const query::Cq& q,
+                                              const QueryPlan& plan,
+                                              const AnswerOptions& options,
+                                              AnswerProfile* profile) const {
   Timer eval;
   storage::SnapshotPtr snap =
       options.snapshot != nullptr ? options.snapshot : versions_->snapshot();
@@ -251,54 +362,41 @@ Result<engine::Table> QueryAnswerer::AnswerUcq(
   if (view_cache_ != nullptr && options.use_view_cache) {
     evaluator.set_view_cache(view_cache_.get(), snap->epoch());
   }
-  RDFREF_ASSIGN_OR_RETURN(engine::Table table,
-                          evaluator.EvaluateUcqView(q, ucq, options.deadline));
-  if (profile != nullptr) {
-    profile->prepare_millis = prepare_ms;
-    profile->eval_millis = eval.ElapsedMillis();
-    profile->reformulation_cqs = ucq.size();
-    profile->cover = query::Cover::SingleFragment(q.body().size());
-  }
+  RDFREF_ASSIGN_OR_RETURN(
+      engine::Table table,
+      plan.whole_query
+          ? evaluator.EvaluateUcqView(q, plan.fragment_ucqs[0],
+                                      options.deadline)
+          : evaluator.EvaluateJucq(q, plan.fragment_queries,
+                                   plan.fragment_ucqs, options.deadline,
+                                   profile != nullptr ? &profile->jucq
+                                                      : nullptr));
+  if (profile != nullptr) profile->eval_millis = eval.ElapsedMillis();
   return table;
 }
 
-Result<engine::Table> QueryAnswerer::AnswerJucq(
-    const query::Cq& q, const query::Cover& cover,
-    const reformulation::Reformulator& ref, const AnswerOptions& options,
-    AnswerProfile* profile) {
-  RDFREF_RETURN_NOT_OK(cover.Validate(q));
-  Timer prepare;
-  std::vector<query::Cq> fragment_queries = cover.FragmentQueries(q);
-  std::vector<query::Ucq> fragment_ucqs;
-  fragment_ucqs.reserve(fragment_queries.size());
-  uint64_t total_cqs = 0;
-  for (const query::Cq& fq : fragment_queries) {
-    RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq, ref.Reformulate(fq));
-    total_cqs += ucq.size();
-    fragment_ucqs.push_back(std::move(ucq));
+Result<engine::Table> QueryAnswerer::AnswerRef(const query::Cq& q,
+                                               Strategy strategy,
+                                               const AnswerOptions& options,
+                                               AnswerProfile* profile) {
+  std::string key = PlanKey(q, strategy, options);
+  std::shared_ptr<const QueryPlan> plan = plans_.Find(key);
+  if (plan == nullptr) {
+    Timer prepare;
+    RDFREF_ASSIGN_OR_RETURN(
+        plan, Prepare(q, strategy, options,
+                      profile != nullptr ? &profile->gcov : nullptr));
+    if (profile != nullptr) profile->prepare_millis = prepare.ElapsedMillis();
+    plans_.Insert(std::move(key), plan);
+  } else if (profile != nullptr) {
+    profile->plan_cached = true;
+    profile->gcov = plan->search;
   }
-  double prepare_ms = prepare.ElapsedMillis();
-
-  Timer eval;
-  storage::SnapshotPtr snap =
-      options.snapshot != nullptr ? options.snapshot : versions_->snapshot();
-  engine::Evaluator evaluator(snap.get(), options.threads);
-  if (view_cache_ != nullptr && options.use_view_cache) {
-    evaluator.set_view_cache(view_cache_.get(), snap->epoch());
-  }
-  engine::JucqProfile jucq_profile;
-  RDFREF_ASSIGN_OR_RETURN(
-      engine::Table table,
-      evaluator.EvaluateJucq(q, fragment_queries, fragment_ucqs,
-                             options.deadline, &jucq_profile));
   if (profile != nullptr) {
-    profile->prepare_millis += prepare_ms;
-    profile->eval_millis = eval.ElapsedMillis();
-    profile->reformulation_cqs = total_cqs;
-    profile->cover = cover;
-    profile->jucq = std::move(jucq_profile);
+    profile->reformulation_cqs = plan->total_cqs;
+    profile->cover = plan->cover;
   }
-  return table;
+  return Evaluate(q, *plan, options, profile);
 }
 
 Result<engine::Table> QueryAnswerer::AnswerUnion(
@@ -349,8 +447,6 @@ Result<engine::Table> QueryAnswerer::Answer(const query::Cq& q,
     return Status::DeadlineExceeded("deadline expired before answering");
   }
   if (profile != nullptr) *profile = AnswerProfile{};
-  const reformulation::Reformulator ref(&schema_, options.reform,
-                                        &graph_.dict());
   switch (strategy) {
     case Strategy::kSaturation: {
       const bool first = sat_store_ == nullptr;
@@ -365,31 +461,11 @@ Result<engine::Table> QueryAnswerer::Answer(const query::Cq& q,
       return table;
     }
     case Strategy::kRefUcq:
-      return AnswerUcq(q, ref, options, profile);
     case Strategy::kRefScq:
-      return AnswerJucq(q, query::Cover::Singletons(q.body().size()), ref,
-                        options, profile);
     case Strategy::kRefJucq:
-      return AnswerJucq(q, options.cover, ref, options, profile);
-    case Strategy::kRefGcov: {
-      cost::CostModel cost_model(&ref_store_->stats());
-      optimizer::CoverOptimizer optimizer(
-          &ref, &cost_model, view_hints_.empty() ? nullptr : &view_hints_);
-      Timer search;
-      optimizer::GcovTrace trace;
-      RDFREF_ASSIGN_OR_RETURN(query::Cover cover, optimizer.Greedy(q, &trace));
-      double search_ms = search.ElapsedMillis();
-      if (profile != nullptr) {
-        profile->gcov = trace;
-        profile->prepare_millis = search_ms;  // AnswerJucq adds to this
-      }
-      return AnswerJucq(q, cover, ref, options, profile);
-    }
+    case Strategy::kRefGcov:
     case Strategy::kRefIncomplete:
-      return AnswerUcq(q,
-                       reformulation::IncompleteReformulator(
-                           &schema_, options.reform, &graph_.dict()),
-                       options, profile);
+      return AnswerRef(q, strategy, options, profile);
     case Strategy::kDatalog: {
       if (dat_ == nullptr) {
         // The program pins the epoch it is built against; updates reset

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "api/plan_memo.h"
 #include "common/annotations.h"
 #include "common/deadline.h"
 #include "common/result.h"
@@ -81,8 +82,12 @@ struct AnswerOptions {
 /// screens display.
 struct AnswerProfile {
   /// Time preparing the strategy: saturation (first Sat call), Datalog
-  /// closure (first Dat call), reformulation, or GCov search.
+  /// closure (first Dat call), reformulation, or GCov search. 0 when the
+  /// Ref plan came from the plan memo.
   double prepare_millis = 0.0;
+  /// True when a Ref strategy replayed a memoized plan instead of
+  /// preparing one (QueryAnswerer::Answer).
+  bool plan_cached = false;
   /// Time evaluating against the store.
   double eval_millis = 0.0;
   /// Total CQs across the evaluated UCQ(s).
@@ -91,7 +96,8 @@ struct AnswerProfile {
   query::Cover cover;
   /// Per-fragment detail (JUCQ-style strategies).
   engine::JucqProfile jucq;
-  /// Search trace (kRefGcov).
+  /// Search trace (kRefGcov). A replayed plan reports the chosen cover, its
+  /// cost and the iteration count, and no explored covers.
   optimizer::GcovTrace gcov;
 };
 
@@ -121,6 +127,13 @@ class QueryAnswerer {
 
   /// \brief Answers q using the given strategy. All strategies return the
   /// same (complete) answer except kRefIncomplete, which may miss tuples.
+  ///
+  /// The Ref strategies prepare a plan (GCov's cover search, then each
+  /// fragment's reformulation) and evaluate it. Plans are memoized per
+  /// exact query, strategy, reformulation options and REF-JUCQ cover
+  /// (DESIGN.md §16), so a repeated call only evaluates. Schema inserts,
+  /// Reencode() and view selection clear the memo; instance writes do not,
+  /// since no plan reads data. Failed preparations are not memoized.
   Result<engine::Table> Answer(const query::Cq& q, Strategy strategy,
                                AnswerProfile* profile = nullptr,
                                const AnswerOptions& options = {});
@@ -193,7 +206,11 @@ class QueryAnswerer {
       const reformulation::ReformulationOptions& reform = {});
 
   /// \brief Applies an externally computed selection (see SelectViews).
+  /// Clears the plan memo, since the hints steer GCov's cover choice.
   void ApplyViewSelection(const optimizer::ViewSelectionResult& selection);
+
+  /// \brief Counters of the plan memo (see Answer).
+  PlanMemoStats plan_memo_stats() const { return plans_.Stats(); }
 
   /// \brief The load-time (or latest Reencode) hierarchy-encoder report.
   const schema::EncodingReport& encoding_report() const RDFREF_LIFETIME_BOUND {
@@ -239,17 +256,19 @@ class QueryAnswerer {
   size_t num_explicit_triples() const { return ref_store_->size(); }
 
  private:
-  // REF-UCQ and REF-INCOMPLETE: the whole union under `ref`, evaluated as
-  // one view over a pinned snapshot.
-  Result<engine::Table> AnswerUcq(const query::Cq& q,
-                                  const reformulation::Reformulator& ref,
+  // The Ref strategies: the memoized plan, or a fresh one, evaluated.
+  Result<engine::Table> AnswerRef(const query::Cq& q, Strategy strategy,
                                   const AnswerOptions& options,
                                   AnswerProfile* profile);
-  Result<engine::Table> AnswerJucq(const query::Cq& q,
-                                   const query::Cover& cover,
-                                   const reformulation::Reformulator& ref,
-                                   const AnswerOptions& options,
-                                   AnswerProfile* profile);
+  // Builds q's plan under a Ref strategy; `search` (may be null) receives
+  // REF-GCOV's full search trace.
+  Result<std::shared_ptr<const QueryPlan>> Prepare(
+      const query::Cq& q, Strategy strategy, const AnswerOptions& options,
+      optimizer::GcovTrace* search) const;
+  // Evaluates `plan` over the pinned snapshot.
+  Result<engine::Table> Evaluate(const query::Cq& q, const QueryPlan& plan,
+                                 const AnswerOptions& options,
+                                 AnswerProfile* profile) const;
 
   Status InsertSchemaTriple(const rdf::Triple& t);
 
@@ -261,6 +280,7 @@ class QueryAnswerer {
   // observer pointer can never dangle during teardown.
   std::unique_ptr<engine::ViewCache> view_cache_;
   optimizer::ViewHints view_hints_;  // from the latest view selection
+  PlanMemo plans_;
   // versions_ references ref_store_ as its initial base: keep the store
   // declared first so the version set is destroyed before it.
   std::unique_ptr<storage::Store> ref_store_;

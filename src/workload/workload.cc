@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/synchronization.h"
 #include "common/timer.h"
 #include "query/sparql_parser.h"
 #include "storage/version_set.h"
@@ -264,15 +265,26 @@ Result<WorkloadReport> RunClosedLoop(api::QueryAnswerer* answerer,
 
   Timer wall;
   std::thread writer;
+  // Clients start only once the writer's first write has landed, so every
+  // concurrent-writer run overlaps reads with writes, however fast the
+  // clients finish their ops.
+  common::Notification first_write;
   if (options.concurrent_writer) {
     writer = std::thread([&] {
       // Insert the churn set, drain it, repeat — the head keeps crossing
       // the freeze threshold and compaction keeps firing.
+      // `stop` stays false until the clients, which wait for the first
+      // write, are done.
+      bool notified = false;
       while (!stop.load(std::memory_order_relaxed)) {
         for (const rdf::Triple& t : churn) {
           if (stop.load(std::memory_order_relaxed)) return;
           versions.Insert(t);
           writer_ops.fetch_add(1, std::memory_order_relaxed);
+          if (!notified) {
+            first_write.Notify();
+            notified = true;
+          }
         }
         for (const rdf::Triple& t : churn) {
           if (stop.load(std::memory_order_relaxed)) return;
@@ -283,6 +295,7 @@ Result<WorkloadReport> RunClosedLoop(api::QueryAnswerer* answerer,
     });
   }
 
+  if (options.concurrent_writer) first_write.WaitForNotification();
   std::vector<std::thread> clients;
   clients.reserve(static_cast<size_t>(options.clients));
   for (int c = 0; c < options.clients; ++c) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/bibliography.h"
+#include "datagen/lubm.h"
+#include "query/canonical.h"
 #include "query/sparql_parser.h"
 #include "rdf/vocab.h"
 
@@ -210,6 +215,390 @@ TEST(FuzzRepro, Seed231Trial3) {
     EXPECT_EQ(got->RowSet(), expected)
         << api::StrategyName(s);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The plan memo: a repeated Ref call replays the plan a cold call builds.
+// ---------------------------------------------------------------------------
+
+constexpr Strategy kRefStrategies[] = {
+    Strategy::kRefUcq, Strategy::kRefScq, Strategy::kRefJucq,
+    Strategy::kRefGcov, Strategy::kRefIncomplete};
+
+// Students, the courses they take, and the courses' type: three atoms whose
+// Ref strategies plan differently.
+constexpr const char* kTakesCourse =
+    "SELECT ?x ?y ?c WHERE { ?x a ub:Student . ?x ub:takesCourse ?y . "
+    "?y a ?c . }";
+
+rdf::Graph LubmGraph() {
+  datagen::LubmConfig config;
+  config.universities = 1;
+  config.scale = 0.1;
+  rdf::Graph graph;
+  datagen::Lubm::Generate(config, &graph);
+  return graph;
+}
+
+query::Cq ParseUb(QueryAnswerer* answerer, const std::string& text) {
+  auto q = query::ParseSparql(
+      std::string("PREFIX ub: <") + datagen::Lubm::kNs + ">\n" + text,
+      &answerer->dict());
+  EXPECT_TRUE(q.ok()) << q.status();
+  return *q;
+}
+
+class PlanMemoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    answerer_ = std::make_unique<QueryAnswerer>(LubmGraph());
+  }
+
+  query::Cq Parse(const std::string& text) {
+    return ParseUb(answerer_.get(), text);
+  }
+
+  rdf::TermId Ub(const std::string& local) {
+    return answerer_->dict().InternUri(datagen::Lubm::Uri(local));
+  }
+
+  std::set<std::vector<rdf::TermId>> Rows(const query::Cq& q, Strategy s) {
+    auto table = answerer_->Answer(q, s);
+    EXPECT_TRUE(table.ok()) << StrategyName(s) << ": " << table.status();
+    return table.ok() ? table->RowSet() : std::set<std::vector<rdf::TermId>>{};
+  }
+
+  std::unique_ptr<QueryAnswerer> answerer_;
+};
+
+TEST_F(PlanMemoTest, HitIsBitIdenticalToAFreshAnswerersColdCall) {
+  query::Cq q = Parse(kTakesCourse);
+  // Each strategy's first call on `fresh` is cold: the key holds the
+  // strategy.
+  QueryAnswerer fresh(LubmGraph());
+  const query::Cq fresh_q = ParseUb(&fresh, kTakesCourse);
+  AnswerOptions options;
+  options.cover = query::Cover({{0, 1}, {1, 2}});  // used by REF-JUCQ only
+  uint64_t calls = 0;
+  for (Strategy s : kRefStrategies) {
+    AnswerProfile cold_profile, hit_profile, fresh_profile;
+    auto cold = answerer_->Answer(q, s, &cold_profile, options);
+    auto hit = answerer_->Answer(q, s, &hit_profile, options);
+    auto reference = fresh.Answer(fresh_q, s, &fresh_profile, options);
+    calls += 2;
+    EXPECT_FALSE(fresh_profile.plan_cached) << StrategyName(s);
+    ASSERT_TRUE(cold.ok()) << StrategyName(s) << ": " << cold.status();
+    ASSERT_TRUE(hit.ok()) << StrategyName(s) << ": " << hit.status();
+    ASSERT_TRUE(reference.ok()) << StrategyName(s);
+    EXPECT_GT(reference->NumRows(), 0u) << StrategyName(s);
+    EXPECT_EQ(hit->RowVectors(), reference->RowVectors()) << StrategyName(s);
+    EXPECT_EQ(hit->columns, reference->columns) << StrategyName(s);
+    EXPECT_EQ(cold->RowVectors(), reference->RowVectors()) << StrategyName(s);
+
+    EXPECT_FALSE(cold_profile.plan_cached) << StrategyName(s);
+    EXPECT_TRUE(hit_profile.plan_cached) << StrategyName(s);
+    EXPECT_EQ(hit_profile.prepare_millis, 0.0) << StrategyName(s);
+    EXPECT_EQ(hit_profile.cover, fresh_profile.cover) << StrategyName(s);
+    EXPECT_EQ(hit_profile.reformulation_cqs, fresh_profile.reformulation_cqs)
+        << StrategyName(s);
+    if (s == Strategy::kRefGcov) {
+      EXPECT_FALSE(cold_profile.gcov.explored.empty());
+      EXPECT_TRUE(hit_profile.gcov.explored.empty());
+      EXPECT_EQ(hit_profile.gcov.chosen, cold_profile.gcov.chosen);
+      EXPECT_EQ(hit_profile.gcov.chosen_cost, cold_profile.gcov.chosen_cost);
+    }
+  }
+  const PlanMemoStats stats = answerer_->plan_memo_stats();
+  EXPECT_EQ(stats.hits, calls / 2);
+  EXPECT_EQ(stats.misses, calls / 2);
+  EXPECT_EQ(stats.entries, calls / 2);
+}
+
+TEST_F(PlanMemoTest, SchemaInsertClearsTheMemo) {
+  query::Cq q = Parse("SELECT ?x WHERE { ?x a ub:Course . }");
+  const Strategy complete[] = {Strategy::kRefUcq, Strategy::kRefScq,
+                               Strategy::kRefGcov};
+  for (Strategy s : complete) Rows(q, s);  // memoize
+  const size_t courses = Rows(q, Strategy::kSaturation).size();
+
+  // Research groups become courses: a new edge the memoized plans lack.
+  ASSERT_TRUE(answerer_
+                  ->InsertTriple(rdf::Triple(Ub("ResearchGroup"),
+                                             rdf::vocab::kSubClassOfId,
+                                             Ub("Course")))
+                  .ok());
+  EXPECT_EQ(answerer_->plan_memo_stats().entries, 0u);
+  const std::set<std::vector<rdf::TermId>> expected =
+      Rows(q, Strategy::kSaturation);
+  ASSERT_GT(expected.size(), courses);
+  for (Strategy s : complete) {
+    EXPECT_EQ(Rows(q, s), expected) << StrategyName(s);
+  }
+}
+
+TEST_F(PlanMemoTest, ReencodeClearsTheMemo) {
+  // The new edge moves the class intervals at the next Reencode.
+  ASSERT_TRUE(answerer_
+                  ->InsertTriple(rdf::Triple(Ub("ResearchGroup"),
+                                             rdf::vocab::kSubClassOfId,
+                                             Ub("Course")))
+                  .ok());
+  // No constant but rdf:type, whose id Reencode keeps: the re-parsed query
+  // has the same key, and its plan binds ?c to class ids.
+  const std::string text = "SELECT ?x ?c WHERE { ?x a ?c . }";
+  query::Cq q = Parse(text);
+  EXPECT_EQ(Rows(q, Strategy::kRefUcq), Rows(q, Strategy::kSaturation));
+  ASSERT_EQ(answerer_->plan_memo_stats().entries, 1u);
+
+  answerer_->Reencode();
+  EXPECT_EQ(answerer_->plan_memo_stats().entries, 0u);
+  query::Cq again = Parse(text);
+  EXPECT_EQ(Rows(again, Strategy::kRefUcq),
+            Rows(again, Strategy::kSaturation));
+}
+
+TEST_F(PlanMemoTest, ViewSelectionClearsTheMemo) {
+  query::Cq q = Parse(kTakesCourse);
+  AnswerProfile before;
+  ASSERT_TRUE(answerer_->Answer(q, Strategy::kRefGcov, &before).ok());
+
+  // Hints that make every fragment of another cover a one-row rescan.
+  const query::Cover target =
+      before.cover == query::Cover::Singletons(3)
+          ? query::Cover::SingleFragment(3)
+          : query::Cover::Singletons(3);
+  optimizer::ViewSelectionResult selection;
+  for (const query::Cq& fq : target.FragmentQueries(q)) {
+    selection.hints.cached_rows[query::Canonicalize(fq).key] = 1.0;
+  }
+  answerer_->ApplyViewSelection(selection);
+  EXPECT_EQ(answerer_->plan_memo_stats().entries, 0u);
+
+  AnswerProfile after;
+  auto table = answerer_->Answer(q, Strategy::kRefGcov, &after);
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_FALSE(after.plan_cached);
+  EXPECT_EQ(after.cover, target);
+  EXPECT_EQ(table->RowSet(), Rows(q, Strategy::kSaturation));
+}
+
+TEST_F(PlanMemoTest, SmallerBudgetStillRefuses) {
+  query::Cq q = Parse("SELECT ?x ?u ?z WHERE { ?x a ?u . ?x ub:memberOf ?z . }");
+  AnswerProfile profile;
+  ASSERT_TRUE(answerer_->Answer(q, Strategy::kRefUcq, &profile).ok());
+  ASSERT_GT(profile.reformulation_cqs, 2u);
+
+  AnswerOptions tight;
+  tight.reform.max_cqs = 2;
+  for (int call = 0; call < 2; ++call) {  // refusals are not memoized
+    EXPECT_EQ(answerer_->Answer(q, Strategy::kRefUcq, nullptr, tight)
+                  .status()
+                  .code(),
+              StatusCode::kResourceExhausted);
+  }
+  EXPECT_EQ(answerer_->plan_memo_stats().entries, 1u);
+}
+
+TEST_F(PlanMemoTest, EncodingOffNeverReusesTheFusedPlan) {
+  query::Cq q = Parse("SELECT ?x WHERE { ?x a ub:Person . }");
+  AnswerProfile fused;
+  ASSERT_TRUE(answerer_->Answer(q, Strategy::kRefUcq, &fused).ok());
+
+  AnswerOptions classic;
+  classic.reform.use_encoding = false;
+  AnswerProfile profile, fresh_profile;
+  auto table = answerer_->Answer(q, Strategy::kRefUcq, &profile, classic);
+  QueryAnswerer fresh(LubmGraph());
+  auto reference =
+      fresh.Answer(ParseUb(&fresh, "SELECT ?x WHERE { ?x a ub:Person . }"),
+                   Strategy::kRefUcq, &fresh_profile, classic);
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(reference.ok());
+  EXPECT_FALSE(profile.plan_cached);
+  EXPECT_EQ(profile.reformulation_cqs, fresh_profile.reformulation_cqs);
+  EXPECT_GT(profile.reformulation_cqs, fused.reformulation_cqs);
+  EXPECT_EQ(table->RowVectors(), reference->RowVectors());
+}
+
+TEST_F(PlanMemoTest, JucqCoversDoNotSharePlans) {
+  query::Cq q = Parse(kTakesCourse);
+  const query::Cover a({{0, 1}, {2}});
+  const query::Cover b({{0}, {1, 2}});
+  for (const query::Cover& cover : {a, b, a}) {
+    AnswerOptions options;
+    options.cover = cover;
+    AnswerProfile profile;
+    auto table = answerer_->Answer(q, Strategy::kRefJucq, &profile, options);
+    ASSERT_TRUE(table.ok()) << table.status();
+    EXPECT_EQ(profile.cover, cover);
+    EXPECT_EQ(profile.jucq.fragments.size(), 2u);
+  }
+  const PlanMemoStats stats = answerer_->plan_memo_stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
+// Three type atoms over `subclasses` subclasses of Top each: a REF-UCQ of
+// (subclasses + 1)^3 CQs, as in Example 1.
+rdf::Graph ExplodingGraph(int subclasses) {
+  rdf::Graph g;
+  rdf::Dictionary& dict = g.dict();
+  // ex:<stem><i>, or ex:<stem> for a negative i.
+  auto uri = [&dict](const char* stem, int i) {
+    std::string local = std::string("http://example.org/") + stem;
+    if (i >= 0) local += std::to_string(i);
+    return dict.InternUri(local);
+  };
+  for (int i = 0; i < subclasses; ++i) {
+    g.Add(uri("C", i), rdf::vocab::kSubClassOfId, uri("Top", -1));
+    g.Add(uri("i", i), rdf::vocab::kTypeId, uri("C", i));
+    g.Add(uri("i", i), uri("p", -1), uri("i", (i + 1) % subclasses));
+  }
+  return g;
+}
+
+TEST(PlanMemoDeadlineTest, MemoizedPlanHonoursTheDeadline) {
+  QueryAnswerer answerer(ExplodingGraph(39));
+  auto q = query::ParseSparql(
+      "PREFIX ex: <http://example.org/>\n"
+      "SELECT ?x ?y ?z WHERE { ?x a ex:Top . ?y a ex:Top . ?z a ex:Top . "
+      "?x ex:p ?y . ?y ex:p ?z . }",
+      &answerer.dict());
+  ASSERT_TRUE(q.ok()) << q.status();
+  AnswerOptions options;
+  options.reform.use_encoding = false;  // keep the 40^3-CQ union
+  AnswerProfile cold;
+  auto full = answerer.Answer(*q, Strategy::kRefUcq, &cold, options);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_EQ(cold.reformulation_cqs, 64000u);
+  ASSERT_EQ(answerer.plan_memo_stats().entries, 1u);
+
+  // Expired before the call.
+  AnswerOptions bounded = options;
+  bounded.deadline = Deadline::AfterMicros(0);
+  EXPECT_EQ(answerer.Answer(*q, Strategy::kRefUcq, nullptr, bounded)
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  // Expiring during the replayed plan's evaluation: a quarter of the
+  // fastest of two unbounded replays (preemption only lengthens a run).
+  double replay_millis = cold.eval_millis;
+  for (int i = 0; i < 2; ++i) {
+    AnswerProfile replay;
+    ASSERT_TRUE(answerer.Answer(*q, Strategy::kRefUcq, &replay, options).ok());
+    ASSERT_TRUE(replay.plan_cached);
+    replay_millis = std::min(replay_millis, replay.eval_millis);
+  }
+  bounded.deadline = Deadline::AfterMillis(replay_millis / 4);
+  AnswerProfile hit;
+  auto table = answerer.Answer(*q, Strategy::kRefUcq, &hit, bounded);
+  EXPECT_EQ(table.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(hit.plan_cached);
+}
+
+TEST_F(PlanMemoTest, EntryCapEvictsTheLeastRecentlyUsedPlan) {
+  const size_t n = PlanMemo::kMaxEntries + 10;
+  auto department = [this](size_t i) {
+    return Parse("SELECT ?x WHERE { ?x ub:memberOf <http://example.org/d" +
+                 std::to_string(i) + "> . }");
+  };
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(answerer_->Answer(department(i), Strategy::kRefUcq).ok());
+  }
+  PlanMemoStats stats = answerer_->plan_memo_stats();
+  EXPECT_EQ(stats.entries, PlanMemo::kMaxEntries);
+  EXPECT_EQ(stats.evictions, 10u);
+  EXPECT_EQ(stats.misses, n);
+
+  AnswerProfile newest, oldest;
+  ASSERT_TRUE(
+      answerer_->Answer(department(n - 1), Strategy::kRefUcq, &newest).ok());
+  ASSERT_TRUE(answerer_->Answer(department(0), Strategy::kRefUcq, &oldest).ok());
+  EXPECT_TRUE(newest.plan_cached);
+  EXPECT_FALSE(oldest.plan_cached);
+  EXPECT_EQ(answerer_->plan_memo_stats().entries, PlanMemo::kMaxEntries);
+}
+
+std::shared_ptr<const QueryPlan> PlanOf(uint64_t cqs) {
+  auto plan = std::make_shared<QueryPlan>();
+  plan->total_cqs = cqs;
+  return plan;
+}
+
+TEST(PlanMemoBoundsTest, HeldCqsStayWithinTheBound) {
+  PlanMemo memo;
+  memo.Insert("huge", PlanOf(PlanMemo::kMaxCqs + 1));
+  EXPECT_EQ(memo.Stats().entries, 0u);
+  EXPECT_EQ(memo.Find("huge"), nullptr);
+
+  memo.Insert("a", PlanOf(PlanMemo::kMaxCqs / 2));
+  memo.Insert("b", PlanOf(PlanMemo::kMaxCqs / 2));
+  ASSERT_NE(memo.Find("a"), nullptr);  // a is now the most recently used
+  memo.Insert("c", PlanOf(1));
+  EXPECT_NE(memo.Find("a"), nullptr);
+  EXPECT_EQ(memo.Find("b"), nullptr);
+  EXPECT_NE(memo.Find("c"), nullptr);
+  const PlanMemoStats stats = memo.Stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 1u);
+
+  memo.Clear();
+  EXPECT_EQ(memo.Stats().entries, 0u);
+  memo.Insert("d", PlanOf(PlanMemo::kMaxCqs));  // the whole bound is free
+  EXPECT_EQ(memo.Stats().entries, 1u);
+}
+
+// Clients racing on one answerer: misses prepare concurrently, hits share
+// plans, and every answer is the one a single-threaded answerer gives.
+TEST(PlanMemoConcurrencyTest, ConcurrentAnswersMatchSequentialOnes) {
+  const std::vector<std::string> texts = {
+      kTakesCourse,
+      "SELECT ?x WHERE { ?x a ub:Person . }",
+      "SELECT ?x ?z WHERE { ?x ub:memberOf ?z . ?z a ub:Department . }",
+      "SELECT ?x ?u ?z WHERE { ?x a ?u . ?x ub:memberOf ?z . }",
+  };
+  const Strategy strategies[] = {Strategy::kRefUcq, Strategy::kRefScq,
+                                 Strategy::kRefGcov};
+  QueryAnswerer reference(LubmGraph());
+  QueryAnswerer shared(LubmGraph());
+  std::vector<query::Cq> queries;
+  std::vector<std::vector<std::vector<rdf::TermId>>> expected;
+  for (const std::string& text : texts) {
+    queries.push_back(ParseUb(&shared, text));
+    for (Strategy s : strategies) {
+      auto table = reference.Answer(ParseUb(&reference, text), s);
+      ASSERT_TRUE(table.ok()) << table.status();
+      expected.push_back(table->RowVectors());
+    }
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t k = 0; k < expected.size(); ++k) {
+          // Each thread walks the calls from its own offset.
+          const size_t i = (k + static_cast<size_t>(t) * 3) % expected.size();
+          auto table = shared.Answer(queries[i / 3], strategies[i % 3]);
+          if (!table.ok() || table->RowVectors() != expected[i]) {
+            ++mismatches[static_cast<size_t>(t)];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+
+  const PlanMemoStats stats = shared.plan_memo_stats();
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<uint64_t>(kThreads * kRounds) * expected.size());
+  EXPECT_GE(stats.misses, expected.size());
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.entries, expected.size());
 }
 
 }  // namespace
