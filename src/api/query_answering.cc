@@ -262,7 +262,7 @@ std::string PlanKey(const query::Cq& q, Strategy strategy,
                     const AnswerOptions& options) {
   // A new ReformulationOptions field changes what Prepare builds, so it
   // must join the key below.
-  static_assert(sizeof(reformulation::ReformulationOptions) == 32);
+  static_assert(sizeof(reformulation::ReformulationOptions) == 16);
   const reformulation::ReformulationOptions& reform = options.reform;
   std::string key;
   key.reserve(32 + 8 * q.head().size() + 24 * q.body().size());
@@ -272,8 +272,6 @@ std::string PlanKey(const query::Cq& q, Strategy strategy,
   key.push_back(static_cast<char>(reform.use_encoding));
   key.append(reinterpret_cast<const char*>(&reform.max_cqs),
              sizeof(reform.max_cqs));
-  key.append(reinterpret_cast<const char*>(&reform.minimize_threshold),
-             sizeof(reform.minimize_threshold));
   AppendU32(&key, static_cast<uint32_t>(q.num_vars()));
   AppendU32(&key, static_cast<uint32_t>(q.head().size()));
   for (const query::QTerm& t : q.head()) AppendTerm(&key, t);

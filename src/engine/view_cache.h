@@ -43,7 +43,7 @@ struct ViewCacheOptions {
 };
 
 /// \brief Monotonic counters + gauges of one ViewCache (workload_driver
-/// JSON and BENCH_PR10.json report these).
+/// JSON and perfbench's traced `engine.cache_*` counters report these).
 struct ViewCacheStats {
   uint64_t hits = 0;           ///< Lookup served from cache
   uint64_t misses = 0;         ///< Lookup fell through to evaluation

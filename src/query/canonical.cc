@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace rdfref {
@@ -52,7 +54,9 @@ Cq Step(const Cq& q) {
 
   Cq out;
   for (size_t i = 0; i < rank.size(); ++i) {
-    out.AddVar("v" + std::to_string(i));
+    std::string name = "v";
+    name += std::to_string(i);
+    out.AddVar(std::move(name));
   }
   auto conv = [&rank](const QTerm& t) {
     return t.is_var ? QTerm::Var(rank.at(t.var())) : t;

@@ -134,7 +134,12 @@ std::string Cq::ToString(const rdf::Dictionary& dict) const {
   auto render_pos = [&](const Atom& a, const QTerm& t, uint8_t pos) {
     if (a.range_pos != pos) return render(t);
     // Interval position: [lo..hi] over the encoded id space.
-    return "[" + render(t) + " .. " + dict.Lookup(a.range_hi).ToString() + "]";
+    std::string interval = "[";
+    interval += render(t);
+    interval += " .. ";
+    interval += dict.Lookup(a.range_hi).ToString();
+    interval += ']';
+    return interval;
   };
   for (size_t i = 0; i < body_.size(); ++i) {
     if (i > 0) out << ", ";

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <set>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "rdf/vocab.h"
@@ -331,7 +333,11 @@ Result<std::string> RenderGroup(const Cq& q, const rdf::Dictionary& dict,
                                 const NameFn& name_of) {
   std::string out = "{ ";
   auto render = [&](const QTerm& t) -> Result<std::string> {
-    if (t.is_var) return "?" + name_of(t.var());
+    if (t.is_var) {
+      std::string var = "?";
+      var += name_of(t.var());
+      return var;
+    }
     return RenderConst(t.term(), dict);
   };
   for (size_t i = 0; i < q.body().size(); ++i) {
@@ -410,8 +416,9 @@ Result<std::string> ToSparql(const Ucq& u, const rdf::Dictionary& dict) {
     RDFREF_RETURN_NOT_OK(CheckSerializable(q));
     std::unordered_map<VarId, std::string> renamed;
     for (size_t i = 0; i < q.head().size(); ++i) {
-      if (!renamed.emplace(q.head()[i].var(), "h" + std::to_string(i))
-               .second) {
+      std::string name = "h";
+      name += std::to_string(i);
+      if (!renamed.emplace(q.head()[i].var(), std::move(name)).second) {
         return Status::InvalidArgument(
             "a UNION member repeats a head variable; not expressible");
       }
@@ -419,7 +426,9 @@ Result<std::string> ToSparql(const Ucq& u, const rdf::Dictionary& dict) {
     int fresh = 0;
     for (VarId v : q.BodyVars()) {
       if (!renamed.count(v)) {
-        renamed.emplace(v, "x" + std::to_string(fresh++));
+        std::string name = "x";
+        name += std::to_string(fresh++);
+        renamed.emplace(v, std::move(name));
       }
     }
     auto name_of = [&](VarId v) { return renamed.at(v); };

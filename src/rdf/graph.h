@@ -63,7 +63,9 @@ class Graph {
 
   /// \brief Returns a fresh blank node id (labels _:g0, _:g1, ...).
   TermId FreshBlank() {
-    return dict_->InternBlank("g" + std::to_string(blank_counter_++));
+    std::string label = "g";
+    label += std::to_string(blank_counter_++);
+    return dict_->InternBlank(label);
   }
 
   /// \brief Deep copy with an *id-identical* dictionary: every TermId valid

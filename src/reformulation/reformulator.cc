@@ -28,6 +28,10 @@ using query::VarId;
 /// materialized as a real query variable when the atom lands in a CQ.
 constexpr VarId kFreshMark = 0xFFFFFFFFu;
 
+/// The largest union ReformulationOptions::minimize prunes: MinimizeUcq's
+/// pairwise containment pass is quadratic in the member count.
+constexpr uint64_t kMinimizeThreshold = 4096;
+
 bool IsFresh(const QTerm& t) { return t.is_var && t.var() == kFreshMark; }
 
 QTerm Fresh() { return QTerm::Var(kFreshMark); }
@@ -650,7 +654,7 @@ Result<Ucq> Reformulator::Reformulate(const Cq& q) const {
                            ? ReformulateByProduct(q)
                            : ReformulateByWorklist(q);
   if (result.ok() && options_.minimize &&
-      result->size() <= options_.minimize_threshold) {
+      result->size() <= kMinimizeThreshold) {
     return query::MinimizeUcq(*result, dict_);
   }
   return result;

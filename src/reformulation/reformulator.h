@@ -25,10 +25,9 @@ struct ReformulationOptions {
   /// fast path applies (ablation and differential testing).
   bool force_worklist = false;
   /// Prunes union members subsumed by others (query::MinimizeUcq) after
-  /// reformulation. Quadratic in the member count, so only applied up to
-  /// minimize_threshold members.
+  /// reformulation. Quadratic in the member count, so only applied to
+  /// unions of at most 4096 members.
   bool minimize = false;
-  uint64_t minimize_threshold = 4096;
   /// Fuses the hierarchy rule families (rules 1/4/5/8) into single
   /// id-interval members when the dictionary carries a hierarchy encoding
   /// (schema/encoder.h). Terms escaping the encoding — secondary parents of

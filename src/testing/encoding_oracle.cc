@@ -1,7 +1,6 @@
 #include "testing/encoding_oracle.h"
 
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "api/query_answering.h"
@@ -11,15 +10,6 @@ namespace rdfref {
 namespace testing {
 
 namespace {
-
-std::string Diagnose(const query::Cq& q, const rdf::Dictionary& dict,
-                     const std::set<DecodedRow>& expected,
-                     const std::set<DecodedRow>& got) {
-  std::ostringstream os;
-  os << "expected " << RowSetPreview(expected) << "; got "
-     << RowSetPreview(got) << "\nquery: " << q.ToString(dict);
-  return os.str();
-}
 
 /// Answers q under both reformulation modes and compares the decoded sets
 /// against `expected` (saturation ground truth). `stage` labels the phase
@@ -49,26 +39,10 @@ Divergence CompareModes(api::QueryAnswerer* answerer, const query::Cq& q,
         if (classic_refusals != nullptr) ++*classic_refusals;
         continue;
       }
-      if (!got.ok()) return Divergence::Of(name, got.status().ToString());
-      std::set<DecodedRow> rows = DecodeRows(*got, answerer->dict());
-      if (rows != expected) {
-        return Divergence::Of(name,
-                              Diagnose(q, answerer->dict(), expected, rows));
-      }
+      Divergence d = CompareAnswer(name, got, answerer->dict(), q, expected);
+      if (d.found) return d;
     }
   }
-  return Divergence::None();
-}
-
-Divergence GroundTruth(api::QueryAnswerer* answerer, const query::Cq& q,
-                       const std::string& stage,
-                       std::set<DecodedRow>* expected) {
-  auto sat = answerer->Answer(q, api::Strategy::kSaturation);
-  if (!sat.ok()) {
-    return Divergence::Of("encoded:" + stage + ":SAT",
-                          sat.status().ToString());
-  }
-  *expected = DecodeRows(*sat, answerer->dict());
   return Divergence::None();
 }
 
@@ -83,7 +57,9 @@ Divergence CheckEncodedEquivalence(const Scenario& sc,
   // Phase 1: the load-time encoding. Interval reformulation must be
   // answer-set-equal to the classic UCQ members it fused away.
   std::set<DecodedRow> expected;
-  Divergence d = GroundTruth(&answerer, q, "load", &expected);
+  Divergence d = DecodeAnswer("encoded:load:SAT",
+                              answerer.Answer(q, api::Strategy::kSaturation),
+                              answerer.dict(), &expected);
   if (d.found) return d;
   d = CompareModes(&answerer, q, expected, "load", classic_refusals);
   if (d.found) return d;
@@ -99,7 +75,9 @@ Divergence CheckEncodedEquivalence(const Scenario& sc,
       return Divergence::Of("encoded:schema-insert",
                             "insert failed: " + st.ToString());
     }
-    d = GroundTruth(&answerer, q, "schema-insert", &expected);
+    d = DecodeAnswer("encoded:schema-insert:SAT",
+                     answerer.Answer(q, api::Strategy::kSaturation),
+                     answerer.dict(), &expected);
     if (d.found) return d;
     d = CompareModes(&answerer, q, expected, "schema-insert",
                      classic_refusals);
@@ -111,7 +89,9 @@ Divergence CheckEncodedEquivalence(const Scenario& sc,
   // re-translated — all pre-Reencode TermIds are invalidated by contract.
   answerer.Reencode();
   q = TranslateQuery(scenario_q, sc.graph.dict(), &answerer.dict());
-  d = GroundTruth(&answerer, q, "reencode", &expected);
+  d = DecodeAnswer("encoded:reencode:SAT",
+                   answerer.Answer(q, api::Strategy::kSaturation),
+                   answerer.dict(), &expected);
   if (d.found) return d;
   return CompareModes(&answerer, q, expected, "reencode", classic_refusals);
 }

@@ -33,9 +33,7 @@ Divergence RunChecks(const Scenario& sc, const query::Cq& q,
   };
 
   if (options.check_oracle) {
-    Oracle::Options oracle_options;
-    oracle_options.mutate = options.mutate;
-    Oracle oracle(sc, oracle_options);
+    Oracle oracle(sc, options.mutate);
     Divergence d = count(oracle.Check(q));
     if (d.found) return d;
   }
@@ -94,7 +92,7 @@ Divergence RunChecks(const Scenario& sc, const query::Cq& q,
         sc, q, SubSeed(seed, trial, 0xC0C), options.concurrent));
     if (d.found) return d;
     d = count(CheckConcurrentCached(sc, q, SubSeed(seed, trial, 0xCAC),
-                                    options.concurrent_cached));
+                                    options.concurrent));
     if (d.found) return d;
   }
   return Divergence::None();

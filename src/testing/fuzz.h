@@ -5,14 +5,13 @@
 #include <string>
 #include <vector>
 
+#include "testing/churn.h"
 #include "testing/encoding_oracle.h"
 #include "testing/metamorphic.h"
 #include "testing/oracle.h"
 #include "testing/reference_eval.h"
 #include "testing/scenario.h"
 #include "testing/shrink.h"
-#include "testing/snapshot_oracle.h"
-#include "testing/view_oracle.h"
 
 namespace rdfref {
 namespace testing {
@@ -52,13 +51,12 @@ struct FuzzOptions {
   int num_update_ops = 4;    ///< ops per insert/delete consistency check
   int num_snapshot_ops = 6;  ///< ops per snapshot-isolation check
   int num_cached_ops = 6;    ///< ops per view-cache equivalence check
-  ConcurrentSnapshotOptions concurrent;
-  ConcurrentCachedOptions concurrent_cached;
+  ChurnOptions concurrent;  ///< both threaded churn relations
 
   /// Corrupts a strategy's answer before the oracle compares — the
   /// mutation check: with a bug injected, the harness MUST catch and
   /// shrink it (see fuzz_driver --inject-bug).
-  Oracle::AnswerMutator mutate;
+  AnswerMutator mutate;
 
   /// Minimize the first failure and emit repro artifacts.
   bool shrink = true;

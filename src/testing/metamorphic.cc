@@ -1,31 +1,14 @@
 #include "testing/metamorphic.h"
 
 #include <algorithm>
-#include <memory>
-#include <sstream>
+#include <set>
 #include <string>
 #include <utility>
 
 #include "federation/federation.h"
-#include "rdf/vocab.h"
 
 namespace rdfref {
 namespace testing {
-
-namespace {
-
-namespace vocab = rdf::vocab;
-
-std::string Diagnose(const query::Cq& q, const rdf::Dictionary& dict,
-                     const std::set<DecodedRow>& expected,
-                     const std::set<DecodedRow>& got) {
-  std::ostringstream os;
-  os << "expected " << RowSetPreview(expected) << "; got "
-     << RowSetPreview(got) << "\nquery: " << q.ToString(dict);
-  return os.str();
-}
-
-}  // namespace
 
 Divergence CheckThreadInvariance(const Scenario& sc,
                                  const query::Cq& scenario_q,
@@ -36,24 +19,18 @@ Divergence CheckThreadInvariance(const Scenario& sc,
   const api::Strategy strategies[] = {api::Strategy::kRefUcq,
                                       api::Strategy::kRefGcov};
   for (api::Strategy s : strategies) {
-    bool first = true;
     std::set<DecodedRow> reference;
-    for (int threads : thread_settings) {
+    for (size_t i = 0; i < thread_settings.size(); ++i) {
       api::AnswerOptions options;
-      options.threads = threads;
+      options.threads = thread_settings[i];
       auto got = answerer.Answer(q, s, nullptr, options);
-      std::ostringstream name;
-      name << "metamorphic:threads=" << threads << ":"
-           << api::StrategyName(s);
-      if (!got.ok()) return Divergence::Of(name.str(), got.status().ToString());
-      std::set<DecodedRow> rows = DecodeRows(*got, answerer.dict());
-      if (first) {
-        reference = std::move(rows);
-        first = false;
-      } else if (rows != reference) {
-        return Divergence::Of(
-            name.str(), Diagnose(q, answerer.dict(), reference, rows));
-      }
+      const std::string name = "metamorphic:threads=" +
+                               std::to_string(thread_settings[i]) + ":" +
+                               api::StrategyName(s);
+      Divergence d =
+          i == 0 ? DecodeAnswer(name, got, answerer.dict(), &reference)
+                 : CompareAnswer(name, got, answerer.dict(), q, reference);
+      if (d.found) return d;
     }
   }
   return Divergence::None();
@@ -64,31 +41,25 @@ Divergence CheckDeadlineInvariance(const Scenario& sc,
   api::QueryAnswerer answerer(sc.graph.Clone());
   const query::Cq q =
       TranslateQuery(scenario_q, sc.graph.dict(), &answerer.dict());
-  auto baseline = answerer.Answer(q, api::Strategy::kRefUcq);
-  if (!baseline.ok()) {
-    return Divergence::Of("metamorphic:deadline",
-                          baseline.status().ToString());
-  }
-  const std::set<DecodedRow> expected =
-      DecodeRows(*baseline, answerer.dict());
+  std::set<DecodedRow> expected;
+  Divergence d =
+      DecodeAnswer("metamorphic:deadline",
+                   answerer.Answer(q, api::Strategy::kRefUcq),
+                   answerer.dict(), &expected);
+  if (d.found) return d;
 
   // An explicit infinite deadline and a generous finite one both take the
   // deadline-polling code paths; neither may change the answer.
   const Deadline deadlines[] = {Deadline::Infinite(),
                                 Deadline::AfterMillis(1e8)};
-  for (const Deadline& d : deadlines) {
+  for (const Deadline& deadline : deadlines) {
     api::AnswerOptions options;
-    options.deadline = d;
-    auto got = answerer.Answer(q, api::Strategy::kRefUcq, nullptr, options);
-    if (!got.ok()) {
-      return Divergence::Of("metamorphic:deadline",
-                            got.status().ToString());
-    }
-    std::set<DecodedRow> rows = DecodeRows(*got, answerer.dict());
-    if (rows != expected) {
-      return Divergence::Of("metamorphic:deadline",
-                            Diagnose(q, answerer.dict(), expected, rows));
-    }
+    options.deadline = deadline;
+    d = CompareAnswer(
+        "metamorphic:deadline",
+        answerer.Answer(q, api::Strategy::kRefUcq, nullptr, options),
+        answerer.dict(), q, expected);
+    if (d.found) return d;
   }
   return Divergence::None();
 }
@@ -100,13 +71,12 @@ Divergence CheckFederationPartition(const Scenario& sc, const query::Cq& q,
   // so the two id spaces never meet).
   api::QueryAnswerer central(sc.graph.Clone());
   query::Cq central_q = TranslateQuery(q, sc.graph.dict(), &central.dict());
-  auto expected_table = central.Answer(central_q, api::Strategy::kSaturation);
-  if (!expected_table.ok()) {
-    return Divergence::Of("metamorphic:federation",
-                          expected_table.status().ToString());
-  }
-  const std::set<DecodedRow> expected =
-      DecodeRows(*expected_table, central.dict());
+  std::set<DecodedRow> expected;
+  Divergence d = DecodeAnswer(
+      "metamorphic:federation",
+      central.Answer(central_q, api::Strategy::kSaturation), central.dict(),
+      &expected);
+  if (d.found) return d;
 
   // Random partition of schema AND data triples: cross-endpoint
   // consequences (fact on one endpoint, constraint on another) are the
@@ -127,17 +97,8 @@ Divergence CheckFederationPartition(const Scenario& sc, const query::Cq& q,
     fed.AddEndpoint("ep" + std::to_string(i), parts[i]);
   }
   query::Cq fed_q = TranslateQuery(q, sc.graph.dict(), &fed.dict());
-  auto got = fed.Answer(fed_q);
-  if (!got.ok()) {
-    return Divergence::Of("metamorphic:federation",
-                          got.status().ToString());
-  }
-  std::set<DecodedRow> rows = DecodeRows(*got, fed.dict());
-  if (rows != expected) {
-    return Divergence::Of("metamorphic:federation",
-                          Diagnose(q, sc.graph.dict(), expected, rows));
-  }
-  return Divergence::None();
+  return CompareAnswer("metamorphic:federation", fed.Answer(fed_q),
+                       fed.dict(), fed_q, expected);
 }
 
 Divergence CheckInsertionMonotonicity(const Scenario& sc,
@@ -146,56 +107,33 @@ Divergence CheckInsertionMonotonicity(const Scenario& sc,
   api::QueryAnswerer answerer(sc.graph.Clone());
   const query::Cq q =
       TranslateQuery(scenario_q, sc.graph.dict(), &answerer.dict());
-  auto before = answerer.Answer(q, api::Strategy::kSaturation);
-  if (!before.ok()) {
-    return Divergence::Of("metamorphic:monotonicity",
-                          before.status().ToString());
-  }
-  std::set<DecodedRow> previous = DecodeRows(*before, answerer.dict());
+  std::set<DecodedRow> previous;
+  Divergence d = DecodeAnswer("metamorphic:monotonicity",
+                              answerer.Answer(q, api::Strategy::kSaturation),
+                              answerer.dict(), &previous);
+  if (d.found) return d;
 
   for (int i = 0; i < num_inserts; ++i) {
-    // A fresh instance fact over the scenario's vocabulary.
-    rdf::TermId s = sc.subjects[rng->Uniform(sc.subjects.size())];
-    rdf::Triple t =
-        rng->Chance(0.3)
-            ? rdf::Triple(s, vocab::kTypeId,
-                          sc.classes[rng->Uniform(sc.classes.size())])
-            : rdf::Triple(s, sc.properties[rng->Uniform(sc.properties.size())],
-                          sc.subjects[rng->Uniform(sc.subjects.size())]);
-    Status st = answerer.InsertTriple(
-        TranslateTriple(t, sc.graph.dict(), &answerer.dict()));
+    Status st = answerer.InsertTriple(TranslateTriple(
+        GenerateFact(sc, rng), sc.graph.dict(), &answerer.dict()));
     if (!st.ok()) {
       return Divergence::Of("metamorphic:monotonicity",
                             "insert failed: " + st.ToString());
     }
 
-    auto sat = answerer.Answer(q, api::Strategy::kSaturation);
-    if (!sat.ok()) {
-      return Divergence::Of("metamorphic:monotonicity",
-                            sat.status().ToString());
-    }
-    std::set<DecodedRow> now = DecodeRows(*sat, answerer.dict());
-    if (!std::includes(now.begin(), now.end(), previous.begin(),
-                       previous.end())) {
-      return Divergence::Of(
-          "metamorphic:monotonicity",
-          "insertion lost answers: " +
-              Diagnose(q, answerer.dict(), previous, now));
-    }
-    // The complete strategies keep agreeing on the grown graph.
+    // Insertion loses no answer...
+    std::set<DecodedRow> now;
+    d = CompareAnswer("metamorphic:monotonicity",
+                      answerer.Answer(q, api::Strategy::kSaturation),
+                      answerer.dict(), q, previous, Expect::kSuperset, &now);
+    if (d.found) return d;
+    // ...and the complete strategies keep agreeing on the grown graph.
     for (api::Strategy s2 :
          {api::Strategy::kRefUcq, api::Strategy::kDatalog}) {
-      auto got = answerer.Answer(q, s2);
-      if (!got.ok()) {
-        return Divergence::Of("metamorphic:monotonicity",
-                              got.status().ToString());
-      }
-      std::set<DecodedRow> rows = DecodeRows(*got, answerer.dict());
-      if (rows != now) {
-        return Divergence::Of(
-            std::string("metamorphic:monotonicity:") + api::StrategyName(s2),
-            Diagnose(q, answerer.dict(), now, rows));
-      }
+      d = CompareAnswer(
+          std::string("metamorphic:monotonicity:") + api::StrategyName(s2),
+          answerer.Answer(q, s2), answerer.dict(), q, now);
+      if (d.found) return d;
     }
     previous = std::move(now);
   }
@@ -229,14 +167,7 @@ Divergence CheckUpdateConsistency(const Scenario& sc,
                               "remove failed: " + st.ToString());
       }
     } else {
-      rdf::TermId s = sc.subjects[rng->Uniform(sc.subjects.size())];
-      rdf::Triple t =
-          rng->Chance(0.3)
-              ? rdf::Triple(s, vocab::kTypeId,
-                            sc.classes[rng->Uniform(sc.classes.size())])
-              : rdf::Triple(
-                    s, sc.properties[rng->Uniform(sc.properties.size())],
-                    sc.subjects[rng->Uniform(sc.subjects.size())]);
+      const rdf::Triple t = GenerateFact(sc, rng);
       if (std::find(facts.begin(), facts.end(), t) == facts.end()) {
         facts.push_back(t);
       }
@@ -255,25 +186,19 @@ Divergence CheckUpdateConsistency(const Scenario& sc,
     api::QueryAnswerer fresh(current.graph.Clone());
     query::Cq fresh_q =
         TranslateQuery(scenario_q, sc.graph.dict(), &fresh.dict());
-    auto expected_table = fresh.Answer(fresh_q, api::Strategy::kSaturation);
-    if (!expected_table.ok()) {
-      return Divergence::Of("metamorphic:updates",
-                            expected_table.status().ToString());
-    }
-    std::set<DecodedRow> expected =
-        DecodeRows(*expected_table, fresh.dict());
+    std::set<DecodedRow> expected;
+    Divergence d = DecodeAnswer(
+        "metamorphic:updates",
+        fresh.Answer(fresh_q, api::Strategy::kSaturation), fresh.dict(),
+        &expected);
+    if (d.found) return d;
 
     for (api::Strategy s : {api::Strategy::kSaturation,
                             api::Strategy::kRefUcq, api::Strategy::kDatalog}) {
-      auto got = answerer.Answer(q, s);
-      std::string name = std::string("metamorphic:updates:op") +
-                         std::to_string(op) + ":" + api::StrategyName(s);
-      if (!got.ok()) return Divergence::Of(name, got.status().ToString());
-      std::set<DecodedRow> rows = DecodeRows(*got, answerer.dict());
-      if (rows != expected) {
-        return Divergence::Of(name,
-                              Diagnose(q, answerer.dict(), expected, rows));
-      }
+      d = CompareAnswer(std::string("metamorphic:updates:op") +
+                            std::to_string(op) + ":" + api::StrategyName(s),
+                        answerer.Answer(q, s), answerer.dict(), q, expected);
+      if (d.found) return d;
     }
   }
   return Divergence::None();

@@ -20,24 +20,6 @@ std::set<DecodedRow> DecodeRows(const engine::Table& table,
   return out;
 }
 
-std::string RowSetPreview(const std::set<DecodedRow>& rows, size_t max_rows) {
-  std::ostringstream os;
-  os << rows.size() << " row(s)";
-  size_t shown = 0;
-  for (const DecodedRow& row : rows) {
-    if (shown++ >= max_rows) {
-      os << " ...";
-      break;
-    }
-    os << (shown == 1 ? ": " : " | ");
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i) os << " ";
-      os << row[i].ToString();
-    }
-  }
-  return os.str();
-}
-
 query::Cq TranslateQuery(const query::Cq& q, const rdf::Dictionary& from,
                          rdf::Dictionary* to) {
   query::Cq out;
@@ -63,30 +45,70 @@ rdf::Triple TranslateTriple(const rdf::Triple& t, const rdf::Dictionary& from,
 
 namespace {
 
-/// One-line diff of two decoded row sets (what's missing / spurious).
-std::string DiffRowSets(const std::set<DecodedRow>& expected,
-                        const std::set<DecodedRow>& got) {
+/// Renders a small sample of a decoded row set for diagnostics.
+std::string RowSetPreview(const std::set<DecodedRow>& rows) {
+  constexpr size_t kMaxRows = 4;
   std::ostringstream os;
-  size_t missing = 0, spurious = 0;
-  for (const DecodedRow& r : expected) missing += got.count(r) == 0;
-  for (const DecodedRow& r : got) spurious += expected.count(r) == 0;
-  os << "expected " << RowSetPreview(expected) << "; got "
-     << RowSetPreview(got) << " (" << missing << " missing, " << spurious
-     << " spurious)";
+  os << rows.size() << " row(s)";
+  size_t shown = 0;
+  for (const DecodedRow& row : rows) {
+    if (shown++ >= kMaxRows) {
+      os << " ...";
+      break;
+    }
+    os << (shown == 1 ? ": " : " | ");
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (i) os << " ";
+      os << row[i].ToString();
+    }
+  }
   return os.str();
 }
 
 }  // namespace
 
-Oracle::Oracle(const Scenario& sc, Options options)
-    : options_(std::move(options)),
+Divergence DecodeAnswer(const std::string& relation,
+                        const Result<engine::Table>& answer,
+                        const rdf::Dictionary& dict,
+                        std::set<DecodedRow>* rows) {
+  if (!answer.ok()) return Divergence::Of(relation, answer.status().ToString());
+  *rows = DecodeRows(*answer, dict);
+  return Divergence::None();
+}
+
+Divergence CompareAnswer(const std::string& relation,
+                         const Result<engine::Table>& answer,
+                         const rdf::Dictionary& dict, const query::Cq& q,
+                         const std::set<DecodedRow>& expected, Expect expect,
+                         std::set<DecodedRow>* rows) {
+  std::set<DecodedRow> got;
+  Divergence d = DecodeAnswer(relation, answer, dict, &got);
+  if (d.found) return d;
+  size_t missing = 0, spurious = 0;
+  for (const DecodedRow& r : expected) missing += got.count(r) == 0;
+  for (const DecodedRow& r : got) spurious += expected.count(r) == 0;
+  const bool ok = (expect == Expect::kSubset || missing == 0) &&
+                  (expect == Expect::kSuperset || spurious == 0);
+  if (!ok) {
+    std::ostringstream os;
+    os << "expected " << RowSetPreview(expected) << "; got "
+       << RowSetPreview(got) << " (" << missing << " missing, " << spurious
+       << " spurious)\nquery: " << q.ToString(dict);
+    return Divergence::Of(relation, os.str());
+  }
+  if (rows != nullptr) *rows = std::move(got);
+  return Divergence::None();
+}
+
+Oracle::Oracle(const Scenario& sc, AnswerMutator mutate)
+    : mutate_(std::move(mutate)),
       scenario_dict_(&sc.graph.dict()),
       answerer_(std::make_unique<api::QueryAnswerer>(sc.graph.Clone())) {}
 
 Result<engine::Table> Oracle::Answer(const query::Cq& q, api::Strategy s,
                                      const api::AnswerOptions& options) {
   auto table = answerer_->Answer(q, s, nullptr, options);
-  if (table.ok() && options_.mutate) options_.mutate(s, &*table);
+  if (table.ok() && mutate_) mutate_(s, &*table);
   return table;
 }
 
@@ -94,60 +116,30 @@ Divergence Oracle::Check(const query::Cq& scenario_q) {
   const query::Cq q =
       TranslateQuery(scenario_q, *scenario_dict_, &answerer_->dict());
   const rdf::Dictionary& dict = answerer_->dict();
-  auto sat = Answer(q, api::Strategy::kSaturation);
-  if (!sat.ok()) {
-    return Divergence::Of("oracle:SAT",
-                          "ground truth failed: " + sat.status().ToString());
-  }
-  const std::set<DecodedRow> expected = DecodeRows(*sat, dict);
+  std::set<DecodedRow> expected;
+  Divergence d = DecodeAnswer(
+      "oracle:SAT", Answer(q, api::Strategy::kSaturation), dict, &expected);
+  if (d.found) return d;
 
   const api::Strategy strategies[] = {
       api::Strategy::kRefUcq, api::Strategy::kRefScq, api::Strategy::kRefGcov,
       api::Strategy::kDatalog};
   for (api::Strategy s : strategies) {
-    auto got = Answer(q, s);
-    const std::string name = std::string("oracle:") + api::StrategyName(s);
-    if (!got.ok()) return Divergence::Of(name, got.status().ToString());
-    std::set<DecodedRow> rows = DecodeRows(*got, dict);
-    if (rows != expected) {
-      return Divergence::Of(name, DiffRowSets(expected, rows) +
-                                      "\nquery: " + q.ToString(dict));
-    }
+    d = CompareAnswer(std::string("oracle:") + api::StrategyName(s),
+                      Answer(q, s), dict, q, expected);
+    if (d.found) return d;
   }
 
-  if (options_.check_minimized) {
-    api::AnswerOptions minimized;
-    minimized.reform.minimize = true;
-    auto pruned = Answer(q, api::Strategy::kRefUcq, minimized);
-    if (!pruned.ok()) {
-      return Divergence::Of("oracle:REF-UCQ-minimized",
-                            pruned.status().ToString());
-    }
-    std::set<DecodedRow> rows = DecodeRows(*pruned, dict);
-    if (rows != expected) {
-      return Divergence::Of("oracle:REF-UCQ-minimized",
-                            DiffRowSets(expected, rows) +
-                                "\nquery: " + q.ToString(dict));
-    }
-  }
+  api::AnswerOptions minimized;
+  minimized.reform.minimize = true;
+  d = CompareAnswer("oracle:REF-UCQ-minimized",
+                    Answer(q, api::Strategy::kRefUcq, minimized), dict, q,
+                    expected);
+  if (d.found) return d;
 
-  if (options_.check_incomplete_subset) {
-    auto incomplete = Answer(q, api::Strategy::kRefIncomplete);
-    if (!incomplete.ok()) {
-      return Divergence::Of("oracle:REF-INCOMPLETE",
-                            incomplete.status().ToString());
-    }
-    for (const DecodedRow& row : DecodeRows(*incomplete, dict)) {
-      if (!expected.count(row)) {
-        std::set<DecodedRow> one = {row};
-        return Divergence::Of(
-            "oracle:REF-INCOMPLETE",
-            "incomplete Ref produced a spurious answer " +
-                RowSetPreview(one) + "\nquery: " + q.ToString(dict));
-      }
-    }
-  }
-  return Divergence::None();
+  return CompareAnswer("oracle:REF-INCOMPLETE",
+                       Answer(q, api::Strategy::kRefIncomplete), dict, q,
+                       expected, Expect::kSubset);
 }
 
 }  // namespace testing

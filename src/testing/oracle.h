@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "api/query_answering.h"
+#include "common/result.h"
 #include "engine/table.h"
 #include "query/cq.h"
 #include "rdf/dictionary.h"
@@ -56,9 +57,35 @@ query::Cq TranslateQuery(const query::Cq& q, const rdf::Dictionary& from,
 rdf::Triple TranslateTriple(const rdf::Triple& t, const rdf::Dictionary& from,
                             rdf::Dictionary* to);
 
-/// \brief Renders a small sample of a decoded row set for diagnostics.
-std::string RowSetPreview(const std::set<DecodedRow>& rows,
-                          size_t max_rows = 4);
+/// \brief How a decoded answer must relate to the expected row set.
+enum class Expect {
+  kEqual,     ///< exactly the expected rows (complete strategies)
+  kSubset,    ///< no spurious row (incomplete Ref)
+  kSuperset,  ///< no missing row (insertion monotonicity)
+};
+
+/// \brief Decodes a successful answer against `dict` into `rows`; a failed
+/// one is a divergence named `relation` that carries its status.
+Divergence DecodeAnswer(const std::string& relation,
+                        const Result<engine::Table>& answer,
+                        const rdf::Dictionary& dict,
+                        std::set<DecodedRow>* rows);
+
+/// \brief The answer-set comparison every decoded relation shares:
+/// `answer` must succeed, and its rows, decoded against `dict`, must relate
+/// to `expected` as `expect` says. A mismatch reports both row sets, the
+/// missing and spurious counts, and `q` rendered against `dict`. `rows`,
+/// when non-null, receives the decoded answer.
+Divergence CompareAnswer(const std::string& relation,
+                         const Result<engine::Table>& answer,
+                         const rdf::Dictionary& dict, const query::Cq& q,
+                         const std::set<DecodedRow>& expected,
+                         Expect expect = Expect::kEqual,
+                         std::set<DecodedRow>* rows = nullptr);
+
+/// \brief Hook that corrupts a strategy's answer before comparison (see
+/// Oracle).
+using AnswerMutator = std::function<void(api::Strategy, engine::Table*)>;
 
 /// \brief The differential oracle protocol over one scenario:
 ///
@@ -70,27 +97,12 @@ std::string RowSetPreview(const std::set<DecodedRow>& rows,
 /// The mutate hook corrupts a chosen strategy's answer before comparison;
 /// it exists so the harness can verify *itself* (an injected evaluator bug
 /// must be caught and shrunk — the mutation check of the fuzz driver).
-/// \brief Hook that corrupts a strategy's answer before comparison (see
-/// Oracle). Namespace-scope so it can default-initialize in signatures.
-using AnswerMutator = std::function<void(api::Strategy, engine::Table*)>;
-
-/// \brief Oracle knobs (namespace-scope so `= {}` defaults work inside the
-/// class definition).
-struct OracleOptions {
-  bool check_minimized = true;
-  bool check_incomplete_subset = true;
-  AnswerMutator mutate;
-};
-
 class Oracle {
  public:
-  using AnswerMutator = testing::AnswerMutator;
-  using Options = OracleOptions;
-
   /// \brief Builds a private QueryAnswerer over a clone of the scenario's
   /// graph (the scenario stays reusable and must outlive the oracle: its
   /// dictionary is the id space Check's queries arrive in).
-  explicit Oracle(const Scenario& sc, Options options = {});
+  explicit Oracle(const Scenario& sc, AnswerMutator mutate = {});
 
   /// \brief Runs the full protocol for one query (given in scenario ids;
   /// translated into the answerer's encoded id space at the boundary).
@@ -102,7 +114,7 @@ class Oracle {
   Result<engine::Table> Answer(const query::Cq& q, api::Strategy s,
                                const api::AnswerOptions& options = {});
 
-  Options options_;
+  AnswerMutator mutate_;
   const rdf::Dictionary* scenario_dict_;
   std::unique_ptr<api::QueryAnswerer> answerer_;
 };

@@ -188,7 +188,9 @@ query::Cq GenerateQuery(const Scenario& sc, Rng* rng,
   Cq q;
   std::vector<VarId> pool;
   for (int i = 0; i < options.var_pool; ++i) {
-    pool.push_back(q.AddVar("v" + std::to_string(i)));
+    std::string name = "v";
+    name += std::to_string(i);
+    pool.push_back(q.AddVar(std::move(name)));
   }
   auto var = [&]() { return QTerm::Var(pool[rng->Uniform(pool.size())]); };
   const int atoms = static_cast<int>(
@@ -233,6 +235,19 @@ query::Cq GenerateQuery(const Scenario& sc, Rng* rng,
     return fallback;
   }
   return q;
+}
+
+rdf::Triple GenerateFact(const Scenario& sc, Rng* rng) {
+  const rdf::TermId s = sc.subjects[rng->Uniform(sc.subjects.size())];
+  if (rng->Chance(0.3)) {
+    return rdf::Triple(s, vocab::kTypeId,
+                       sc.classes[rng->Uniform(sc.classes.size())]);
+  }
+  // Object before property: the order GCC gave the two unsequenced draws
+  // when they were arguments of one call, kept so recorded seeds replay.
+  const rdf::TermId o = sc.subjects[rng->Uniform(sc.subjects.size())];
+  const rdf::TermId p = sc.properties[rng->Uniform(sc.properties.size())];
+  return rdf::Triple(s, p, o);
 }
 
 query::Ucq GenerateUcq(const Scenario& sc, Rng* rng, int max_extra_members,

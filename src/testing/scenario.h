@@ -99,6 +99,14 @@ struct QueryOptions {
 query::Cq GenerateQuery(const Scenario& sc, Rng* rng,
                         const QueryOptions& options = {});
 
+/// \brief Draws a fresh instance fact over the scenario's vocabulary: a
+/// random subject, then with probability 0.3 an rdf:type assertion of a
+/// random class, otherwise a property assertion whose object and property
+/// are drawn in that order. Every update relation draws its inserts here,
+/// in a fixed sequence, so a seed replays the same facts under any
+/// compiler.
+rdf::Triple GenerateFact(const Scenario& sc, Rng* rng);
+
 /// \brief Draws a random UCQ: 1 + U(max_extra_members + 1) member CQs of
 /// equal head arity (AnswerUnion requires it).
 query::Ucq GenerateUcq(const Scenario& sc, Rng* rng, int max_extra_members,

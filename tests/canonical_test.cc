@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "query/cq.h"
@@ -35,7 +36,9 @@ Cq RenameVars(const Cq& q) {
   Cq out;
   std::vector<VarId> map(q.num_vars());
   for (size_t v = q.num_vars(); v-- > 0;) {
-    map[v] = out.AddVar("r" + std::to_string(v));
+    std::string name = "r";
+    name += std::to_string(v);
+    map[v] = out.AddVar(std::move(name));
   }
   auto remap = [&map](const QTerm& t) {
     return t.is_var ? QTerm::Var(map[t.var()]) : t;

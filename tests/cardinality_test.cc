@@ -22,9 +22,9 @@ class CardinalityTest : public ::testing::Test {
     person_ = U("Person");
     // 10 subjects each knowing 2 of 5 objects; 6 typed persons.
     for (int i = 0; i < 10; ++i) {
-      rdf::TermId s = U("s" + std::to_string(i));
-      graph_.Add(s, knows_, U("o" + std::to_string(i % 5)));
-      graph_.Add(s, knows_, U("o" + std::to_string((i + 1) % 5)));
+      rdf::TermId s = U("s", i);
+      graph_.Add(s, knows_, U("o", i % 5));
+      graph_.Add(s, knows_, U("o", (i + 1) % 5));
       if (i < 6) graph_.Add(s, rdf::vocab::kTypeId, person_);
     }
     store_ = std::make_unique<storage::Store>(graph_);
@@ -32,6 +32,12 @@ class CardinalityTest : public ::testing::Test {
 
   rdf::TermId U(const std::string& name) {
     return graph_.dict().InternUri("http://ex/" + name);
+  }
+  // `prefix` then i, appended in place: GCC 12 at -O3 misreports
+  // "s" + std::to_string(i) under -Wrestrict (GCC bug 105329).
+  rdf::TermId U(std::string prefix, int i) {
+    prefix += std::to_string(i);
+    return U(prefix);
   }
 
   rdf::Graph graph_;

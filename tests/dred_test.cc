@@ -23,6 +23,12 @@ class DredTest : public ::testing::Test {
   rdf::TermId U(const std::string& name) {
     return graph_.dict().InternUri("http://ex/" + name);
   }
+  // `prefix` then i, appended in place: GCC 12 at -O3 misreports
+  // "s" + std::to_string(i) under -Wrestrict (GCC bug 105329).
+  rdf::TermId U(std::string prefix, int i) {
+    prefix += std::to_string(i);
+    return U(prefix);
+  }
 
   // Saturates graph_, remembering the explicit set.
   void Saturate() {
@@ -148,9 +154,9 @@ TEST_F(DredTest, RandomizedDeleteMatchesResaturation) {
   // must equal the from-scratch saturation.
   Rng rng(1234);
   std::vector<rdf::TermId> classes, props, subjects;
-  for (int i = 0; i < 5; ++i) classes.push_back(U("C" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) props.push_back(U("p" + std::to_string(i)));
-  for (int i = 0; i < 8; ++i) subjects.push_back(U("s" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) classes.push_back(U("C", i));
+  for (int i = 0; i < 4; ++i) props.push_back(U("p", i));
+  for (int i = 0; i < 8; ++i) subjects.push_back(U("s", i));
   for (int i = 0; i < 4; ++i) {
     graph_.Add(classes[rng.Uniform(5)], vocab::kSubClassOfId,
                classes[rng.Uniform(5)]);
@@ -186,9 +192,9 @@ TEST_F(DredTest, RandomizedInsertMatchesResaturation) {
   // graph equals saturating everything from scratch.
   Rng rng(777);
   std::vector<rdf::TermId> classes, props, subjects;
-  for (int i = 0; i < 5; ++i) classes.push_back(U("C" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) props.push_back(U("p" + std::to_string(i)));
-  for (int i = 0; i < 8; ++i) subjects.push_back(U("s" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) classes.push_back(U("C", i));
+  for (int i = 0; i < 4; ++i) props.push_back(U("p", i));
+  for (int i = 0; i < 8; ++i) subjects.push_back(U("s", i));
   graph_.Add(classes[0], vocab::kSubClassOfId, classes[1]);
   graph_.Add(classes[1], vocab::kSubClassOfId, classes[2]);
   graph_.Add(props[0], vocab::kSubPropertyOfId, props[1]);

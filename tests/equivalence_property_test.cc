@@ -21,10 +21,10 @@
 #include "datagen/sp2b.h"
 #include "query/cq.h"
 #include "rdf/vocab.h"
+#include "testing/churn.h"
 #include "testing/oracle.h"
 #include "testing/reference_eval.h"
 #include "testing/scenario.h"
-#include "testing/view_oracle.h"
 
 namespace rdfref {
 namespace {

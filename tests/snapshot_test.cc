@@ -1,8 +1,8 @@
 // Epoch-based snapshot isolation (DESIGN.md §11): VersionSet epoch
 // semantics, pinned-snapshot immutability across Freeze/Compact, the
 // per-generation zero-copy fast path, background compaction, a
-// K-reader/1-writer stress test (run under TSan in CI), and the facade's
-// AnswerOptions::snapshot pinning.
+// K-reader/1-writer stress test and the threaded snapshot relation (both
+// run under TSan in CI), and the facade's AnswerOptions::snapshot pinning.
 
 #include "storage/version_set.h"
 
@@ -25,6 +25,7 @@
 #include "query/sparql_parser.h"
 #include "rdf/vocab.h"
 #include "storage/store.h"
+#include "testing/churn.h"
 
 namespace rdfref {
 namespace storage {
@@ -679,4 +680,29 @@ TEST_F(SnapshotApiTest, MaintenanceThroughFacadeKeepsAllStrategiesAgreeing) {
 
 }  // namespace
 }  // namespace api
+
+// ---------------------------------------------------------------------------
+// The threaded snapshot relation (run under TSan in CI): readers pinning
+// epochs race a churning writer + background compaction.
+// ---------------------------------------------------------------------------
+
+namespace testing_stress {
+namespace {
+
+TEST(SnapshotConcurrencyTest, ReadersRaceWriterBitIdentical) {
+  for (uint64_t seed : {3ull, 11ull}) {
+    testing::Scenario sc = testing::GenerateScenario(seed, {});
+    Rng rng(seed * 31 + 7);
+    query::Cq q = testing::GenerateQuery(sc, &rng, {});
+    testing::ChurnOptions options;
+    options.writer_ops = 64;  // modest under TSan
+    options.checks_per_reader = 4;
+    testing::Divergence d =
+        testing::CheckConcurrentSnapshots(sc, q, seed, options);
+    EXPECT_FALSE(d.found) << d.relation << ": " << d.detail;
+  }
+}
+
+}  // namespace
+}  // namespace testing_stress
 }  // namespace rdfref

@@ -154,10 +154,14 @@ TEST_F(StoreTest, HintedRangesMatchPlainRangesUnderAnyLookupOrder) {
   rdf::TermId other = uri("q");
   std::vector<rdf::TermId> subjects;
   for (int i = 0; i < 64; ++i) {
-    rdf::TermId s = uri("s" + std::to_string(i));
+    std::string subject = "s";
+    subject += std::to_string(i);
+    rdf::TermId s = uri(subject);
     subjects.push_back(s);
     for (int j = 0; j < 1 + i % 3; ++j) {
-      g.Add(s, prop, uri("o" + std::to_string(j)));
+      std::string object = "o";
+      object += std::to_string(j);
+      g.Add(s, prop, uri(object));
     }
     if (i % 2 == 0) g.Add(s, other, uri("x"));
   }

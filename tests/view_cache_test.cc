@@ -22,8 +22,8 @@
 #include "rdf/dictionary.h"
 #include "rdf/triple.h"
 #include "storage/triple_source.h"
+#include "testing/churn.h"
 #include "testing/scenario.h"
-#include "testing/view_oracle.h"
 
 namespace rdfref {
 namespace engine {
@@ -482,7 +482,7 @@ TEST(ViewCacheConcurrencyTest, ReadersRaceWriterBitIdentical) {
     testing::Scenario sc = testing::GenerateScenario(seed, {});
     Rng rng(seed * 31 + 7);
     query::Cq q = testing::GenerateQuery(sc, &rng, {});
-    testing::ConcurrentCachedOptions options;
+    testing::ChurnOptions options;
     options.writer_ops = 64;       // modest under TSan
     options.checks_per_reader = 4;
     testing::Divergence d = testing::CheckConcurrentCached(sc, q, seed, options);

@@ -3,7 +3,10 @@
 // QueryAnswerer and emits an "rdfref-workload/1" JSON document.
 //
 //   workload_driver --scale 0.5 --clients 1,4,16 --strategies REF-UCQ,REF-JUCQ
-//       --duration-ms 500 --writer-sweep --json BENCH_PR8_macro.json
+//       --duration-ms 500 --writer-sweep --json macro.json
+//
+// CI's perf-smoke job runs a pinned sweep; speed claims cite the benchmark
+// of record, perfbench/run.py.
 //
 // --require-progress makes the process exit nonzero unless every
 // configuration completed queries without errors — the CI smoke contract.
