@@ -14,6 +14,7 @@
 #include "common/timer.h"
 #include "engine/scan_cache.h"
 #include "engine/view_cache.h"
+#include "query/canonical.h"
 #include "storage/store.h"
 
 namespace rdfref {
@@ -37,17 +38,108 @@ constexpr rdf::TermId kUnbound = rdf::kInvalidTermId;
   std::abort();
 }
 
+// What existential pruning lets one join depth skip (DESIGN.md §9). Bit k
+// of `keep` is set when position k (s, p, o) of the depth's atom binds a
+// variable that the head or a later depth reads. `prunes` is set when the
+// atom also binds a variable that nothing reads: two of its triples that
+// agree on `keep` then lead to the same emissions, and with `keep` empty
+// the depth stops after its first bind. `binds_head` marks a depth that
+// binds a head variable; after an emit, the join returns to the deepest
+// such depth.
+struct DepthPrune {
+  uint8_t keep = 0;
+  bool prunes = false;
+  bool binds_head = false;
+
+  friend bool operator==(const DepthPrune&, const DepthPrune&) = default;
+};
+
 // The join plan of one CQ: the greedy static order, plus each atom's
 // variables as a bitmask for the per-binding expansion choice
-// (ChooseAtDepth). Masks are 64 bits wide, so a CQ with more than 64 atoms
-// or variables keeps the static order at every depth; so does one with
-// fewer than three atoms, where no depth can have two expansions, and one
-// whose static order never departs (OrderAtoms).
+// (ChooseAtDepth) and for existential pruning. Masks are 64 bits wide, so
+// a CQ with more than 64 atoms or variables keeps the static order at
+// every depth and is not pruned; a CQ with fewer than three atoms, where
+// no depth can have two expansions, and one whose static order never
+// departs keep the static order too (OrderAtoms). Pruning applies when
+// the body has a variable the head lacks; a static plan then carries each
+// depth's decision, and a dynamic plan's frames derive theirs from the
+// masks.
 struct JoinPlan {
   std::vector<int> order;
-  std::vector<uint64_t> vars;
+  std::vector<uint64_t> vars;  // empty unless dynamic or existential
   bool dynamic = false;
+  bool existential = false;
+  uint64_t head_vars = 0;               // set iff existential
+  std::vector<DepthPrune> depth_prune;  // existential static plans only
 };
+
+// True when some variable of q's body is missing from its head. Allocates
+// nothing: a CQ without one pays no pruning work at all.
+bool HasExistential(const Cq& q) {
+  auto in_head = [&](const QTerm& t) {
+    return !t.is_var ||
+           std::any_of(q.head().begin(), q.head().end(),
+                       [&](const QTerm& h) { return h == t; });
+  };
+  return std::any_of(q.body().begin(), q.body().end(), [&](const Atom& a) {
+    return !in_head(a.s) || !in_head(a.p) || !in_head(a.o);
+  });
+}
+
+// The pruning decision for opening atom `a` when the atoms in `open` are
+// already open: a variable is bound by the first open atom that mentions
+// it, and read later when the head or an atom still to open mentions it.
+// It depends only on the open set and the atom, so a dynamic plan's frame
+// memoizes it like ChooseAtDepth's decision.
+DepthPrune PruneAt(const JoinPlan& plan, const Atom& atom, uint64_t open,
+                   int a) {
+  uint64_t bound = 0;
+  uint64_t read = plan.head_vars;
+  for (size_t b = 0; b < plan.vars.size(); ++b) {
+    if ((open >> b) & 1) {
+      bound |= plan.vars[b];
+    } else if (static_cast<int>(b) != a) {
+      read |= plan.vars[b];
+    }
+  }
+  DepthPrune p;
+  const QTerm* terms[3] = {&atom.s, &atom.p, &atom.o};
+  for (int k = 0; k < 3; ++k) {
+    if (!terms[k]->is_var) continue;
+    const uint64_t bit = uint64_t{1} << terms[k]->var();
+    if ((bound & bit) != 0) continue;
+    if ((read & bit) != 0) {
+      p.keep |= static_cast<uint8_t>(1 << k);
+    } else {
+      p.prunes = true;
+    }
+    p.binds_head = p.binds_head || (plan.head_vars & bit) != 0;
+  }
+  return p;
+}
+
+// True when triples a and b agree on every position in `keep`.
+bool SameOn(const rdf::Triple& a, const rdf::Triple& b, uint8_t keep) {
+  return ((keep & 1) == 0 || a.s == b.s) && ((keep & 2) == 0 || a.p == b.p) &&
+         ((keep & 4) == 0 || a.o == b.o);
+}
+
+// ExplainCq's mark for a depth that prunes: `(exists)` when it stops after
+// its first bind, else `(distinct s,o)` naming the positions it keeps.
+std::string PruneMark(const DepthPrune& p) {
+  if (!p.prunes) return "";
+  if (p.keep == 0) return " (exists)";
+  std::string mark = " (distinct";
+  char sep = ' ';
+  for (int k = 0; k < 3; ++k) {
+    if (((p.keep >> k) & 1) == 0) continue;
+    mark += sep;
+    mark += "spo"[k];
+    sep = ',';
+  }
+  mark += ')';
+  return mark;
+}
 
 // One depth's decision (see ChooseAtDepth).
 struct DepthChoice {
@@ -109,15 +201,17 @@ JoinPlan OrderAtoms(const ScanCache& cache, const Cq& q) {
   const std::vector<Atom>& body = q.body();
   const int n = static_cast<int>(body.size());
   JoinPlan plan;
-  plan.dynamic = n >= 3 && n <= 64 && q.num_vars() <= 64;
-  if (plan.dynamic) plan.vars.assign(n, 0);
+  const bool masks = n <= 64 && q.num_vars() <= 64;
+  plan.dynamic = masks && n >= 3;
+  plan.existential = masks && HasExistential(q);
+  if (plan.dynamic || plan.existential) plan.vars.assign(n, 0);
   std::vector<uint64_t> base(n);
   std::vector<std::vector<VarId>> atom_vars(n);
   for (int i = 0; i < n; ++i) {
     base[i] = cache.Count(AtomPattern(body[i]));
     const std::set<VarId> vars = Cq::AtomVars(body[i]);
     atom_vars[i].assign(vars.begin(), vars.end());
-    if (plan.dynamic) {
+    if (!plan.vars.empty()) {
       for (VarId v : vars) plan.vars[i] |= uint64_t{1} << v;
     }
   }
@@ -158,6 +252,19 @@ JoinPlan OrderAtoms(const ScanCache& cache, const Cq& q) {
       departs = ChooseAtDepth(plan, open).atom != order[d];
     }
     plan.dynamic = departs;
+  }
+  if (plan.existential) {
+    for (const QTerm& h : q.head()) {
+      if (h.is_var) plan.head_vars |= uint64_t{1} << h.var();
+    }
+    if (!plan.dynamic) {
+      plan.depth_prune.reserve(n);
+      uint64_t open = 0;
+      for (int a : order) {
+        plan.depth_prune.push_back(PruneAt(plan, body[a], open, a));
+        open |= uint64_t{1} << a;
+      }
+    }
   }
   return plan;
 }
@@ -218,6 +325,78 @@ std::string FragmentLabel(const Cq& q, const Cq& fragment) {
   return out.str();
 }
 
+// A necessary condition for two fragments to share their query
+// CanonicalKey() and union UcqPlanKey(), checked without building either:
+// unions of one size, and queries that are equal, slot by slot in head and
+// body, under a one-to-one renaming of their variables.
+bool MayRepeat(const Cq& a, const query::Ucq& a_ucq, const Cq& b,
+               const query::Ucq& b_ucq) {
+  if (a_ucq.size() != b_ucq.size() || a_ucq.empty() ||
+      a.head().size() != b.head().size() ||
+      a.body().size() != b.body().size()) {
+    return false;
+  }
+  // The renaming found so far, both ways; kNone where a variable has not
+  // occurred yet.
+  constexpr VarId kNone = std::numeric_limits<VarId>::max();
+  std::vector<VarId> to(a.num_vars(), kNone);
+  std::vector<VarId> from(b.num_vars(), kNone);
+  auto same = [&](const QTerm& x, const QTerm& y) {
+    if (x.is_var != y.is_var) return false;
+    if (!x.is_var) return x.id == y.id;
+    VarId& forward = to[x.var()];
+    VarId& backward = from[y.var()];
+    if (forward == kNone && backward == kNone) {
+      forward = y.var();
+      backward = x.var();
+    }
+    return forward == y.var() && backward == x.var();
+  };
+  for (size_t i = 0; i < a.head().size(); ++i) {
+    if (!same(a.head()[i], b.head()[i])) return false;
+  }
+  for (size_t i = 0; i < a.body().size(); ++i) {
+    const Atom& x = a.body()[i];
+    const Atom& y = b.body()[i];
+    if (!same(x.s, y.s) || !same(x.p, y.p) || !same(x.o, y.o) ||
+        x.range_pos != y.range_pos || x.range_hi != y.range_hi) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// For each cover fragment, the earlier fragment whose table it reuses, or
+// its own index: a fragment whose query CanonicalKey() and union
+// UcqPlanKey() equal an earlier one's evaluates to the same table up to
+// column labels (DESIGN.md §4). Keys are built only for fragments that
+// MayRepeat an earlier one.
+std::vector<size_t> FragmentSources(const std::vector<Cq>& queries,
+                                    const std::vector<query::Ucq>& ucqs) {
+  const size_t nf = ucqs.size();
+  std::vector<size_t> source(nf);
+  std::vector<std::string> keys;  // sized on the first candidate pair
+  auto key = [&](size_t i) -> const std::string& {
+    if (keys.empty()) keys.resize(nf);
+    if (keys[i].empty()) {
+      keys[i] = queries[i].CanonicalKey() + '|' + query::UcqPlanKey(ucqs[i]);
+    }
+    return keys[i];
+  };
+  for (size_t i = 0; i < nf; ++i) {
+    source[i] = i;
+    for (size_t j = 0; j < i; ++j) {
+      if (source[j] == j &&
+          MayRepeat(queries[i], ucqs[i], queries[j], ucqs[j]) &&
+          key(i) == key(j)) {
+        source[i] = j;
+        break;
+      }
+    }
+  }
+  return source;
+}
+
 // Indents every line of `text` (including a final line that lacks a
 // trailing newline) and newline-terminates the result, so a nested plan
 // never bleeds into the next line of the enclosing plan.
@@ -273,6 +452,15 @@ struct RDFREF_BORROWS_FROM(source, cursor) JoinFrame {
   storage::RangeHint hint;
   VarId newly[3];
   int num_new = 0;
+  // Existential pruning: this depth's decision (in a dynamic plan, the one
+  // memoized for the open set `prune_for` and atom `prune_atom`), the
+  // deepest depth up to this one that binds a head variable (-1: none),
+  // and the triple of `range` that last bound here (null: none yet).
+  DepthPrune prune;
+  uint64_t prune_for = ~uint64_t{0};
+  int prune_atom = -1;
+  int head_depth = -1;
+  const rdf::Triple* last = nullptr;
 };
 
 }  // namespace
@@ -304,14 +492,25 @@ std::string Evaluator::ExplainCq(const Cq& q) const {
   for (size_t depth = 0; depth < plan.order.size(); ++depth) {
     std::vector<int> atoms;
     bool compete = false;
+    // The depth's pruning, marked only when every open set reaching it
+    // prunes alike.
+    std::optional<DepthPrune> prune;
+    bool prune_varies = false;
     if (!plan.dynamic) {
       atoms.push_back(plan.order[depth]);
+      if (plan.existential) prune = plan.depth_prune[depth];
     } else {
       std::vector<uint64_t> next;
       uint64_t may_open = 0;
       for (uint64_t open : reach) {
         const DepthChoice c = ChooseAtDepth(plan, open);
         compete = compete || c.atom < 0;
+        if (plan.existential && c.atom >= 0) {
+          const DepthPrune p = PruneAt(
+              plan, q.body()[static_cast<size_t>(c.atom)], open, c.atom);
+          prune_varies = prune_varies || (prune.has_value() && *prune != p);
+          prune = p;
+        }
         const uint64_t opens =
             c.atom >= 0 ? uint64_t{1} << c.atom : c.candidates;
         may_open |= opens;
@@ -340,7 +539,8 @@ std::string Evaluator::ExplainCq(const Cq& q) const {
         AtomPattern(q.body()[static_cast<size_t>(atoms[0])]);
     out << "t" << atoms[0] << "  (~" << store_->CountPattern(pat)
         << " index matches unbound" << (pat.has_range() ? ", interval" : "")
-        << ")\n";
+        << ")" << (prune.has_value() && !prune_varies ? PruneMark(*prune) : "")
+        << "\n";
   }
   return out.str();
 }
@@ -349,13 +549,19 @@ std::string Evaluator::ExplainJucq(
     const Cq& q, const std::vector<Cq>& fragment_queries,
     const std::vector<query::Ucq>& fragment_ucqs) const {
   (void)q;
+  const std::vector<size_t> source =
+      FragmentSources(fragment_queries, fragment_ucqs);
   std::ostringstream out;
   out << "JUCQ plan: materialize " << fragment_queries.size()
       << " fragment(s), then hash-join smallest-connected-first:\n";
   for (size_t i = 0; i < fragment_queries.size(); ++i) {
     out << "  fragment " << i << ": UCQ of " << fragment_ucqs[i].size()
-        << " CQ(s), head arity " << fragment_queries[i].head().size()
-        << "\n";
+        << " CQ(s), head arity " << fragment_queries[i].head().size();
+    if (source[i] != i) {
+      out << ", same as fragment " << source[i] << "\n";
+      continue;
+    }
+    out << "\n";
     if (!fragment_ucqs[i].empty()) {
       out << "    first member plan:\n";
       out << IndentBlock(ExplainCq(fragment_ucqs[i].members()[0]), "    ");
@@ -390,9 +596,19 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
   const size_t head_arity = q.head().size();
   std::vector<JoinFrame> frames(num_atoms);
 
-  // A static plan's frames hold their atoms for the whole evaluation.
+  // A static plan's frames hold their atoms, and their pruning, for the
+  // whole evaluation.
+  const bool pruning = plan.existential;
   if (!plan.dynamic) {
-    for (size_t d = 0; d < num_atoms; ++d) frames[d].atom = plan.order[d];
+    int head_depth = -1;
+    for (size_t d = 0; d < num_atoms; ++d) {
+      JoinFrame& f = frames[d];
+      f.atom = plan.order[d];
+      if (!pruning) continue;
+      f.prune = plan.depth_prune[d];
+      if (f.prune.binds_head) head_depth = static_cast<int>(d);
+      f.head_depth = head_depth;
+    }
   }
 
   // A dynamic plan picks frame f's atom when it opens: ChooseAtDepth's
@@ -436,6 +652,17 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
       const int chosen = choose_atom(f);
       if (chosen != f.atom) f.hint = storage::RangeHint();
       f.atom = chosen;
+      if (pruning) {
+        if (f.prune_for != f.open || f.prune_atom != chosen) {
+          f.prune = PruneAt(plan, body[static_cast<size_t>(chosen)], f.open,
+                            chosen);
+          f.prune_for = f.open;
+          f.prune_atom = chosen;
+        }
+        f.head_depth = f.prune.binds_head ? static_cast<int>(d)
+                       : d == 0           ? -1
+                                          : frames[d - 1].head_depth;
+      }
     }
     const Atom& atom = body[static_cast<size_t>(f.atom)];
     const storage::Pattern pat = AtomPattern(atom, &bindings);
@@ -450,6 +677,7 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
                       atom.p.var() == atom.o.var() && pat.p == storage::kAny;
     f.pos = 0;
     f.num_new = 0;
+    f.last = nullptr;
     f.range = d == 0 && !residual.any()
                   ? cache->Leaf(pat)
                   : f.cursor.Reset(*store_, pat, residual, &f.hint);
@@ -479,16 +707,31 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
     return bind(atom.s, t.s) && bind(atom.p, t.p) && bind(atom.o, t.o);
   };
 
+  auto unbind = [&](JoinFrame& f) {
+    for (int k = 0; k < f.num_new; ++k) bindings[f.newly[k]] = kUnbound;
+    f.num_new = 0;
+  };
+
   // Iterative index nested-loop join. Each loop iteration first undoes the
   // bindings of the current frame's previous row (mirroring the recursive
   // engine's unbind-after-recurse), then advances it: descend on a
   // successful bind, emit at the deepest frame, pop when exhausted.
+  // Existential pruning skips only emissions that repeat an earlier one
+  // (DESIGN.md §9): a pruning frame skips the triples that agree with its
+  // last bound one on the positions read later, or stops after its first
+  // bind when none is read, and an emit returns to the deepest frame that
+  // binds a head variable.
   open_frame(0);
   size_t depth = 0;
   while (true) {
     JoinFrame& f = frames[depth];
-    for (int k = 0; k < f.num_new; ++k) bindings[f.newly[k]] = kUnbound;
-    f.num_new = 0;
+    unbind(f);
+    if (f.prune.prunes && f.last != nullptr) {
+      while (f.pos < f.range.size() &&
+             SameOn(f.range[f.pos], *f.last, f.prune.keep)) {
+        ++f.pos;
+      }
+    }
     if (f.pos == f.range.size()) {
       if (depth == 0) break;
       --depth;
@@ -497,11 +740,28 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
     const rdf::Triple& t = f.range[f.pos++];
     if (++steps % kCancelStride == 0 && cancel.ShouldStop()) return false;
     if (!bind_row(depth, t)) continue;
+    if (f.prune.prunes) {
+      if (f.prune.keep == 0) {
+        f.pos = f.range.size();  // a semi-join: one bind decides
+      } else {
+        f.last = &t;
+      }
+    }
     if (depth + 1 == num_atoms) {
       rdf::TermId* row = out->AppendUninitialized();
       for (size_t k = 0; k < head_arity; ++k) {
         const QTerm& h = q.head()[k];
         row[k] = h.is_var ? bindings[h.var()] : h.term();
+      }
+      if (pruning && f.head_depth < static_cast<int>(depth)) {
+        // The frames below the deepest head binding can only emit this
+        // row again: unwind them, or finish when no frame binds the head.
+        const int target = f.head_depth;
+        for (int k = static_cast<int>(depth); k > target; --k) {
+          unbind(frames[static_cast<size_t>(k)]);
+        }
+        if (target < 0) break;
+        depth = static_cast<size_t>(target);
       }
       continue;
     }
@@ -650,12 +910,17 @@ Result<Table> Evaluator::EvaluateJucq(
   // through the view cache when one is attached. The scan memo is shared
   // across fragments: cover fragments of one query re-reformulate the same
   // atoms, so their leaf patterns and counts coincide. Columns are
-  // relabeled below from the fragment query, so hits and misses feed the
-  // join identically.
+  // relabeled below from the fragment query, so hits, misses and reused
+  // fragments feed the join identically. A fragment that repeats an
+  // earlier one (the same query and union up to variable names) is not
+  // evaluated: it reuses that fragment's table.
   ScanCache cache(store_);
+  const std::vector<size_t> source =
+      FragmentSources(fragment_queries, fragment_ucqs);
   std::vector<std::optional<Result<Table>>> materialized(nf);
   std::vector<double> fragment_millis(nf, 0.0);
   auto materialize_one = [&](size_t i) {
+    if (source[i] != i) return;
     Timer t;
     materialized[i] = EvaluateUcqThroughViewCache(
         fragment_queries[i], fragment_ucqs[i], deadline, &cache);
@@ -666,7 +931,8 @@ Result<Table> Evaluator::EvaluateJucq(
   } else {
     for (size_t i = 0; i < nf; ++i) {
       materialize_one(i);
-      if (!materialized[i]->ok()) break;  // remaining fragments unevaluated
+      // Remaining fragments stay unevaluated after a failure.
+      if (source[i] == i && !materialized[i]->ok()) break;
     }
   }
 
@@ -675,15 +941,19 @@ Result<Table> Evaluator::EvaluateJucq(
   std::vector<Table> tables;
   tables.reserve(nf);
   for (size_t i = 0; i < nf; ++i) {
-    if (!materialized[i].has_value()) continue;  // after a sequential abort
-    if (!materialized[i]->ok()) {
+    // The first failed fragment returns here, so every fragment reached
+    // was materialized, and a reused one's earlier source succeeded.
+    const size_t from = source[i];
+    if (from == i && !materialized[i]->ok()) {
       // Partial profile: the fragments materialized so far stay recorded.
       if (profile != nullptr) profile->total_millis = total.ElapsedMillis();
       return Status(materialized[i]->status().code(),
                     "fragment " + std::to_string(i) + ": " +
                         materialized[i]->status().message());
     }
-    Table table = std::move(*materialized[i]).value();
+    // Assembled in fragment order, so `tables[from]` is the source's.
+    Table table =
+        from == i ? std::move(*materialized[i]).value() : tables[from];
     // Columns must reflect the *fragment query* head terms (member heads
     // may have constants substituted in, but slot j is still the value of
     // head slot j of the fragment subquery). A constant head slot carries
@@ -699,6 +969,7 @@ Result<Table> Evaluator::EvaluateJucq(
       fp.ucq_members = fragment_ucqs[i].size();
       fp.result_rows = table.NumRows();
       fp.millis = fragment_millis[i];
+      if (from != i) fp.same_as = static_cast<int>(from);
       profile->fragments.push_back(fp);
     }
     tables.push_back(std::move(table));

@@ -30,6 +30,10 @@ struct FragmentProfile {
   uint64_t ucq_members = 0;    ///< number of CQs in the fragment's UCQ
   uint64_t result_rows = 0;    ///< materialized fragment cardinality
   double millis = 0.0;         ///< fragment evaluation wall-clock
+  /// The earlier fragment whose table this one reuses (the same query and
+  /// union up to variable names), or -1 when it was evaluated. A reused
+  /// fragment's `millis` is 0.
+  int same_as = -1;
 };
 
 /// \brief Whole-JUCQ evaluation profile.
@@ -50,7 +54,12 @@ struct JucqProfile {
 ///   (AtomOrder) except on cyclic joins: at a depth where two atoms would
 ///   both bind a variable another atom needs, it opens, per binding, the
 ///   one whose bound pattern has the fewest exact matches, and a fully
-///   bound atom opens as soon as it can (DESIGN.md §9).
+///   bound atom opens as soon as it can (DESIGN.md §9). A CQ whose body
+///   has a variable its head lacks is pruned: a depth skips the triples
+///   that agree with its last bound one on every variable read later (or
+///   stops after its first bind when none is), and an emit returns to the
+///   deepest depth that binds a head variable. Only repeated emissions
+///   are skipped, so the deduplicated table is unchanged.
 /// - Each UCQ/JUCQ evaluation shares one ScanCache across its members and
 ///   fragments: pattern cardinalities (the join-order inputs) and
 ///   materialized leaf scans are computed once per *distinct* bound
@@ -63,7 +72,8 @@ struct JucqProfile {
 ///   the answer table is bit-identical to the sequential one.
 /// - JUCQs materialize each fragment UCQ (one pool task per fragment when
 ///   parallel) then hash-join the fragments, which is exactly the strategy
-///   costed by the paper's cost model.
+///   costed by the paper's cost model. A fragment whose query and union
+///   repeat an earlier fragment's up to variable names reuses its table.
 ///
 /// Deadlines are enforced cooperatively at every CQ boundary *and* inside
 /// the scan callbacks of each CQ's nested-loop join, so even a single
@@ -96,9 +106,9 @@ class Evaluator {
   /// evaluator's source snapshot — it scopes every probe and install, so a
   /// cached table is only ever replayed for the exact visible-triple set
   /// it was computed against. With a cache attached, EvaluateJucq probes
-  /// it before materializing each fragment UCQ and installs successful
-  /// materializations, and EvaluateUcqView does the same for whole
-  /// reformulated unions. `cache` must outlive the evaluator.
+  /// it before materializing each fragment UCQ it evaluates and installs
+  /// successful materializations, and EvaluateUcqView does the same for
+  /// whole reformulated unions. `cache` must outlive the evaluator.
   void set_view_cache(ViewCache* cache, uint64_t epoch) {
     view_cache_ = cache;
     view_epoch_ = epoch;
@@ -133,9 +143,14 @@ class Evaluator {
   /// \brief Evaluates a JUCQ: `fragment_queries[i]` is the (unreformulated)
   /// subquery of fragment i — its head gives the column variables — and
   /// `fragment_ucqs[i]` its UCQ reformulation. Joins all fragment tables
-  /// and projects `q`'s head. `profile` may be null; when given, each
+  /// and projects `q`'s head. A fragment whose query CanonicalKey() and
+  /// union UcqPlanKey() equal an earlier fragment's is not evaluated: it
+  /// reuses that table, relabeled to its own head (keys are built only for
+  /// fragments equal up to variable names, slot by slot, with unions of
+  /// one size). `profile` may be null; when given, each
   /// FragmentProfile::cover_fragment is labeled with the fragment's atom
-  /// indexes in `q` (e.g. "{t0,t2}").
+  /// indexes in `q` (e.g. "{t0,t2}"), and a reused fragment names its
+  /// source in FragmentProfile::same_as.
   [[nodiscard]] Table EvaluateJucq(const query::Cq& q,
                      const std::vector<query::Cq>& fragment_queries,
                      const std::vector<query::Ucq>& fragment_ucqs,
@@ -162,11 +177,15 @@ class Evaluator {
   /// \brief Renders the physical plan of a CQ: the ordered index scans
   /// with their estimated match counts (demo step 3, "inspect the chosen
   /// query plan"). A depth the engine decides per binding lists every atom
-  /// it may open, e.g. `probe t1|t2  (per binding: fewest matches)`.
+  /// it may open, e.g. `probe t1|t2  (per binding: fewest matches)`. A
+  /// depth that stops after its first bind is marked `(exists)`, and one
+  /// that skips runs of triples names the positions it keeps, e.g.
+  /// `(distinct s)`.
   std::string ExplainCq(const query::Cq& q) const;
 
   /// \brief Renders the JUCQ plan: per-fragment UCQ sizes and the
-  /// fragment hash-join order.
+  /// fragment hash-join order. A fragment that reuses an earlier one's
+  /// table is listed as `same as fragment N`.
   std::string ExplainJucq(const query::Cq& q,
                           const std::vector<query::Cq>& fragment_queries,
                           const std::vector<query::Ucq>& fragment_ucqs) const;

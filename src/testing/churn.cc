@@ -312,7 +312,8 @@ Divergence CheckConcurrentCached(const Scenario& sc, const query::Cq& q,
   // Whatever epoch a pin lands on and whatever install/invalidate
   // interleaving the shared cache goes through, cache-mediated evaluation
   // must match cold evaluation of the same plan on the same snapshot —
-  // twice, so at least one call per round exercises the replay path.
+  // twice, so at least one call per round exercises the replay path —
+  // for the whole union and for the singleton-cover JUCQ's fragments.
   engine::ViewCache cache;
   storage::VersionSet versions(h.base.get());
   versions.SetWriteObserver(&cache);
@@ -320,8 +321,7 @@ Divergence CheckConcurrentCached(const Scenario& sc, const query::Cq& q,
       sc, seed, 0xCAC4E, options, &versions,
       [&](const storage::SnapshotPtr& snap) {
         return CheckCachedAt(h, &cache, snap, q, "concurrent:cached:",
-                             {"probe", "redo"}, AtEpoch(":", snap),
-                             /*jucq=*/false);
+                             {"probe", "redo"}, AtEpoch(":", snap), h.jucq);
       });
 }
 

@@ -88,8 +88,11 @@ Divergence CheckConcurrentSnapshots(const Scenario& sc, const query::Cq& q,
 /// cache-mediated evaluation through one shared cache stays bit-identical
 /// to cold evaluation at the pinned epoch — whatever interleaving of
 /// installs, window advances, invalidations, and evictions they race
-/// through. Relations are prefixed "concurrent:cached:"; like the snapshot
-/// variant they are reported unshrunk.
+/// through. Readers check the whole union and, for a query of two or more
+/// atoms, the singleton-cover JUCQ with fragment-level probes (phases
+/// "jucq-probe" and "jucq-redo"). Relations are prefixed
+/// "concurrent:cached:"; like the snapshot variant they are reported
+/// unshrunk.
 Divergence CheckConcurrentCached(const Scenario& sc, const query::Cq& q,
                                  uint64_t seed, const ChurnOptions& options);
 

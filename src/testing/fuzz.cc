@@ -53,6 +53,12 @@ Divergence RunChecks(const Scenario& sc, const query::Cq& q,
     if (d.found) return d;
     d = count(CheckDeadlineInvariance(sc, q));
     if (d.found) return d;
+    if (q.head().size() >= 2) {
+      d = count(CheckProjection(
+          sc, q, SubSeed(seed, trial, 0x960EC7),
+          report ? &report->classic_refusals : nullptr));
+      if (d.found) return d;
+    }
   }
   if (options.check_federation) {
     Divergence d = count(CheckFederationPartition(

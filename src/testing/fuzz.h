@@ -28,7 +28,7 @@ struct FuzzOptions {
   /// Relation families.
   bool check_oracle = true;       ///< strategy-agreement oracle protocol
   bool check_columnar = true;     ///< columnar engine vs reference evaluator
-  bool check_metamorphic = true;  ///< threads / deadline invariance
+  bool check_metamorphic = true;  ///< threads / deadline / projection
   bool check_federation = true;   ///< graph partitioning across endpoints
   bool check_updates = true;      ///< monotone insert + DRed delete checks
   bool check_snapshots = true;    ///< single-threaded snapshot isolation
@@ -82,8 +82,10 @@ struct FuzzReport {
   uint64_t seeds_run = 0;
   uint64_t queries_checked = 0;
   uint64_t checks_run = 0;
-  /// Encoded-equivalence checks whose classic reference arm refused for
-  /// its CQ budget; the encoded arm was still checked against saturation.
+  /// Arms that refused for their CQ budget instead of being compared:
+  /// the encoded-equivalence relation's classic reference arm (its encoded
+  /// arm was still checked against saturation), and any reformulation or
+  /// strategy of the projection relation.
   uint64_t classic_refusals = 0;
   std::vector<FuzzFailure> failures;
   bool ok() const { return failures.empty(); }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "federation/federation.h"
+#include "testing/reference_eval.h"
 
 namespace rdfref {
 namespace testing {
@@ -59,6 +60,60 @@ Divergence CheckDeadlineInvariance(const Scenario& sc,
         "metamorphic:deadline",
         answerer.Answer(q, api::Strategy::kRefUcq, nullptr, options),
         answerer.dict(), q, expected);
+    if (d.found) return d;
+  }
+  return Divergence::None();
+}
+
+Divergence CheckProjection(const Scenario& sc, const query::Cq& scenario_q,
+                           uint64_t seed, uint64_t* refusals) {
+  // Slot i is dropped when bit i of a draw in [1, 2^n - 2] is set.
+  const size_t arity = scenario_q.head().size();
+  Rng rng(seed);
+  const uint64_t dropped = 1 + rng.Uniform((uint64_t{1} << arity) - 2);
+  query::Cq projected = scenario_q;
+  projected.mutable_head()->clear();
+  std::vector<size_t> kept;
+  for (size_t i = 0; i < arity; ++i) {
+    if ((dropped >> i) & 1) continue;
+    kept.push_back(i);
+    projected.AddHead(scenario_q.head()[i]);
+  }
+  const std::string prefix = "metamorphic:projection:";
+
+  Divergence d = CheckColumnarVsReference(sc, projected, refusals);
+  if (d.found) {
+    d.relation = prefix + d.relation;
+    return d;
+  }
+
+  api::QueryAnswerer answerer(sc.graph.Clone());
+  const rdf::Dictionary& dict = answerer.dict();
+  const query::Cq full =
+      TranslateQuery(scenario_q, sc.graph.dict(), &answerer.dict());
+  const query::Cq q =
+      TranslateQuery(projected, sc.graph.dict(), &answerer.dict());
+  std::set<DecodedRow> full_rows;
+  d = DecodeAnswer(prefix + "SAT-full",
+                   answerer.Answer(full, api::Strategy::kSaturation), dict,
+                   &full_rows);
+  if (d.found) return d;
+  std::set<DecodedRow> expected;
+  for (const DecodedRow& row : full_rows) {
+    DecodedRow slots;
+    for (size_t i : kept) slots.push_back(row[i]);
+    expected.insert(std::move(slots));
+  }
+  for (api::Strategy s :
+       {api::Strategy::kSaturation, api::Strategy::kRefUcq,
+        api::Strategy::kRefScq, api::Strategy::kRefGcov,
+        api::Strategy::kDatalog}) {
+    Result<engine::Table> got = answerer.Answer(q, s);
+    if (!got.ok() && got.status().code() == StatusCode::kResourceExhausted) {
+      if (refusals != nullptr) ++*refusals;
+      continue;
+    }
+    d = CompareAnswer(prefix + api::StrategyName(s), got, dict, q, expected);
     if (d.found) return d;
   }
   return Divergence::None();

@@ -35,6 +35,17 @@ Divergence CheckDeadlineInvariance(const Scenario& sc, const query::Cq& q);
 Divergence CheckFederationPartition(const Scenario& sc, const query::Cq& q,
                                     int num_endpoints, uint64_t seed);
 
+/// \brief Projecting variables away: drops a non-empty proper subset of
+/// q's head slots (drawn from `seed`; q needs two to 63 head slots) and
+/// checks the projected query, whose body keeps variables its head lacks,
+/// three ways: the columnar engine against the reference evaluator on the
+/// plain CQ and on its UCQ reformulation, bit for bit; and every complete
+/// strategy against the projection of Sat's answer to the full query. A
+/// budget refusal (kResourceExhausted) of a reformulation or a strategy is
+/// not compared: it adds one to `*refusals`, when non-null.
+Divergence CheckProjection(const Scenario& sc, const query::Cq& q,
+                           uint64_t seed, uint64_t* refusals = nullptr);
+
 /// \brief Inserting random instance triples grows answers monotonically
 /// (certain answers are preserved under graph growth), and all complete
 /// strategies still agree after every insertion.

@@ -303,7 +303,8 @@ engine::Table ReferenceEvaluateUcq(const storage::TripleSource& source,
 }
 
 Divergence CheckColumnarVsReference(const Scenario& sc,
-                                    const query::Cq& scenario_q) {
+                                    const query::Cq& scenario_q,
+                                    uint64_t* refusals) {
   api::QueryAnswerer answerer(sc.graph.Clone());
   const query::Cq q =
       TranslateQuery(scenario_q, sc.graph.dict(), &answerer.dict());
@@ -323,7 +324,13 @@ Divergence CheckColumnarVsReference(const Scenario& sc,
   // 2. The full UCQ reformulation — the path the scan memo accelerates.
   reformulation::Reformulator reformulator(&answerer.schema(), {}, &dict);
   auto ucq = reformulator.Reformulate(q);
-  if (!ucq.ok()) return Divergence::None();  // reformulation budget blown
+  if (!ucq.ok()) {
+    if (refusals != nullptr &&
+        ucq.status().code() == StatusCode::kResourceExhausted) {
+      ++*refusals;
+    }
+    return Divergence::None();
+  }
   engine::Table ref = ReferenceEvaluateUcq(source, *ucq);
   {
     engine::Table fast = sequential.EvaluateUcq(*ucq);

@@ -1,6 +1,7 @@
 #ifndef RDFREF_TESTING_REFERENCE_EVAL_H_
 #define RDFREF_TESTING_REFERENCE_EVAL_H_
 
+#include <cstdint>
 #include <string>
 
 #include "engine/table.h"
@@ -44,8 +45,11 @@ engine::Table ReferenceEvaluateUcq(const storage::TripleSource& source,
 /// \brief Differential check: the columnar engine (sequential and parallel)
 /// must match the reference evaluator *bit for bit* — same column labels,
 /// same row order, same TermId in every slot — on the plain CQ and on its
-/// full UCQ reformulation over the scenario's explicit database.
-Divergence CheckColumnarVsReference(const Scenario& sc, const query::Cq& q);
+/// full UCQ reformulation over the scenario's explicit database. When the
+/// reformulation fails, only the plain CQ is checked; a budget refusal
+/// (kResourceExhausted) then adds one to `*refusals`, when non-null.
+Divergence CheckColumnarVsReference(const Scenario& sc, const query::Cq& q,
+                                    uint64_t* refusals = nullptr);
 
 }  // namespace testing
 }  // namespace rdfref

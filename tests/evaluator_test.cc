@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "query/cover.h"
 #include "query/sparql_parser.h"
 #include "rdf/graph.h"
 #include "rdf/vocab.h"
+#include "reformulation/reformulator.h"
+#include "schema/schema.h"
 #include "testing/reference_eval.h"
 
 namespace rdfref {
@@ -346,6 +350,7 @@ class RowCountingSource : public storage::TripleSource {
                    std::span<const rdf::Triple>* out) const override {
     if (!inner_->TryGetRange(s, p, o, out)) return false;
     rows_ += out->size();
+    ++lookups_[p];
     return true;
   }
   bool TryGetRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
@@ -353,12 +358,14 @@ class RowCountingSource : public storage::TripleSource {
                          storage::RangeHint* hint) const override {
     if (!inner_->TryGetRangeHinted(s, p, o, out, hint)) return false;
     rows_ += out->size();
+    ++lookups_[p];
     return true;
   }
   void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                 std::vector<rdf::Triple>* out) const override {
     inner_->ScanInto(s, p, o, out);
     rows_ += out->size();
+    ++lookups_[p];
   }
   bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                            int range_pos, rdf::TermId hi,
@@ -407,10 +414,14 @@ class RowCountingSource : public storage::TripleSource {
     return calls;
   }
 
+  // Classic range lookups with property `p` bound since the last take.
+  uint64_t TakeLookups(rdf::TermId p) { return std::exchange(lookups_[p], 0); }
+
  private:
   const storage::TripleSource* inner_;
   mutable uint64_t rows_ = 0;
   mutable uint64_t count_calls_ = 0;
+  mutable std::map<rdf::TermId, uint64_t> lookups_;
 };
 
 // SP2Bench's authorship skew on the coauthor-cites triangle. One hub
@@ -558,6 +569,252 @@ TEST(EvaluatorSkewTest, ContiguousIntervalExpansionCostsOneCountPerBinding) {
   // the interval per id would cost four calls for it instead.
   const uint64_t bindings = kHub + 2 * kCold;
   EXPECT_EQ(eval_calls, plan_calls + 2 * bindings);
+}
+
+// Existential pruning (DESIGN.md §9) skips only emissions that repeat an
+// earlier one, so every shape it prunes must still equal the reference
+// evaluator, which never prunes, bit for bit.
+class EvaluatorPruningTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Interned first, the literal sorts before every URI object: it is the
+    // first match of each `likes` run it belongs to.
+    literal_ = graph_.dict().InternLiteral("plain");
+    ann_ = U("ann");
+    bob_ = U("bob");
+    carl_ = U("carl");
+    dan_ = U("dan");
+    knows_ = U("knows");
+    likes_ = U("likes");
+    person_ = U("Person");
+    // Several knows edges per subject, and one self-loop.
+    graph_.Add(ann_, knows_, bob_);
+    graph_.Add(ann_, knows_, carl_);
+    graph_.Add(ann_, knows_, dan_);
+    graph_.Add(bob_, knows_, carl_);
+    graph_.Add(bob_, knows_, dan_);
+    graph_.Add(carl_, knows_, ann_);
+    graph_.Add(dan_, knows_, dan_);
+    graph_.Add(ann_, rdf::vocab::kTypeId, person_);
+    graph_.Add(bob_, rdf::vocab::kTypeId, person_);
+    graph_.Add(dan_, rdf::vocab::kTypeId, person_);
+    // ann likes the literal and bob; carl likes only the literal.
+    graph_.Add(ann_, likes_, literal_);
+    graph_.Add(ann_, likes_, bob_);
+    graph_.Add(carl_, likes_, literal_);
+    store_ = std::make_unique<storage::Store>(graph_);
+  }
+
+  rdf::TermId U(const std::string& name) {
+    return graph_.dict().InternUri("http://ex/" + name);
+  }
+
+  Cq Parse(const std::string& text) {
+    auto q = query::ParseSparql(text, &graph_.dict());
+    EXPECT_TRUE(q.ok()) << q.status();
+    return *q;
+  }
+
+  // EvaluateCq on q, and EvaluateUcq on the union of q with itself, against
+  // the reference evaluator, bit for bit. Returns EvaluateCq's table.
+  Table ExpectReference(const Cq& q) {
+    Evaluator eval(store_.get());
+    const Table got = eval.EvaluateCq(q);
+    rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
+        "cq", got, rdfref::testing::ReferenceEvaluateCq(*store_, q), q,
+        graph_.dict());
+    EXPECT_FALSE(d.found) << d.detail;
+    const Ucq ucq({q, q});
+    d = rdfref::testing::CompareBitForBit(
+        "ucq", eval.EvaluateUcq(ucq),
+        rdfref::testing::ReferenceEvaluateUcq(*store_, ucq), q, graph_.dict());
+    EXPECT_FALSE(d.found) << d.detail;
+    return got;
+  }
+
+  rdf::Graph graph_;
+  std::unique_ptr<storage::Store> store_;
+  rdf::TermId literal_, ann_, bob_, carl_, dan_, knows_, likes_, person_;
+};
+
+TEST_F(EvaluatorPruningTest, TrailingExistential) {
+  const Cq q = Parse("SELECT ?x WHERE { ?x <http://ex/knows> ?y . }");
+  EXPECT_EQ(ExpectReference(q).NumRows(), 4u);
+  Evaluator eval(store_.get());
+  EXPECT_NE(eval.ExplainCq(q).find("scan  t0  (~7 index matches unbound) "
+                                   "(distinct s)\n"),
+            std::string::npos)
+      << eval.ExplainCq(q);
+}
+
+TEST_F(EvaluatorPruningTest, AllExistentialFilterFrame) {
+  // t1 binds only ?y, which nothing reads: one match per ?x decides.
+  const Cq semi = Parse(
+      "SELECT ?x WHERE { ?x <http://ex/knows> ?y . "
+      "?x a <http://ex/Person> . }");
+  EXPECT_EQ(ExpectReference(semi).NumRows(), 3u);
+  Evaluator eval(store_.get());
+  EXPECT_EQ(eval.ExplainCq(semi),
+            "CQ plan (index nested-loop join):\n"
+            "  scan  t1  (~3 index matches unbound)\n"
+            "  probe t0  (~7 index matches unbound) (exists)\n");
+  // An unconnected frame of existential variables only: the whole depth
+  // is one existence test.
+  ExpectReference(Parse(
+      "SELECT ?x WHERE { ?x a <http://ex/Person> . "
+      "?y <http://ex/likes> ?z . }"));
+  ExpectReference(Parse(
+      "SELECT ?x WHERE { ?x a <http://ex/Person> . "
+      "?y <http://ex/hates> ?z . }"));
+}
+
+TEST_F(EvaluatorPruningTest, BackjumpOverFrameOnlyADeeperFrameReads) {
+  // Order t0, t1, t2: ?y is read only by t2, and after an emit the join
+  // returns to t0, the deepest depth that binds a head variable, past
+  // t1's remaining ?y.
+  const Cq q = Parse(
+      "SELECT ?x WHERE { ?x a <http://ex/Person> . ?x <http://ex/knows> ?y ."
+      " ?y <http://ex/knows> ?z . }");
+  Evaluator eval(store_.get());
+  ASSERT_EQ(eval.AtomOrder(q), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(ExpectReference(q).NumRows(), 3u);
+  // A head variable bound in the middle: the emit returns to t1.
+  ExpectReference(Parse(
+      "SELECT ?y WHERE { ?x a <http://ex/Person> . ?x <http://ex/knows> ?y ."
+      " ?y <http://ex/knows> ?z . }"));
+}
+
+TEST_F(EvaluatorPruningTest, ResourceOnlyExistentialWhoseFirstMatchIsALiteral) {
+  // ?w may bind only resources, and each `likes` run starts with the
+  // literal. A run skip keys on its last *successful* bind, and the
+  // semi-join (the second query's t1) stops only after one.
+  for (const char* text :
+       {"SELECT ?x WHERE { ?x <http://ex/likes> ?w . }",
+        "SELECT ?x WHERE { ?x a <http://ex/Person> . "
+        "?x <http://ex/likes> ?w . }"}) {
+    Cq q = Parse(text);
+    const Atom& likes = q.body().back();
+    q.AddResourceVar(likes.o.var());
+    Evaluator eval(store_.get());
+    EXPECT_NE(eval.ExplainCq(q).find(q.body().size() == 1 ? "(distinct s)"
+                                                          : "t1  (~3 index "
+                                                            "matches unbound)"
+                                                            " (exists)"),
+              std::string::npos)
+        << eval.ExplainCq(q);
+    const Table got = ExpectReference(q);
+    ASSERT_EQ(got.NumRows(), 1u) << text;  // carl likes only the literal
+    EXPECT_EQ(got.row(0)[0], ann_);
+  }
+}
+
+TEST_F(EvaluatorPruningTest, RepeatedVariable) {
+  EXPECT_EQ(ExpectReference(Parse("SELECT ?y WHERE { ?y <http://ex/knows> ?x"
+                                  " . ?x <http://ex/knows> ?x . }"))
+                .NumRows(),
+            3u);  // ann, bob and dan know dan
+  ExpectReference(Parse(
+      "SELECT ?x WHERE { ?x <http://ex/knows> ?x . ?x <http://ex/knows> ?y"
+      " . }"));
+}
+
+TEST_F(EvaluatorPruningTest, ConstantOnlyHead) {
+  Cq q;
+  const VarId x = q.AddVar("x");
+  const VarId y = q.AddVar("y");
+  q.AddAtom(Atom(QTerm::Var(x), QTerm::Const(knows_), QTerm::Var(y)));
+  q.AddAtom(Atom(QTerm::Var(y), QTerm::Const(knows_), QTerm::Const(dan_)));
+  q.AddHead(QTerm::Const(person_));
+  const Table got = ExpectReference(q);
+  ASSERT_EQ(got.NumRows(), 1u);
+  EXPECT_EQ(got.row(0)[0], person_);
+}
+
+TEST_F(EvaluatorPruningTest, ZeroArityHead) {
+  Cq q;
+  const VarId x = q.AddVar("x");
+  const VarId y = q.AddVar("y");
+  q.AddAtom(Atom(QTerm::Var(x), QTerm::Const(knows_), QTerm::Var(y)));
+  q.AddAtom(Atom(QTerm::Var(y), QTerm::Const(rdf::vocab::kTypeId),
+                 QTerm::Const(person_)));
+  EXPECT_EQ(ExpectReference(q).NumRows(), 1u);
+  Cq none;
+  const VarId z = none.AddVar("z");
+  none.AddAtom(Atom(QTerm::Var(z), QTerm::Const(likes_), QTerm::Const(dan_)));
+  EXPECT_EQ(ExpectReference(none).NumRows(), 0u);
+}
+
+TEST_F(EvaluatorPruningTest, InnerFrameOpensOncePerDistinctBinding) {
+  // likes has fewer matches, so it leads; each ?x opens the knows atom
+  // once, however many ?w it likes.
+  const Cq q = Parse(
+      "SELECT ?x WHERE { ?x <http://ex/likes> ?w . "
+      "?x <http://ex/knows> ?y . }");
+  RowCountingSource source(store_.get());
+  Evaluator eval(&source);
+  ASSERT_EQ(eval.AtomOrder(q), (std::vector<int>{0, 1}));
+  source.TakeLookups(knows_);
+  const Table got = eval.EvaluateCq(q);
+  EXPECT_EQ(got.NumRows(), 2u);  // ann and carl
+  EXPECT_EQ(source.TakeLookups(knows_), 2u);  // one per distinct ?x, not 3
+  const rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
+      "opens", got, rdfref::testing::ReferenceEvaluateCq(*store_, q), q,
+      graph_.dict());
+  EXPECT_FALSE(d.found) << d.detail;
+}
+
+// Example 1's shape: under the singleton cover, `?x a ?u` and `?y a ?v`
+// are one fragment up to variable names, and so are the two `knows` atoms.
+// The repeats reuse the first evaluation's table, and the JUCQ still
+// equals the whole query's UCQ.
+TEST_F(EvaluatorPruningTest, JucqReusesRepeatedFragment) {
+  // A domain constraint makes each type fragment a union of two CQs.
+  graph_.Add(likes_, rdf::vocab::kDomainId, person_);
+  store_ = std::make_unique<storage::Store>(graph_);
+  schema::Schema schema = schema::Schema::FromGraph(graph_);
+  schema.Saturate();
+  reformulation::Reformulator ref(&schema);
+
+  const Cq q = Parse(
+      "SELECT ?x ?u ?y ?v ?z WHERE { ?x a ?u . ?y a ?v . "
+      "?x <http://ex/knows> ?z . ?y <http://ex/knows> ?z . }");
+  const std::vector<Cq> fragments = Cover::Singletons(4).FragmentQueries(q);
+  std::vector<Ucq> ucqs;
+  for (const Cq& f : fragments) {
+    auto ucq = ref.Reformulate(f);
+    ASSERT_TRUE(ucq.ok()) << ucq.status();
+    ucqs.push_back(*ucq);
+  }
+  ASSERT_GT(ucqs[0].size(), 1u);
+
+  Evaluator eval(store_.get());
+  JucqProfile profile;
+  Table jucq = eval.EvaluateJucq(q, fragments, ucqs, &profile);
+  auto whole = ref.Reformulate(q);
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  Table direct = eval.EvaluateUcq(*whole);
+  jucq.Sort();
+  direct.Sort();
+  EXPECT_EQ(jucq.RowVectors(), direct.RowVectors());
+  EXPECT_GT(jucq.NumRows(), 0u);
+
+  ASSERT_EQ(profile.fragments.size(), 4u);
+  EXPECT_EQ(profile.fragments[0].same_as, -1);
+  EXPECT_EQ(profile.fragments[1].same_as, 0);
+  EXPECT_EQ(profile.fragments[2].same_as, -1);
+  EXPECT_EQ(profile.fragments[3].same_as, 2);
+  EXPECT_EQ(profile.fragments[1].result_rows, profile.fragments[0].result_rows);
+  EXPECT_EQ(profile.fragments[3].result_rows, profile.fragments[2].result_rows);
+  EXPECT_EQ(profile.fragments[1].cover_fragment, "{t1}");
+  EXPECT_EQ(profile.fragments[1].ucq_members, ucqs[1].size());
+
+  const std::string plan = eval.ExplainJucq(q, fragments, ucqs);
+  EXPECT_NE(plan.find("  fragment 1: UCQ of " + std::to_string(ucqs[1].size()) +
+                      " CQ(s), head arity 2, same as fragment 0\n"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("head arity 2, same as fragment 2\n"), std::string::npos)
+      << plan;
 }
 
 }  // namespace
