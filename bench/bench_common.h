@@ -9,6 +9,7 @@
 
 #include "api/query_answering.h"
 #include "datagen/lubm.h"
+#include "datagen/sp2b.h"
 #include "query/sparql_parser.h"
 
 namespace rdfref {
@@ -103,6 +104,57 @@ inline query::Cq Example1Query(api::QueryAnswerer* answerer,
 /// \brief The paper's winning cover for Example 1 (0-indexed atoms).
 inline query::Cover Example1PaperCover() {
   return query::Cover({{0, 2}, {2, 4}, {1, 3}, {3, 5}});
+}
+
+/// \brief Lazily built shared sp2b answerer (one per process) at the
+/// generator's default seed.
+inline api::QueryAnswerer* SharedSp2b(double scale = 0.1) {
+  static api::QueryAnswerer* answerer = [scale]() {
+    datagen::Sp2bConfig config;
+    config.scale = scale;
+    rdf::Graph graph;
+    datagen::Sp2b::Generate(config, &graph);
+    return new api::QueryAnswerer(std::move(graph));
+  }();
+  return answerer;
+}
+
+/// \brief The eight query templates of the sp2b-rw workload, as full
+/// SPARQL: each point template's slot is its pool's first entry.
+inline const std::vector<std::pair<std::string, std::string>>&
+Sp2bTemplateSuite() {
+  static const auto* suite = [] {
+    const std::string ns = datagen::Sp2b::kNs;
+    const std::string prefix = "PREFIX sp: <" + ns + ">\n";
+    const std::string doc = "<" + ns + "doc/0>";
+    const std::string author = "<" + ns + "author/0>";
+    const std::string venue = "<" + ns + "venue/0>";
+    const std::vector<std::pair<std::string, std::string>> bodies = {
+        {"P1-citers", "SELECT ?x WHERE { ?x sp:cites " + doc + " . }"},
+        {"P2-author-papers", "SELECT ?d ?v WHERE { ?d sp:hasAuthor " +
+                                 author + " . ?d sp:publishedIn ?v . }"},
+        {"P3-venue-pubs", "SELECT ?d WHERE { ?d sp:publishedIn " + venue +
+                              " . ?d a sp:Publication . }"},
+        {"P4-doc-star", "SELECT ?p ?v ?o WHERE { " + doc +
+                            " sp:hasContributor ?p . " + doc +
+                            " sp:publishedIn ?v . " + doc +
+                            " sp:references ?o . }"},
+        {"P5-author-chain", "SELECT ?x ?y WHERE { ?w sp:hasAuthor " + author +
+                                " . ?w sp:cites ?x . ?x sp:cites ?y . }"},
+        {"A1-publications", "SELECT ?d WHERE { ?d a sp:Publication . }"},
+        {"A2-mutual-citations",
+         "SELECT ?x ?y WHERE { ?x sp:cites ?y . ?y sp:cites ?x . }"},
+        {"A3-coauthor-cites",
+         "SELECT ?x ?y ?p WHERE { ?x sp:hasAuthor ?p . "
+         "?y sp:hasAuthor ?p . ?x sp:cites ?y . }"},
+    };
+    auto* out = new std::vector<std::pair<std::string, std::string>>;
+    for (const auto& [name, body] : bodies) {
+      out->emplace_back(name, prefix + body);
+    }
+    return out;
+  }();
+  return *suite;
 }
 
 }  // namespace bench

@@ -1,7 +1,10 @@
 // Experiment T4 — demo step 3: "the space of explored alternatives, and
 // their estimated costs". For small queries, enumerate all partition
 // covers, compare the cost model's estimate against measured evaluation
-// time (rank agreement), and check where GCov's pick lands.
+// time (rank agreement), and check where GCov's pick lands. A regret
+// table then prices GCov's pick for the LUBM suite, Example 1 and the
+// sp2b templates: its evaluation time over the best of every connected
+// partition cover, REF-UCQ and REF-SCQ (1.00 = GCov picked the best).
 //
 // Expected shape (EDBT'15): JUCQ alternatives differ by orders of
 // magnitude; the cost model ranks them well enough that the greedy pick is
@@ -11,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -119,6 +123,76 @@ void PrintCoverSpace() {
   }
 }
 
+// Best of three evaluations of an already prepared plan (the first call
+// prepares and is not counted); a negative time when the strategy fails.
+double EvalMillis(api::QueryAnswerer* answerer, const query::Cq& q,
+                  api::Strategy strategy, const query::Cover& cover = {}) {
+  api::AnswerOptions options;
+  options.cover = cover;
+  if (!answerer->Answer(q, strategy, nullptr, options).ok()) return -1.0;
+  double best = 1e18;
+  for (int rep = 0; rep < 3; ++rep) {
+    api::AnswerProfile profile;
+    if (!answerer->Answer(q, strategy, &profile, options).ok()) return -1.0;
+    best = std::min(best, profile.eval_millis);
+  }
+  return best;
+}
+
+void PrintRegretRow(api::QueryAnswerer* answerer, const std::string& name,
+                    const query::Cq& q) {
+  reformulation::Reformulator reformulator(&answerer->schema(), {},
+                                           &answerer->dict());
+  cost::CostModel cost_model(&answerer->ref_store().stats());
+  optimizer::CoverOptimizer optimizer(&reformulator, &cost_model);
+  Result<query::Cover> gcov = optimizer.Greedy(q);
+  Result<std::vector<query::Cover>> covers =
+      optimizer.EnumeratePartitionCovers(q);
+  if (!gcov.ok() || !covers.ok()) {
+    std::printf("%-22s search failed\n", name.c_str());
+    return;
+  }
+  const double gcov_ms =
+      EvalMillis(answerer, q, api::Strategy::kRefJucq, *gcov);
+  std::string best_name = "REF-UCQ";
+  double best_ms = EvalMillis(answerer, q, api::Strategy::kRefUcq);
+  const double ucq_ms = best_ms;
+  const double scq_ms = EvalMillis(answerer, q, api::Strategy::kRefScq);
+  auto consider = [&](const std::string& label, double ms) {
+    if (ms >= 0 && (best_ms < 0 || ms < best_ms)) {
+      best_name = label;
+      best_ms = ms;
+    }
+  };
+  consider("REF-SCQ", scq_ms);
+  for (const query::Cover& cover : *covers) {
+    consider(cover.ToString(),
+             EvalMillis(answerer, q, api::Strategy::kRefJucq, cover));
+  }
+  std::printf("%-22s %-22s %9.3f %9.3f %9.3f %-22s %9.3f %7.2f\n",
+              name.c_str(), gcov->ToString().c_str(), gcov_ms, ucq_ms, scq_ms,
+              best_name.c_str(), best_ms,
+              best_ms > 0 ? gcov_ms / best_ms : 1.0);
+}
+
+void PrintRegretTable() {
+  std::printf("\n== T4: GCov regret (evaluation ms, best of 3) ==\n");
+  std::printf("%-22s %-22s %9s %9s %9s %-22s %9s %7s\n", "query", "GCov cover",
+              "GCov", "REF-UCQ", "REF-SCQ", "best", "best", "regret");
+  api::QueryAnswerer* lubm = SharedLubm();
+  for (const auto& [name, text] : LubmQuerySuite()) {
+    PrintRegretRow(lubm, name, ParseUb(lubm, text));
+  }
+  PrintRegretRow(lubm, "Example1", Example1Query(lubm));
+  // The sp2b-rw dataset: 2,000 documents.
+  api::QueryAnswerer* sp2b = SharedSp2b(2.0);
+  for (const auto& [name, text] : Sp2bTemplateSuite()) {
+    Result<query::Cq> q = query::ParseSparql(text, &sp2b->dict());
+    if (q.ok()) PrintRegretRow(sp2b, name, *q);
+  }
+  std::printf("\n");
+}
+
 void BM_CostOfCover(benchmark::State& state) {
   api::QueryAnswerer* answerer = SharedLubm();
   query::Cq q = ParseUb(
@@ -156,6 +230,7 @@ BENCHMARK(BM_GreedySearch)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   rdfref::bench::PrintCoverSpace();
+  rdfref::bench::PrintRegretTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -151,10 +151,11 @@ int main(int argc, char** argv) {
   std::printf("%s", table->ToString(answerer.dict(), max_rows).c_str());
   std::fprintf(stderr,
                "%s: %zu answer(s); prepare %.2f ms, eval %.2f ms, %llu "
-               "reformulated CQ(s)%s%s\n",
+               "reformulated CQ(s) of %llu before minimization%s%s\n",
                StrategyName(strategy), table->NumRows(),
                profile.prepare_millis, profile.eval_millis,
                static_cast<unsigned long long>(profile.reformulation_cqs),
+               static_cast<unsigned long long>(profile.raw_cqs),
                strategy == Strategy::kRefGcov ? "; cover " : "",
                strategy == Strategy::kRefGcov
                    ? profile.cover.ToString().c_str()

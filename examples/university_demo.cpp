@@ -16,10 +16,11 @@ namespace {
 
 void PrintProfile(const char* label, const rdfref::api::AnswerProfile& p,
                   size_t answers) {
-  std::printf("%-22s reformulation: %8llu CQs   prepare: %8.2f ms   "
-              "eval: %9.2f ms   answers: %zu\n",
+  std::printf("%-22s reformulation: %8llu CQs (of %llu)   prepare: %8.2f "
+              "ms   eval: %9.2f ms   answers: %zu\n",
               label, static_cast<unsigned long long>(p.reformulation_cqs),
-              p.prepare_millis, p.eval_millis, answers);
+              static_cast<unsigned long long>(p.raw_cqs), p.prepare_millis,
+              p.eval_millis, answers);
   for (const auto& f : p.jucq.fragments) {
     std::printf("    fragment %-14s %6llu CQs -> %9llu rows in %8.2f ms\n",
                 f.cover_fragment.c_str(),

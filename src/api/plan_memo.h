@@ -32,6 +32,8 @@ struct QueryPlan {
   /// One union per fragment; a whole-query plan holds exactly one.
   std::vector<query::Ucq> fragment_ucqs;
   uint64_t total_cqs = 0;
+  /// The rule closures' total size before minimization.
+  uint64_t raw_cqs = 0;
   /// REF-GCOV's search summary: the chosen cover, its cost and the
   /// iteration count. The explored list is dropped, since a replay explores
   /// nothing.

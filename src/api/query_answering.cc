@@ -268,7 +268,6 @@ std::string PlanKey(const query::Cq& q, Strategy strategy,
   key.reserve(32 + 8 * q.head().size() + 24 * q.body().size());
   key.push_back(static_cast<char>(strategy));
   key.push_back(static_cast<char>(reform.force_worklist));
-  key.push_back(static_cast<char>(reform.minimize));
   key.push_back(static_cast<char>(reform.use_encoding));
   key.append(reinterpret_cast<const char*>(&reform.max_cqs),
              sizeof(reform.max_cqs));
@@ -309,7 +308,8 @@ Result<std::shared_ptr<const QueryPlan>> QueryAnswerer::Prepare(
   switch (strategy) {
     case Strategy::kRefUcq:
     case Strategy::kRefIncomplete: {
-      RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq, ref.Reformulate(q));
+      RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq,
+                              ref.Reformulate(q, &plan->raw_cqs));
       plan->whole_query = true;
       plan->cover = query::Cover::SingleFragment(q.body().size());
       plan->total_cqs = ucq.size();
@@ -342,7 +342,9 @@ Result<std::shared_ptr<const QueryPlan>> QueryAnswerer::Prepare(
   plan->fragment_queries = plan->cover.FragmentQueries(q);
   plan->fragment_ucqs.reserve(plan->fragment_queries.size());
   for (const query::Cq& fq : plan->fragment_queries) {
-    RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq, ref.Reformulate(fq));
+    uint64_t raw = 0;
+    RDFREF_ASSIGN_OR_RETURN(query::Ucq ucq, ref.Reformulate(fq, &raw));
+    plan->raw_cqs += raw;
     plan->total_cqs += ucq.size();
     plan->fragment_ucqs.push_back(std::move(ucq));
   }
@@ -392,6 +394,7 @@ Result<engine::Table> QueryAnswerer::AnswerRef(const query::Cq& q,
   }
   if (profile != nullptr) {
     profile->reformulation_cqs = plan->total_cqs;
+    profile->raw_cqs = plan->raw_cqs;
     profile->cover = plan->cover;
   }
   return Evaluate(q, *plan, options, profile);
@@ -427,6 +430,7 @@ Result<engine::Table> QueryAnswerer::AnswerUnion(
       profile->prepare_millis += branch_profile.prepare_millis;
       profile->eval_millis += branch_profile.eval_millis;
       profile->reformulation_cqs += branch_profile.reformulation_cqs;
+      profile->raw_cqs += branch_profile.raw_cqs;
     }
   }
   result.Dedup();

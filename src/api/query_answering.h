@@ -92,6 +92,10 @@ struct AnswerProfile {
   double eval_millis = 0.0;
   /// Total CQs across the evaluated UCQ(s).
   uint64_t reformulation_cqs = 0;
+  /// Total CQs the rule closure produced before minimization
+  /// (Reformulator::ReformulateUnminimized); reformulation_cqs is what
+  /// minimization kept of them. A replayed plan reports both.
+  uint64_t raw_cqs = 0;
   /// Cover used (Ref strategies on covers).
   query::Cover cover;
   /// Per-fragment detail (JUCQ-style strategies).

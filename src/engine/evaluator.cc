@@ -430,6 +430,28 @@ Status UcqDeadlineError(size_t evaluated, size_t total) {
       std::to_string(total) + " reformulation CQs");
 }
 
+// True when q's rows over `source` cannot repeat, so deduplicating them
+// would change nothing (DESIGN.md §9). The join enumerates each tuple of
+// matching triples once, one triple per atom. Without an interval, an atom's
+// triple is the image of the variable binding, and with every body variable
+// in the head the binding is the image of the row; so distinct tuples give
+// distinct rows once the source delivers each triple once. A ranged
+// position is a hidden existential: `(?x [lo..hi] c)` emits ?x once per
+// matching property.
+bool RowsAreDistinct(const Cq& q, const storage::TripleSource& source) {
+  if (!source.DeliversDistinctTriples()) return false;
+  auto in_head = [&q](const QTerm& t) {
+    return !t.is_var ||
+           std::find(q.head().begin(), q.head().end(), t) != q.head().end();
+  };
+  for (const Atom& a : q.body()) {
+    if (a.has_range() || !in_head(a.s) || !in_head(a.p) || !in_head(a.o)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // One open atom of the iterative binding-stack join: which atom of the
 // body it is, the contiguous range being iterated (zero-copy for
 // range-capable sources, else owned by the frame's cursor buffer, which is
@@ -547,7 +569,8 @@ std::string Evaluator::ExplainCq(const Cq& q) const {
 
 std::string Evaluator::ExplainJucq(
     const Cq& q, const std::vector<Cq>& fragment_queries,
-    const std::vector<query::Ucq>& fragment_ucqs) const {
+    const std::vector<query::Ucq>& fragment_ucqs,
+    const std::vector<uint64_t>& raw_members) const {
   (void)q;
   const std::vector<size_t> source =
       FragmentSources(fragment_queries, fragment_ucqs);
@@ -555,8 +578,13 @@ std::string Evaluator::ExplainJucq(
   out << "JUCQ plan: materialize " << fragment_queries.size()
       << " fragment(s), then hash-join smallest-connected-first:\n";
   for (size_t i = 0; i < fragment_queries.size(); ++i) {
-    out << "  fragment " << i << ": UCQ of " << fragment_ucqs[i].size()
-        << " CQ(s), head arity " << fragment_queries[i].head().size();
+    out << "  fragment " << i << ": UCQ of " << fragment_ucqs[i].size();
+    if (i < raw_members.size()) {
+      out << " of " << raw_members[i] << " members";
+    } else {
+      out << " CQ(s)";
+    }
+    out << ", head arity " << fragment_queries[i].head().size();
     if (source[i] != i) {
       out << ", same as fragment " << source[i] << "\n";
       continue;
@@ -783,7 +811,7 @@ Table Evaluator::EvaluateCq(const Cq& q) const {
   if (!EvaluateCqInto(q, CancelToken(), &cache, &table)) {
     EngineFatal("EvaluateCq: cancellation fired under an infinite deadline");
   }
-  table.Dedup();
+  if (!RowsAreDistinct(q, *store_)) table.Dedup();
   return table;
 }
 
@@ -885,7 +913,9 @@ Result<Table> Evaluator::EvaluateUcqWithCache(const query::Ucq& ucq,
   for (const Table& buffer : buffers) total += buffer.NumRows();
   table.ReserveRows(total);
   for (const Table& buffer : buffers) table.Append(buffer);
-  table.Dedup();
+  // Two members may derive one row; a lone member repeats none when its
+  // rows are distinct.
+  if (n != 1 || !RowsAreDistinct(ucq.members()[0], *store_)) table.Dedup();
   return table;
 }
 
@@ -1019,7 +1049,9 @@ Result<Table> Evaluator::EvaluateJucq(
   }
 
   // 3. Project the original head: one arena append per row, reading the
-  // joined rows as stride slices.
+  // joined rows as stride slices. Fragment tables are sets, so their
+  // natural join is one too: a projection that keeps every joined column
+  // cannot repeat a row.
   Table answer;
   for (const QTerm& h : q.head()) {
     answer.columns.push_back(h.is_var ? h.var() : kConstColumn);
@@ -1027,8 +1059,10 @@ Result<Table> Evaluator::EvaluateJucq(
   answer.SetArity(q.head().size());
   std::vector<int> proj;
   proj.reserve(q.head().size());
+  std::vector<bool> kept(result.columns.size(), false);
   for (const QTerm& h : q.head()) {
     proj.push_back(h.is_var ? result.ColumnOf(h.var()) : -1);
+    if (proj.back() >= 0) kept[static_cast<size_t>(proj.back())] = true;
   }
   const size_t num_rows = result.NumRows();
   answer.ReserveRows(num_rows);
@@ -1039,7 +1073,9 @@ Result<Table> Evaluator::EvaluateJucq(
       dst[i] = proj[i] >= 0 ? row[proj[i]] : q.head()[i].term();
     }
   }
-  answer.Dedup();
+  if (std::find(kept.begin(), kept.end(), false) != kept.end()) {
+    answer.Dedup();
+  }
   if (profile != nullptr) {
     profile->join_millis = join_timer.ElapsedMillis();
     profile->total_millis = total.ElapsedMillis();

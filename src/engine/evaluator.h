@@ -185,10 +185,13 @@ class Evaluator {
 
   /// \brief Renders the JUCQ plan: per-fragment UCQ sizes and the
   /// fragment hash-join order. A fragment that reuses an earlier one's
-  /// table is listed as `same as fragment N`.
-  std::string ExplainJucq(const query::Cq& q,
-                          const std::vector<query::Cq>& fragment_queries,
-                          const std::vector<query::Ucq>& fragment_ucqs) const;
+  /// table is listed as `same as fragment N`. With `raw_members` (one per
+  /// fragment: the size of its union before minimization, see
+  /// Reformulator::Reformulate) a fragment's size reads `N of M members`.
+  std::string ExplainJucq(
+      const query::Cq& q, const std::vector<query::Cq>& fragment_queries,
+      const std::vector<query::Ucq>& fragment_ucqs,
+      const std::vector<uint64_t>& raw_members = {}) const;
 
   const storage::TripleSource& source() const RDFREF_LIFETIME_BOUND {
     return *store_;

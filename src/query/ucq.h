@@ -23,6 +23,7 @@ class Ucq {
   void Add(Cq cq) { members_.push_back(std::move(cq)); }
 
   const std::vector<Cq>& members() const { return members_; }
+  std::vector<Cq>* mutable_members() { return &members_; }
   size_t size() const { return members_.size(); }
   bool empty() const { return members_.empty(); }
 

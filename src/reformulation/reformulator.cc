@@ -28,10 +28,6 @@ using query::VarId;
 /// materialized as a real query variable when the atom lands in a CQ.
 constexpr VarId kFreshMark = 0xFFFFFFFFu;
 
-/// The largest union ReformulationOptions::minimize prunes: MinimizeUcq's
-/// pairwise containment pass is quadratic in the member count.
-constexpr uint64_t kMinimizeThreshold = 4096;
-
 bool IsFresh(const QTerm& t) { return t.is_var && t.var() == kFreshMark; }
 
 QTerm Fresh() { return QTerm::Var(kFreshMark); }
@@ -646,18 +642,19 @@ Result<Ucq> Reformulator::ReformulateByWorklist(const Cq& q) const {
   return out;
 }
 
-Result<Ucq> Reformulator::Reformulate(const Cq& q) const {
+Result<Ucq> Reformulator::ReformulateUnminimized(const Cq& q) const {
   if (q.body().empty()) {
     return Status::InvalidArgument("cannot reformulate an empty BGP");
   }
-  Result<Ucq> result = (!options_.force_worklist && AtomsIndependent(q))
-                           ? ReformulateByProduct(q)
-                           : ReformulateByWorklist(q);
-  if (result.ok() && options_.minimize &&
-      result->size() <= kMinimizeThreshold) {
-    return query::MinimizeUcq(*result, dict_);
-  }
-  return result;
+  return (!options_.force_worklist && AtomsIndependent(q))
+             ? ReformulateByProduct(q)
+             : ReformulateByWorklist(q);
+}
+
+Result<Ucq> Reformulator::Reformulate(const Cq& q, uint64_t* raw_cqs) const {
+  RDFREF_ASSIGN_OR_RETURN(Ucq ucq, ReformulateUnminimized(q));
+  if (raw_cqs != nullptr) *raw_cqs = ucq.size();
+  return query::MinimizeUcq(std::move(ucq), dict_);
 }
 
 Result<uint64_t> Reformulator::CountReformulations(const Cq& q) const {

@@ -24,10 +24,6 @@ struct ReformulationOptions {
   /// Forces the general CQ-level worklist even when the per-atom product
   /// fast path applies (ablation and differential testing).
   bool force_worklist = false;
-  /// Prunes union members subsumed by others (query::MinimizeUcq) after
-  /// reformulation. Quadratic in the member count, so only applied to
-  /// unions of at most 4096 members.
-  bool minimize = false;
   /// Fuses the hierarchy rule families (rules 1/4/5/8) into single
   /// id-interval members when the dictionary carries a hierarchy encoding
   /// (schema/encoder.h). Terms escaping the encoding — secondary parents of
@@ -79,15 +75,25 @@ class Reformulator {
 
   virtual ~Reformulator() = default;
 
-  /// \brief Reformulates a whole CQ into an equivalent UCQ. The original
-  /// query is a member unless an interval member subsumes it (see
-  /// ReformulateAtom). Fails with kResourceExhausted beyond options.max_cqs.
-  Result<query::Ucq> Reformulate(const query::Cq& q) const;
+  /// \brief Reformulates a whole CQ into an equivalent UCQ: the rule
+  /// closure (ReformulateUnminimized), minimized by query::MinimizeUcq
+  /// (DESIGN.md §3.1). `raw_cqs`, when given, receives the closure's size.
+  /// Fails with kResourceExhausted when the closure exceeds options.max_cqs.
+  Result<query::Ucq> Reformulate(const query::Cq& q,
+                                 uint64_t* raw_cqs = nullptr) const;
 
-  /// \brief Exact size of the UCQ reformulation of q. When per-atom
-  /// reformulations are independent (no bindable variable shared across
-  /// atoms), this is a closed-form product and never materializes the UCQ —
-  /// this is how the 318,096 of Example 1 is obtained without building it.
+  /// \brief The rule closure of q before minimization: every member the 13
+  /// rules derive, less the classic members an interval member subsumes
+  /// (see ReformulateAtom). The original query is a member unless an
+  /// interval member subsumes it. Fails with kResourceExhausted beyond
+  /// options.max_cqs.
+  Result<query::Ucq> ReformulateUnminimized(const query::Cq& q) const;
+
+  /// \brief Exact size of ReformulateUnminimized(q), the paper's measure of
+  /// a reformulation. When per-atom reformulations are independent (no
+  /// bindable variable shared across atoms), this is a closed-form product
+  /// and never materializes the UCQ — this is how the 318,096 of Example 1
+  /// is obtained without building it.
   Result<uint64_t> CountReformulations(const query::Cq& q) const;
 
   /// \brief Reformulates a single atom of q into its set of members.

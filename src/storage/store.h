@@ -158,6 +158,9 @@ class Store : public TripleSource {
     return Count({s, p, o, range_pos, hi});
   }
 
+  /// \brief The indexes hold each triple once (construction uniques them).
+  bool DeliversDistinctTriples() const override { return true; }
+
   /// \brief Membership test for a fully bound triple.
   bool Contains(const rdf::Triple& t) const;
 

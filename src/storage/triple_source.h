@@ -143,8 +143,9 @@ class TripleSource {
   virtual ~TripleSource() = default;
 
   /// \brief Invokes `fn` on every triple matching the pattern; kAny
-  /// (rdf::kInvalidTermId) wildcards a position. May deliver duplicates
-  /// across underlying sources; the engine deduplicates answers. Iterates
+  /// (rdf::kInvalidTermId) wildcards a position. A source may deliver one
+  /// triple more than once (a federation concatenating endpoints that
+  /// share it) unless DeliversDistinctTriples() says otherwise. Iterates
   /// TryGetRange when it succeeds, otherwise a ScanInto buffer. Hot code
   /// should use the batch API directly.
   virtual void Scan(
@@ -308,6 +309,12 @@ class TripleSource {
 
   /// \brief The dictionary the triples are encoded against.
   virtual const rdf::Dictionary& dict() const RDFREF_LIFETIME_BOUND = 0;
+
+  /// \brief True when every lookup, scan and count delivers each matching
+  /// triple exactly once. The engine then skips deduplicating the rows of
+  /// a CQ whose rows cannot repeat (DESIGN.md §9). False, the default, is
+  /// always safe: the engine deduplicates every answer.
+  virtual bool DeliversDistinctTriples() const { return false; }
 };
 
 /// \brief Residual equality constraints a triple-pattern scan cannot

@@ -194,6 +194,11 @@ class SnapshotSource : public TripleSource {
     return version_->base->dict();
   }
 
+  /// \brief A visible triple lives in exactly one generation that no newer
+  /// one hides: VersionSet::Insert refuses a triple already visible, and a
+  /// removal hides the one visible occurrence.
+  bool DeliversDistinctTriples() const override { return true; }
+
   /// \brief True when `t` is visible at this epoch.
   bool Contains(const rdf::Triple& t) const;
 

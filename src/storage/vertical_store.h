@@ -39,6 +39,9 @@ class VerticalStore : public TripleSource {
     return *dict_;
   }
 
+  /// \brief Each property table holds each (subject, object) pair once.
+  bool DeliversDistinctTriples() const override { return true; }
+
   size_t size() const { return total_; }
   size_t num_properties() const { return tables_.size(); }
 

@@ -65,7 +65,9 @@ enum class Expect {
 };
 
 /// \brief Decodes a successful answer against `dict` into `rows`; a failed
-/// one is a divergence named `relation` that carries its status.
+/// one is a divergence named `relation` that carries its status, and so is
+/// a table that holds one row twice (answers are sets: this is the check
+/// behind the engine's skipped deduplication, DESIGN.md §9).
 Divergence DecodeAnswer(const std::string& relation,
                         const Result<engine::Table>& answer,
                         const rdf::Dictionary& dict,
@@ -90,9 +92,12 @@ using AnswerMutator = std::function<void(api::Strategy, engine::Table*)>;
 /// \brief The differential oracle protocol over one scenario:
 ///
 ///   1. Sat (saturate G, evaluate q directly) is ground truth: q(G∞).
-///   2. Every complete strategy — Ref-UCQ, Ref-SCQ, Ref-GCov, Dat, and
-///      Ref-UCQ with minimization — must match it bit-for-bit.
-///   3. The incomplete (Virtuoso-style) Ref must return a subset.
+///   2. Every complete strategy — Ref-UCQ, Ref-SCQ, Ref-GCov and Dat —
+///      must match it bit-for-bit.
+///   3. The raw rule closure (Reformulator::ReformulateUnminimized),
+///      evaluated directly, must match it too, and the minimized union
+///      the strategies evaluate must be no larger (`oracle:REF-UCQ-raw`).
+///   4. The incomplete (Virtuoso-style) Ref must return a subset.
 ///
 /// The mutate hook corrupts a chosen strategy's answer before comparison;
 /// it exists so the harness can verify *itself* (an injected evaluator bug
@@ -113,6 +118,9 @@ class Oracle {
  private:
   Result<engine::Table> Answer(const query::Cq& q, api::Strategy s,
                                const api::AnswerOptions& options = {});
+  // Step 3 of the protocol, on a query in the answerer's ids.
+  Divergence CheckRawStage(const query::Cq& q,
+                           const std::set<DecodedRow>& expected);
 
   AnswerMutator mutate_;
   const rdf::Dictionary* scenario_dict_;

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "federation/federation.h"
 #include "query/cover.h"
 #include "query/sparql_parser.h"
 #include "rdf/graph.h"
@@ -306,6 +307,23 @@ TEST_F(EvaluatorTest, ExplainJucqRendersFragments) {
   std::string plan = eval.ExplainJucq(q, fragments, ucqs);
   EXPECT_NE(plan.find("materialize 2 fragment(s)"), std::string::npos);
   EXPECT_NE(plan.find("fragment 0"), std::string::npos);
+}
+
+TEST_F(EvaluatorTest, ExplainJucqNamesMembersBeforeMinimization) {
+  Cq q = Parse(
+      "SELECT ?x ?z WHERE { ?x <http://ex/knows> ?y . "
+      "?y <http://ex/knows> ?z . }");
+  std::vector<Cq> fragments = Cover::Singletons(2).FragmentQueries(q);
+  std::vector<Ucq> ucqs;
+  for (const Cq& f : fragments) ucqs.push_back(Ucq({f}));
+  Evaluator eval(store_.get());
+  std::string plan = eval.ExplainJucq(q, fragments, ucqs, {3, 1});
+  EXPECT_NE(plan.find("  fragment 0: UCQ of 1 of 3 members, head arity 2\n"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("  fragment 1: UCQ of 1 of 1 members, head arity 2\n"),
+            std::string::npos)
+      << plan;
 }
 
 TEST_F(EvaluatorTest, ExplainJucqIndentsEveryNestedPlanLine) {
@@ -815,6 +833,123 @@ TEST_F(EvaluatorPruningTest, JucqReusesRepeatedFragment) {
       << plan;
   EXPECT_NE(plan.find("head arity 2, same as fragment 2\n"), std::string::npos)
       << plan;
+}
+
+
+// Wraps a store and delivers every match twice, through the buffered scan,
+// claiming distinct triples when told to: the duplicates that survive show
+// where the engine skipped deduplication.
+class TwiceSource : public storage::TripleSource {
+ public:
+  TwiceSource(const storage::TripleSource* inner, bool claims_distinct)
+      : inner_(inner), claims_distinct_(claims_distinct) {}
+
+  void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                std::vector<rdf::Triple>* out) const override {
+    inner_->ScanInto(s, p, o, out);
+    Double(out);
+  }
+  void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                        int range_pos, rdf::TermId hi,
+                        std::vector<rdf::Triple>* out) const override {
+    inner_->ScanIntervalInto(s, p, o, range_pos, hi, out);
+    Double(out);
+  }
+  size_t CountMatches(rdf::TermId s, rdf::TermId p,
+                      rdf::TermId o) const override {
+    return 2 * inner_->CountMatches(s, p, o);
+  }
+  size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                              int range_pos, rdf::TermId hi) const override {
+    return 2 * inner_->CountIntervalMatches(s, p, o, range_pos, hi);
+  }
+  const rdf::Dictionary& dict() const override { return inner_->dict(); }
+  bool DeliversDistinctTriples() const override { return claims_distinct_; }
+
+ private:
+  // Each triple twice in a row, so the buffer keeps the index order.
+  static void Double(std::vector<rdf::Triple>* out) {
+    std::vector<rdf::Triple> twice;
+    twice.reserve(2 * out->size());
+    for (const rdf::Triple& t : *out) {
+      twice.push_back(t);
+      twice.push_back(t);
+    }
+    *out = std::move(twice);
+  }
+
+  const storage::TripleSource* inner_;
+  bool claims_distinct_;
+};
+
+TEST_F(EvaluatorPruningTest, DedupSkippedOnlyWhereRowsCannotRepeat) {
+  EXPECT_TRUE(store_->DeliversDistinctTriples());
+  const TwiceSource lying(store_.get(), /*claims_distinct=*/true);
+  const TwiceSource honest(store_.get(), /*claims_distinct=*/false);
+  const Cq pairs = Parse("SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }");
+  // Every body variable in the head, no interval, a source claiming
+  // distinct triples: no deduplication, so the source's repeats survive.
+  EXPECT_EQ(Evaluator(&lying).EvaluateCq(pairs).NumRows(), 14u);
+  EXPECT_EQ(Evaluator(&lying).EvaluateUcq(Ucq({pairs})).NumRows(), 14u);
+  // Refused: a source that does not claim distinct triples.
+  EXPECT_EQ(Evaluator(&honest).EvaluateCq(pairs).NumRows(), 7u);
+  EXPECT_EQ(Evaluator(&honest).EvaluateUcq(Ucq({pairs})).NumRows(), 7u);
+  // Refused: two members may derive one row.
+  EXPECT_EQ(Evaluator(&lying).EvaluateUcq(Ucq({pairs, pairs})).NumRows(), 7u);
+  // Refused: an existential variable.
+  const Cq subjects =
+      Parse("SELECT ?x WHERE { ?x <http://ex/knows> ?y . }");
+  EXPECT_EQ(Evaluator(&lying).EvaluateCq(subjects).NumRows(), 4u);
+  EXPECT_EQ(Evaluator(&lying).EvaluateUcq(Ucq({subjects})).NumRows(), 4u);
+
+  // Refused: an interval atom, whose ranged position is a hidden
+  // existential. (?x [knows..likes] ?y) matches (ann knows bob) and (ann
+  // likes bob), so even the store's distinct triples give (ann, bob) twice:
+  // 7 knows pairs and 3 likes pairs hold 9 distinct ones.
+  ASSERT_EQ(likes_, knows_ + 1);
+  Cq ranged = pairs;
+  Atom& atom = (*ranged.mutable_body())[0];
+  atom.range_pos = Atom::kRangeP;
+  atom.range_hi = likes_;
+  EXPECT_EQ(Evaluator(store_.get()).EvaluateCq(ranged).NumRows(), 9u);
+  EXPECT_EQ(Evaluator(store_.get()).EvaluateUcq(Ucq({ranged})).NumRows(), 9u);
+  EXPECT_EQ(Evaluator(&lying).EvaluateCq(ranged).NumRows(), 9u);
+}
+
+TEST_F(EvaluatorPruningTest, JucqSkipsTheFinalDedupOnlyWhenNoColumnIsDropped) {
+  const TwiceSource lying(store_.get(), /*claims_distinct=*/true);
+  const Cq path = Parse(
+      "SELECT ?x ?y ?z WHERE { ?x <http://ex/knows> ?y . "
+      "?y <http://ex/knows> ?z . }");
+  const Cq ends = Parse(
+      "SELECT ?x ?z WHERE { ?x <http://ex/knows> ?y . "
+      "?y <http://ex/knows> ?z . }");
+  auto jucq_rows = [&](const Cq& q) {
+    const std::vector<Cq> fragments = Cover::Singletons(2).FragmentQueries(q);
+    std::vector<Ucq> ucqs;
+    for (const Cq& f : fragments) ucqs.push_back(Ucq({f}));
+    return Evaluator(&lying).EvaluateJucq(q, fragments, ucqs).NumRows();
+  };
+  const Evaluator exact(store_.get());
+  // Each fragment table holds every row twice, so every joined row comes
+  // four times; keeping every joined column, the projection keeps them.
+  EXPECT_EQ(jucq_rows(path), 4 * exact.EvaluateCq(path).NumRows());
+  // Dropping ?y, it deduplicates.
+  EXPECT_EQ(jucq_rows(ends), exact.EvaluateCq(ends).NumRows());
+}
+
+TEST_F(EvaluatorPruningTest, FederatedSourceKeepsDeduplicating) {
+  // Two endpoints holding the same graph deliver every triple twice.
+  federation::Federation fed;
+  fed.AddEndpoint("a", graph_);
+  fed.AddEndpoint("b", graph_);
+  EXPECT_FALSE(fed.source().DeliversDistinctTriples());
+  auto q = query::ParseSparql(
+      "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }", &fed.dict());
+  ASSERT_TRUE(q.ok()) << q.status();
+  Evaluator eval(&fed.source());
+  EXPECT_EQ(eval.EvaluateCq(*q).NumRows(), 7u);
+  EXPECT_EQ(eval.EvaluateUcq(Ucq({*q})).NumRows(), 7u);
 }
 
 }  // namespace

@@ -136,8 +136,9 @@ TEST_F(ReformulatorTest, VariablePropertyRules8To13) {
   q.AddHead(QTerm::Var(p));
   q.AddHead(QTerm::Var(y));
   Reformulator ref(&schema_);
-  Result<Ucq> ucq = ref.Reformulate(q);
+  Result<Ucq> ucq = ref.ReformulateUnminimized(q);
   ASSERT_TRUE(ucq.ok());
+  // The rule closure, before minimization:
   // original
   // rule 8: (x writtenBy y) p→hasAuthor
   // rule 9: (x τ y) p→τ, then rules 5-7 on the variable class y:
@@ -169,10 +170,11 @@ TEST_F(ReformulatorTest, Section3QueryReformulation) {
   ASSERT_TRUE(q.ok()) << q.status();
   Reformulator ref(&schema_);
   ASSERT_TRUE(ref.AtomsIndependent(*q));
-  Result<Ucq> ucq = ref.Reformulate(*q);
+  Result<Ucq> ucq = ref.ReformulateUnminimized(*q);
   ASSERT_TRUE(ucq.ok());
-  // atom1: 2 (hasAuthor, writtenBy); atom2: 1; atom3 (var property):
-  // 1 + rule8 (writtenBy) + rule9 (τ) + rules 10-13 = 7.
+  // The rule closure, before minimization: atom1: 2 (hasAuthor,
+  // writtenBy); atom2: 1; atom3 (var property): 1 + rule8 (writtenBy) +
+  // rule9 (τ) + rules 10-13 = 7.
   EXPECT_EQ(ucq->size(), 2u * 1u * 7u);
   Result<uint64_t> count = ref.CountReformulations(*q);
   ASSERT_TRUE(count.ok());
@@ -365,33 +367,9 @@ class FusedReformulationTest : public ::testing::Test {
 
   /// The sp2b-rw templates, point slots filled with their pools' first ids.
   static std::vector<Named> Sp2bQueries() {
-    const std::string ns = datagen::Sp2b::kNs;
-    const std::string doc = "<" + ns + "doc/0>";
-    const std::string author = "<" + ns + "author/0>";
-    const std::string venue = "<" + ns + "venue/0>";
-    const std::vector<std::pair<std::string, std::string>> texts = {
-        {"P1-citers", "SELECT ?x WHERE { ?x sp:cites " + doc + " . }"},
-        {"P2-author-papers", "SELECT ?d ?v WHERE { ?d sp:hasAuthor " +
-                                 author + " . ?d sp:publishedIn ?v . }"},
-        {"P3-venue-pubs", "SELECT ?d WHERE { ?d sp:publishedIn " + venue +
-                              " . ?d a sp:Publication . }"},
-        {"P4-doc-star", "SELECT ?p ?v ?o WHERE { " + doc +
-                            " sp:hasContributor ?p . " + doc +
-                            " sp:publishedIn ?v . " + doc +
-                            " sp:references ?o . }"},
-        {"P5-author-chain", "SELECT ?x ?y WHERE { ?w sp:hasAuthor " + author +
-                                " . ?w sp:cites ?x . ?x sp:cites ?y . }"},
-        {"A1-publications", "SELECT ?d WHERE { ?d a sp:Publication . }"},
-        {"A2-mutual-citations",
-         "SELECT ?x ?y WHERE { ?x sp:cites ?y . ?y sp:cites ?x . }"},
-        {"A3-coauthor-cites",
-         "SELECT ?x ?y ?p WHERE { ?x sp:hasAuthor ?p . "
-         "?y sp:hasAuthor ?p . ?x sp:cites ?y . }"},
-    };
     std::vector<Named> out;
-    for (const auto& [name, body] : texts) {
-      Result<Cq> q = query::ParseSparql(
-          "PREFIX sp: <" + ns + ">\n" + body, &sp2b_->dict());
+    for (const auto& [name, text] : bench::Sp2bTemplateSuite()) {
+      Result<Cq> q = query::ParseSparql(text, &sp2b_->dict());
       EXPECT_TRUE(q.ok()) << name << ": " << q.status();
       if (q.ok()) out.push_back({name, *q});
     }
@@ -410,10 +388,12 @@ class FusedReformulationTest : public ::testing::Test {
   }
 
   /// Checks every property the pruning promises on one encoded answerer
-  /// and records each query's fused member count in `sizes`.
+  /// and records each query's fused member count before minimization in
+  /// `sizes`.
   static void CheckPruned(api::QueryAnswerer* answerer,
                           const std::vector<Named>& queries,
-                          std::map<std::string, size_t>* sizes) {
+                          std::map<std::string, size_t>* sizes,
+                          std::map<std::string, size_t>* minimized_sizes) {
     Reformulator fused(&answerer->schema(), {}, &answerer->dict());
     ReformulationOptions worklist_options;
     worklist_options.force_worklist = true;
@@ -422,7 +402,7 @@ class FusedReformulationTest : public ::testing::Test {
     size_t interval_members = 0;
     for (const Named& n : queries) {
       SCOPED_TRACE(n.name);
-      Result<Ucq> ucq = fused.Reformulate(n.cq);
+      Result<Ucq> ucq = fused.ReformulateUnminimized(n.cq);
       ASSERT_TRUE(ucq.ok()) << ucq.status();
       (*sizes)[n.name] = ucq->size();
       for (const Cq& f : ucq->members()) {
@@ -440,9 +420,18 @@ class FusedReformulationTest : public ::testing::Test {
       Result<uint64_t> count = fused.CountReformulations(n.cq);
       ASSERT_TRUE(count.ok()) << count.status();
       EXPECT_EQ(*count, ucq->size());
-      Result<Ucq> slow = worklist.Reformulate(n.cq);
+      Result<Ucq> slow = worklist.ReformulateUnminimized(n.cq);
       ASSERT_TRUE(slow.ok()) << slow.status();
       EXPECT_EQ(slow->size(), ucq->size());
+      // Both paths minimize to unions of one size, no larger than the
+      // closure.
+      Result<Ucq> minimized = fused.Reformulate(n.cq);
+      Result<Ucq> slow_minimized = worklist.Reformulate(n.cq);
+      ASSERT_TRUE(minimized.ok()) << minimized.status();
+      ASSERT_TRUE(slow_minimized.ok()) << slow_minimized.status();
+      EXPECT_LE(minimized->size(), ucq->size());
+      EXPECT_EQ(slow_minimized->size(), minimized->size());
+      (*minimized_sizes)[n.name] = minimized->size();
 
       auto ref = answerer->Answer(n.cq, api::Strategy::kRefUcq);
       auto sat = answerer->Answer(n.cq, api::Strategy::kSaturation);
@@ -461,8 +450,8 @@ api::QueryAnswerer* FusedReformulationTest::sp2b_ = nullptr;
 api::QueryAnswerer* FusedReformulationTest::lubm_ = nullptr;
 
 TEST_F(FusedReformulationTest, Sp2bTemplatesDropMembersTheirIntervalCovers) {
-  std::map<std::string, size_t> sizes;
-  CheckPruned(sp2b_, Sp2bQueries(), &sizes);
+  std::map<std::string, size_t> sizes, minimized;
+  CheckPruned(sp2b_, Sp2bQueries(), &sizes, &minimized);
   // Every atom of the citation and authorship templates fuses whole: one
   // member each (4, 8 and 8 when the fused atoms kept their classic
   // parents beside them).
@@ -472,9 +461,17 @@ TEST_F(FusedReformulationTest, Sp2bTemplatesDropMembersTheirIntervalCovers) {
 }
 
 TEST_F(FusedReformulationTest, LubmSuiteDropsMembersTheirIntervalCovers) {
-  std::map<std::string, size_t> sizes;
-  CheckPruned(lubm_, LubmQueries(), &sizes);
+  std::map<std::string, size_t> sizes, minimized;
+  CheckPruned(lubm_, LubmQueries(), &sizes, &minimized);
   EXPECT_EQ(sizes["Q6-members"], 79u);  // 194 with the subsumed members
+  // Minimization: Q9's `?s a Student` member is contained in the core of
+  // its `?s takesCourse ?_f0` member, `?f teacherOf ?c . ?s takesCourse ?c`.
+  EXPECT_EQ(sizes["Q9-teachers"], 2u);
+  EXPECT_EQ(minimized["Q9-teachers"], 1u);
+  EXPECT_EQ(minimized["Q3-students"], 1u);
+  EXPECT_EQ(sizes["Q8-org-units"], 12u);
+  EXPECT_EQ(minimized["Q8-org-units"], 1u);
+  EXPECT_EQ(minimized["Q6-members"], 59u);
 }
 
 TEST_F(ReformulatorTest, EmptySchemaLeavesQueryAlone) {
