@@ -16,8 +16,7 @@ namespace rdfref {
 /// Result is a programming error and aborts in debug builds.
 ///
 /// The class is [[nodiscard]]: silently dropping a Result discards an
-/// error the caller was obligated to observe (a dropped kUnavailable in
-/// the federation path is a lost-data bug). The `-Werror` CI build and
+/// error the caller was obligated to observe. The `-Werror` CI build and
 /// tests/negative/discard_result.cc keep it that way; a deliberate
 /// discard must be spelled `(void)expr;` with a comment.
 template <typename T>

@@ -24,8 +24,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "PARSE_ERROR";
     case StatusCode::kDeadlineExceeded:
       return "DEADLINE_EXCEEDED";
-    case StatusCode::kUnavailable:
-      return "UNAVAILABLE";
   }
   return "UNKNOWN";
 }

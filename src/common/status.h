@@ -22,7 +22,6 @@ enum class StatusCode {
   kResourceExhausted = 7,
   kParseError = 8,
   kDeadlineExceeded = 9,
-  kUnavailable = 10,
 };
 
 /// \brief Returns a human-readable name for a status code.
@@ -75,9 +74,6 @@ class [[nodiscard]] Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -1,49 +1,21 @@
 #include "federation/endpoint.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
+#include <span>
 
 namespace rdfref {
 namespace federation {
 
-Result<size_t> Endpoint::Request(
-    rdf::TermId s, rdf::TermId p, rdf::TermId o,
-    const std::function<void(const rdf::Triple&)>& fn) const {
-  common::MutexLock lock(&mu_);
-  ++requests_served_;
-  const FaultProfile& fault = options_.fault;
-  if (fault.hard_down) {
-    return Status::Unavailable(name_ + ": endpoint is down");
-  }
-  if (fault.latency_ms > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        fault.latency_ms));
-  }
-  if (injector_.NextRequestFails()) {
-    return Status::Unavailable(name_ + ": injected request failure");
-  }
+void Endpoint::Request(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                       std::vector<rdf::Triple>* out) const {
+  requests_served_.fetch_add(1, std::memory_order_relaxed);
+  // A Store serves every classic pattern as one index range; the cap
+  // models a server that truncates its response to that range's prefix.
+  std::span<const rdf::Triple> range;
+  store_->Lookup({s, p, o}, &range);
   const size_t cap = options_.max_answers_per_request;
-  const size_t drop_after = fault.fail_after_triples;
-  size_t delivered = 0;
-  bool dropped = false;
-  // The store's Scan has no early-exit; the cap models a server that
-  // truncates its response, so we simply stop forwarding.
-  store_->Scan(s, p, o, [&](const rdf::Triple& t) {
-    if (dropped) return;
-    if (cap != 0 && delivered >= cap) return;
-    if (drop_after != 0 && delivered >= drop_after) {
-      dropped = true;
-      return;
-    }
-    fn(t);
-    ++delivered;
-  });
-  if (dropped) {
-    return Status::Unavailable(name_ + ": connection dropped after " +
-                               std::to_string(delivered) + " triples");
-  }
-  return delivered;
+  if (cap != 0 && range.size() > cap) range = range.first(cap);
+  out->insert(out->end(), range.begin(), range.end());
 }
 
 size_t Endpoint::CountMatches(rdf::TermId s, rdf::TermId p,

@@ -1,13 +1,13 @@
 #ifndef RDFREF_FEDERATION_ENDPOINT_H_
 #define RDFREF_FEDERATION_ENDPOINT_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
-#include "common/result.h"
-#include "common/synchronization.h"
-#include "federation/resilience.h"
 #include "rdf/graph.h"
 #include "storage/store.h"
 
@@ -27,14 +27,10 @@ struct EndpointOptions {
   /// that is precisely why "computing the complete (distributed) set of
   /// consequences in this setting is unfeasible".
   bool locally_saturated = false;
-  /// Simulated failure behaviour (deterministic under fault.seed); the
-  /// default profile never fails.
-  FaultProfile fault;
 };
 
 /// \brief An independent RDF endpoint, as in the Linked Open Data cloud:
-/// its own triples, possibly its own constraints, possibly rate-limited,
-/// possibly flaky (per its FaultProfile).
+/// its own triples, possibly its own constraints, possibly rate-limited.
 ///
 /// Triples are encoded against the *federation's* shared dictionary (URIs
 /// are global identifiers; the mediator interns them once).
@@ -46,50 +42,36 @@ class Endpoint {
            EndpointOptions options)
       : name_(std::move(name)),
         options_(options),
-        store_(std::move(store)),
-        injector_(options.fault) {}
-
-  // Not movable: requests synchronize on a per-endpoint mutex (endpoints
-  // live behind unique_ptr in the federation, so moves are not needed).
-  Endpoint(Endpoint&&) = delete;
-  Endpoint& operator=(Endpoint&&) = delete;
+        store_(std::move(store)) {}
 
   const std::string& name() const { return name_; }
   const EndpointOptions& options() const { return options_; }
   const storage::Store& store() const { return *store_; }
 
-  /// \brief Pattern request, honoring the per-request answer cap and the
-  /// endpoint's fault profile. On success returns the number of triples
-  /// delivered; on failure returns kUnavailable — note that a mid-scan
-  /// drop (fault.fail_after_triples) has already forwarded a *prefix* of
-  /// the answer to `fn`, so callers that retry must buffer and discard.
-  Result<size_t> Request(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                         const std::function<void(const rdf::Triple&)>& fn)
-      const RDFREF_EXCLUDES(mu_);
+  /// \brief Pattern request: appends to `out` the first
+  /// max_answers_per_request matches (all of them when uncapped), in the
+  /// store's index order. Safe to call from several threads at once.
+  void Request(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+               std::vector<rdf::Triple>* out) const;
 
-  /// \brief How many triples a (successful) Request for this pattern would
-  /// deliver: the store's match count clamped to max_answers_per_request.
-  /// This is what the mediator's cost model must use so estimated
-  /// cardinalities match what Scan actually delivers.
+  /// \brief How many triples a Request for this pattern delivers: the
+  /// store's match count clamped to max_answers_per_request. This is what
+  /// the mediator's cost model must use so estimated cardinalities match
+  /// what Scan actually delivers.
   size_t CountMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o) const;
 
   /// \brief Total requests served (for the demo's cost displays).
-  uint64_t requests_served() const RDFREF_EXCLUDES(mu_) {
-    common::MutexLock lock(&mu_);
-    return requests_served_;
+  uint64_t requests_served() const {
+    return requests_served_.load(std::memory_order_relaxed);
   }
 
  private:
-  // Immutable after construction (safe to read from any thread unlocked).
+  // Immutable after construction (safe to read from any thread).
   std::string name_;
   EndpointOptions options_;
   std::unique_ptr<storage::Store> store_;
-  // Serializes requests to this endpoint (as a remote server would): the
-  // fault injector's failure stream and the served counter stay exact
-  // when the mediator fans out scans in parallel.
-  mutable common::Mutex mu_;
-  mutable FaultInjector injector_ RDFREF_GUARDED_BY(mu_);
-  mutable uint64_t requests_served_ RDFREF_GUARDED_BY(mu_) = 0;
+  // A counter only: no other state is read with it, so relaxed suffices.
+  mutable std::atomic<uint64_t> requests_served_{0};
 };
 
 }  // namespace federation

@@ -130,8 +130,7 @@ struct RangeHint {
 ///     as a contiguous block (zero-copy when the source is range-capable,
 ///     one buffered copy otherwise);
 ///   - the per-triple callback `Scan`, a base-class convenience over the
-///     batch API for the endpoint, the Datalog loader and the reference
-///     evaluator.
+///     batch API for the Datalog loader and the reference evaluator.
 ///
 /// The batch API takes one storage::Pattern through three non-virtual
 /// entry points (TryGetPattern, ScanPatternInto, CountPattern). Each routes

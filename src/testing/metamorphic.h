@@ -28,7 +28,7 @@ Divergence CheckThreadInvariance(const Scenario& sc, const query::Cq& q,
 Divergence CheckDeadlineInvariance(const Scenario& sc, const query::Cq& q);
 
 /// \brief Partitioning the scenario's triples across `num_endpoints`
-/// fault-free federation endpoints and answering through the mediator must
+/// federation endpoints and answering through the mediator must
 /// equal the centralized ground truth: implicit facts whose fact and
 /// constraint land on *different* endpoints are exactly what reformulation
 /// recovers. `seed` drives the random partition.

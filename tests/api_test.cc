@@ -10,9 +10,12 @@
 
 #include "datagen/bibliography.h"
 #include "datagen/lubm.h"
+#include "engine/evaluator.h"
 #include "query/canonical.h"
 #include "query/sparql_parser.h"
+#include "rdf/parser.h"
 #include "rdf/vocab.h"
+#include "reformulation/reformulator.h"
 
 namespace rdfref {
 namespace api {
@@ -600,6 +603,82 @@ TEST(PlanMemoConcurrencyTest, ConcurrentAnswersMatchSequentialOnes) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_EQ(stats.entries, expected.size());
 }
+
+// Deadlines on an exploding REF-UCQ. These tests keep their own graph,
+// hence the namespace: ExplodingGraph above cycles its ex:p edges through
+// every individual, this one has a single two-edge ex:p path, so the full
+// answer is one row.
+namespace exploding_path {
+
+// A schema whose class hierarchy makes the UCQ reformulation explode
+// multiplicatively (Example-1-style): three type atoms, each reformulating
+// into (subclasses + 1) members.
+rdf::Graph ExplodingGraph(int subclasses) {
+  std::string ttl = "@prefix ex: <http://example.org/> .\n";
+  for (int i = 0; i < subclasses; ++i) {
+    ttl += "ex:C" + std::to_string(i) + " rdfs:subClassOf ex:Top .\n";
+  }
+  ttl += "ex:a a ex:C0 .\nex:b a ex:C1 .\nex:c a ex:C2 .\n";
+  ttl += "ex:a ex:p ex:b .\nex:b ex:p ex:c .\n";
+  rdf::Graph g;
+  EXPECT_TRUE(rdf::TurtleParser::ParseString(ttl, &g).ok());
+  return g;
+}
+
+// Acceptance: a 1 ms deadline on an exploding reformulation returns
+// kDeadlineExceeded — no hang, no crash. Hierarchy encoding would collapse
+// the explosion into interval atoms (that's its whole point), so this test
+// pins use_encoding = false to keep the 51^3-member UCQ it is about.
+TEST(AnswerDeadlineTest, ExplodingUcqHitsDeadline) {
+  api::QueryAnswerer answerer(ExplodingGraph(50));
+  auto q = query::ParseSparql(
+      "PREFIX ex: <http://example.org/>\n"
+      "SELECT ?x ?y ?z WHERE { ?x a ex:Top . ?y a ex:Top . ?z a ex:Top . "
+      "?x ex:p ?y . ?y ex:p ?z . }",
+      &answerer.dict());
+  ASSERT_TRUE(q.ok()) << q.status();
+
+  api::AnswerOptions options;
+  options.reform.use_encoding = false;
+
+  // Sanity: without a deadline the 51^3 = 132,651-CQ UCQ evaluates fully.
+  api::AnswerProfile profile;
+  auto unbounded =
+      answerer.Answer(*q, api::Strategy::kRefUcq, &profile, options);
+  ASSERT_TRUE(unbounded.ok());
+  EXPECT_EQ(profile.reformulation_cqs, 132651u);
+  EXPECT_EQ(unbounded->NumRows(), 1u);
+
+  options.deadline = Deadline::AfterMillis(1.0);
+  auto bounded = answerer.Answer(*q, api::Strategy::kRefUcq, nullptr, options);
+  ASSERT_FALSE(bounded.ok());
+  EXPECT_EQ(bounded.status().code(), StatusCode::kDeadlineExceeded);
+
+  // The SCQ/JUCQ path checks the same deadline at its CQ boundaries.
+  options.deadline = Deadline::AfterMicros(0);
+  auto scq = answerer.Answer(*q, api::Strategy::kRefScq, nullptr, options);
+  ASSERT_FALSE(scq.ok());
+  EXPECT_EQ(scq.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(AnswerDeadlineTest, EvaluatorReportsProgressInMessage) {
+  api::QueryAnswerer answerer(ExplodingGraph(3));
+  auto q = query::ParseSparql(
+      "PREFIX ex: <http://example.org/>\nSELECT ?x WHERE { ?x a ex:Top . }",
+      &answerer.dict());
+  ASSERT_TRUE(q.ok());
+  reformulation::Reformulator ref(&answerer.schema());
+  auto ucq = ref.Reformulate(*q);
+  ASSERT_TRUE(ucq.ok());
+  engine::Evaluator evaluator(&answerer.ref_store());
+  auto r = evaluator.EvaluateUcq(*ucq, Deadline::AfterMicros(0));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(r.status().message().find("0 of 4"), std::string::npos)
+      << r.status();
+}
+
+}  // namespace exploding_path
 
 }  // namespace
 }  // namespace api

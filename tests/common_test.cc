@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <thread>
 
+#include "common/deadline.h"
 #include "common/hash.h"
 #include "common/timer.h"
 
@@ -77,6 +79,26 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_GE(timer.ElapsedMillis(), 4.0);
   timer.Reset();
   EXPECT_LT(timer.ElapsedMillis(), 5.0);
+}
+
+TEST(DeadlineTest, DefaultIsInfinite) {
+  Deadline d;
+  EXPECT_TRUE(d.is_infinite());
+  EXPECT_FALSE(d.expired());
+  EXPECT_TRUE(std::isinf(d.remaining_millis()));
+}
+
+TEST(DeadlineTest, ZeroBudgetExpiresImmediately) {
+  Deadline d = Deadline::AfterMicros(0);
+  EXPECT_FALSE(d.is_infinite());
+  EXPECT_TRUE(d.expired());
+  EXPECT_LE(d.remaining_millis(), 0.0);
+}
+
+TEST(DeadlineTest, FutureDeadlineNotYetExpired) {
+  Deadline d = Deadline::AfterMillis(60000);
+  EXPECT_FALSE(d.expired());
+  EXPECT_GT(d.remaining_millis(), 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "query/sparql_parser.h"
 #include "rdf/parser.h"
 #include "rdf/vocab.h"
@@ -216,6 +220,83 @@ TEST_F(FederationTest, RequestCountersAdvance) {
       "SELECT ?x ?p ?y WHERE { ?x ?p ?y . }", &federation.dict());
   (void)federation.EvaluateWithoutReasoning(q);
   EXPECT_GT(federation.endpoints()[0]->requests_served(), 0u);
+}
+
+TEST_F(FederationTest, NaiveAnswerDoesNotDependOnCallHistory) {
+  // The mediated schema's closure serves Answer only: the naive mediator
+  // and endpoints() see the published endpoints, before and after an
+  // Answer call alike.
+  rdf::Graph ontology;
+  ASSERT_TRUE(rdf::TurtleParser::ParseString(
+                  "@prefix ex: <http://example.org/> .\n"
+                  "ex:A rdfs:subClassOf ex:B .\n"
+                  "ex:B rdfs:subClassOf ex:C .\n",
+                  &ontology)
+                  .ok());
+  Federation federation;
+  federation.AddEndpoint("ontology", ontology);
+  query::Cq q = *query::ParseSparql(
+      "PREFIX ex: <http://example.org/>\n"
+      "SELECT ?x WHERE { ?x rdfs:subClassOf ex:C . }",
+      &federation.dict());
+
+  engine::Table before = federation.EvaluateWithoutReasoning(q);
+  EXPECT_EQ(before.NumRows(), 1u);  // ex:B, as published
+  auto ref = federation.Answer(q);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  EXPECT_EQ(ref->NumRows(), 2u);  // ex:A too, through the closure
+  engine::Table after = federation.EvaluateWithoutReasoning(q);
+  EXPECT_EQ(after.RowVectors(), before.RowVectors());
+  EXPECT_EQ(federation.endpoints().size(), 1u);
+}
+
+TEST_F(FederationTest, ConcurrentAnswersOnOneFederation) {
+  // Threads may answer on one federation concurrently from the first call
+  // on, and each endpoint's request counter stays exact.
+  rdf::Graph more_facts;
+  ASSERT_TRUE(rdf::TurtleParser::ParseString(
+                  "@prefix bib: <http://example.org/bib/> .\n"
+                  "bib:doi2 a bib:Book .\n",
+                  &more_facts)
+                  .ok());
+  Federation federation;
+  federation.AddEndpoint("facts", data_graph_);
+  federation.AddEndpoint("more-facts", more_facts);
+  federation.AddEndpoint("ontology", schema_graph_);
+  query::Cq q =
+      Parse(&federation, "SELECT ?x WHERE { ?x a bib:Publication . }");
+
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 10;
+  std::vector<std::thread> callers;
+  std::vector<std::string> errors(kCallers);
+  callers.reserve(kCallers);
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        auto answer = federation.Answer(q);
+        if (!answer.ok()) {
+          errors[t] = answer.status().ToString();
+          return;
+        }
+        if (answer->NumRows() != 2u) {  // doi1 + doi2 as Publications
+          errors[t] = "round " + std::to_string(round) + ": got " +
+                      std::to_string(answer->NumRows()) + " rows";
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int t = 0; t < kCallers; ++t) EXPECT_EQ(errors[t], "") << "caller " << t;
+
+  // Every call makes the same requests: one more call measures them.
+  const Endpoint& facts = *federation.endpoints()[0];
+  const uint64_t served = facts.requests_served();
+  ASSERT_TRUE(federation.Answer(q).ok());
+  const uint64_t per_call = facts.requests_served() - served;
+  EXPECT_GT(per_call, 0u);
+  EXPECT_EQ(served, kCallers * kRounds * per_call);
 }
 
 }  // namespace

@@ -18,9 +18,7 @@
 namespace {
 
 rdfref::Result<int> MakeResult() { return 42; }
-rdfref::Status MakeStatus() {
-  return rdfref::Status::Unavailable("endpoint down");
-}
+rdfref::Status MakeStatus() { return rdfref::Status::Internal("boom"); }
 
 int Use() {
   // Properly observed returns: always legal.

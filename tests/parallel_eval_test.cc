@@ -6,10 +6,8 @@
 #include "api/query_answering.h"
 #include "datagen/lubm.h"
 #include "engine/evaluator.h"
-#include "federation/federation.h"
 #include "query/sparql_parser.h"
 #include "query/ucq.h"
-#include "rdf/parser.h"
 
 namespace rdfref {
 namespace {
@@ -158,111 +156,6 @@ TEST_F(ParallelEvalTest, ZeroResolvesToDefaultThreads) {
   EXPECT_GE(evaluator.threads(), 2);
   evaluator.set_threads(1);
   EXPECT_EQ(evaluator.threads(), 1);
-}
-
-// -----------------------------------------------------------------------
-// Parallel federation fan-out: identical answers, exact health accounting.
-// -----------------------------------------------------------------------
-
-class ParallelFederationTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ASSERT_TRUE(rdf::TurtleParser::ParseString(
-                    "@prefix bib: <http://example.org/bib/> .\n"
-                    "bib:doi1 a bib:Book .\n"
-                    "bib:doi1 bib:writtenBy bib:borges .\n",
-                    &facts_)
-                    .ok());
-    ASSERT_TRUE(rdf::TurtleParser::ParseString(
-                    "@prefix bib: <http://example.org/bib/> .\n"
-                    "bib:doi2 a bib:Book .\n"
-                    "bib:doi2 bib:writtenBy bib:cortazar .\n",
-                    &more_facts_)
-                    .ok());
-    ASSERT_TRUE(rdf::TurtleParser::ParseString(
-                    "@prefix bib: <http://example.org/bib/> .\n"
-                    "bib:Book rdfs:subClassOf bib:Publication .\n"
-                    "bib:writtenBy rdfs:domain bib:Book .\n",
-                    &schema_)
-                    .ok());
-  }
-
-  query::Cq Parse(federation::Federation* fed, const std::string& text) {
-    auto q = query::ParseSparql(
-        "PREFIX bib: <http://example.org/bib/>\n" + text, &fed->dict());
-    EXPECT_TRUE(q.ok()) << q.status();
-    return *q;
-  }
-
-  rdf::Graph facts_, more_facts_, schema_;
-};
-
-TEST_F(ParallelFederationTest, ParallelFanOutMatchesSequential) {
-  federation::Federation fed;
-  fed.AddEndpoint("facts", facts_);
-  fed.AddEndpoint("more-facts", more_facts_);
-  fed.AddEndpoint("ontology", schema_);
-
-  query::Cq q = Parse(&fed, "SELECT ?x WHERE { ?x a bib:Publication . }");
-  federation::FederationAnswerOptions sequential;
-  sequential.threads = 1;
-  auto base = fed.AnswerResilient(q, sequential);
-  ASSERT_TRUE(base.ok()) << base.status();
-  EXPECT_TRUE(base->report.known_complete);
-  EXPECT_EQ(base->table.NumRows(), 2u);  // doi1, doi2
-
-  federation::FederationAnswerOptions parallel;
-  parallel.threads = 4;
-  auto got = fed.AnswerResilient(q, parallel);
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_TRUE(got->report.known_complete);
-  EXPECT_EQ(got->table.RowVectors(), base->table.RowVectors());
-  EXPECT_EQ(got->table.columns, base->table.columns);
-}
-
-TEST_F(ParallelFederationTest, ParallelFanOutSurvivesAFlakyEndpoint) {
-  federation::Federation fed;
-  fed.AddEndpoint("facts", facts_);
-  federation::EndpointOptions flaky;
-  flaky.fault.failure_probability = 0.3;
-  flaky.fault.seed = 7;
-  fed.AddEndpoint("more-facts", more_facts_, flaky);
-  fed.AddEndpoint("ontology", schema_);
-  federation::ResilienceOptions resilience;
-  resilience.retry.max_attempts = 10;
-  // Keep the breaker out of the way: this test pins retry behaviour, and a
-  // tripped breaker would (correctly) mark the skipped data as lost.
-  resilience.breaker.failure_threshold = 1000;
-  fed.set_resilience(resilience);
-
-  query::Cq q = Parse(&fed, "SELECT ?x WHERE { ?x a bib:Publication . }");
-  federation::FederationAnswerOptions options;
-  options.threads = 4;
-  options.allow_partial = true;
-  auto got = fed.AnswerResilient(q, options);
-  ASSERT_TRUE(got.ok()) << got.status();
-  // With 8 attempts per request a 50% coin practically always lands; the
-  // answer is complete and the retries are visible in the report.
-  EXPECT_TRUE(got->report.known_complete);
-  EXPECT_EQ(got->table.NumRows(), 2u);
-}
-
-TEST_F(ParallelFederationTest, ParallelFanOutReportsHardDownEndpoint) {
-  federation::Federation fed;
-  fed.AddEndpoint("facts", facts_);
-  federation::EndpointOptions down;
-  down.fault.hard_down = true;
-  fed.AddEndpoint("dead", more_facts_, down);
-  fed.AddEndpoint("ontology", schema_);
-
-  query::Cq q = Parse(&fed, "SELECT ?x WHERE { ?x a bib:Publication . }");
-  federation::FederationAnswerOptions options;
-  options.threads = 4;
-  options.allow_partial = true;
-  auto got = fed.AnswerResilient(q, options);
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_FALSE(got->report.known_complete);
-  EXPECT_EQ(got->table.NumRows(), 1u);  // only doi1 is reachable
 }
 
 }  // namespace

@@ -37,7 +37,6 @@ TEST(StatusTest, AllCodesHaveNames) {
                "UNIMPLEMENTED");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kDeadlineExceeded),
                "DEADLINE_EXCEEDED");
-  EXPECT_STREQ(StatusCodeToString(StatusCode::kUnavailable), "UNAVAILABLE");
 }
 
 TEST(StatusTest, DeadlineExceededFactory) {
@@ -45,13 +44,6 @@ TEST(StatusTest, DeadlineExceededFactory) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(s.ToString(), "DEADLINE_EXCEEDED: query budget spent");
-}
-
-TEST(StatusTest, UnavailableFactory) {
-  Status s = Status::Unavailable("endpoint down");
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(s.ToString(), "UNAVAILABLE: endpoint down");
 }
 
 Status FailingOperation() { return Status::Internal("boom"); }

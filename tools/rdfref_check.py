@@ -16,8 +16,8 @@ before the AST pass:
                        wrappers, so -Wthread-safety sees every lock.
   rng-seed             No wall-clock or entropy seeding (std::random_device,
                        srand, time(...)): every random stream is seeded
-                       explicitly so fault injection, fuzzing and jitter
-                       replay bit-exactly.
+                       explicitly so data generation, workload mixes and
+                       fuzzing replay bit-exactly.
   delta-mutation       src/engine/ must not name the mutable VersionSet: the
                        engine evaluates immutable TripleSource views, and
                        updates go through api::QueryAnswerer.
@@ -281,7 +281,7 @@ def line_findings(rel, lines):
                 yield Finding(
                     rel, i, "rng-seed",
                     f"{what}: rdfref randomness must be explicitly seeded "
-                    "(deterministic replay of faults/fuzzing/jitter)")
+                    "(deterministic replay of data, workloads and fuzzing)")
                 break
         # Prose mentions in comments are fine.
         if lib == "engine" and VERSION_SET_RE.search(line.split("//", 1)[0]):
