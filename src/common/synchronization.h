@@ -1,7 +1,6 @@
 #ifndef RDFREF_COMMON_SYNCHRONIZATION_H_
 #define RDFREF_COMMON_SYNCHRONIZATION_H_
 
-#include <cassert>
 #include <condition_variable>
 #include <mutex>
 
@@ -180,41 +179,6 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
-};
-
-// ---------------------------------------------------------------------------
-// Notification
-// ---------------------------------------------------------------------------
-
-/// \brief One-shot latch: Notify() releases every current and future
-/// WaitForNotification(). Notify may be called at most once.
-class Notification {
- public:
-  Notification() = default;
-  Notification(const Notification&) = delete;
-  Notification& operator=(const Notification&) = delete;
-
-  bool HasBeenNotified() const RDFREF_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return notified_;
-  }
-
-  void Notify() RDFREF_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    assert(!notified_ && "Notification::Notify called twice");
-    notified_ = true;
-    cv_.SignalAll();
-  }
-
-  void WaitForNotification() const RDFREF_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    cv_.Wait(&mu_, [this]() RDFREF_REQUIRES(mu_) { return notified_; });
-  }
-
- private:
-  mutable Mutex mu_;
-  mutable CondVar cv_;
-  bool notified_ RDFREF_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace common

@@ -42,8 +42,8 @@ struct ViewCacheOptions {
   size_t write_log_window = 64 * 1024;
 };
 
-/// \brief Monotonic counters + gauges of one ViewCache (workload_driver
-/// JSON and perfbench's traced `engine.cache_*` counters report these).
+/// \brief Monotonic counters + gauges of one ViewCache (perfbench's traced
+/// `engine.cache_*` counters report these).
 struct ViewCacheStats {
   uint64_t hits = 0;           ///< Lookup served from cache
   uint64_t misses = 0;         ///< Lookup fell through to evaluation

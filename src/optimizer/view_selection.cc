@@ -19,28 +19,19 @@ Result<ViewSelectionResult> ViewSelector::Select(
     const std::vector<WorkloadQueryProfile>& workload,
     const ViewSelectionOptions& options) const {
   // 1. Harvest: every query contributes its own body (the whole-union
-  // view) and each fragment of each cover, bucketed by canonical form so
-  // α-equivalent fragments from different queries pool their traffic.
+  // view), bucketed by canonical form so α-equivalent queries pool their
+  // traffic.
   struct Bucket {
     Cq representative;
     double frequency = 0.0;
   };
   std::map<std::string, Bucket> buckets;
-  auto harvest = [&buckets](const Cq& fragment, double weight) {
-    if (fragment.body().empty()) return;
-    CanonicalCq canon = query::Canonicalize(fragment);
+  for (const WorkloadQueryProfile& wq : workload) {
+    if (wq.cq.body().empty()) continue;
+    CanonicalCq canon = query::Canonicalize(wq.cq);
     auto [it, inserted] =
         buckets.emplace(std::move(canon.key), Bucket{std::move(canon.cq), 0.0});
-    it->second.frequency += weight;
-  };
-  for (const WorkloadQueryProfile& wq : workload) {
-    harvest(wq.cq, wq.weight);
-    for (const query::Cover& cover : wq.covers) {
-      if (!cover.Validate(wq.cq).ok()) continue;
-      for (const Cq& fq : cover.FragmentQueries(wq.cq)) {
-        harvest(fq, wq.weight);
-      }
-    }
+    it->second.frequency += wq.weight;
   }
 
   // 2. Score: cold cost is the reformulated union's evaluation cost, warm

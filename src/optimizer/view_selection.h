@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "cost/cost_model.h"
 #include "optimizer/gcov.h"
-#include "query/cover.h"
 #include "query/cq.h"
 #include "reformulation/reformulator.h"
 
@@ -20,13 +19,11 @@ namespace optimizer {
 /// canonical CQ fragments are worth keeping materialized, so the cache can
 /// protect them from eviction and GCov can align JUCQ covers with them.
 
-/// \brief One query of the workload mix, with its traffic share and the
-/// covers it is (or may be) answered through. Candidate views are
-/// harvested from the whole query plus every cover fragment.
+/// \brief One query of the workload mix with its traffic share. The whole
+/// query is the candidate view.
 struct WorkloadQueryProfile {
   query::Cq cq;
   double weight = 1.0;  ///< relative frequency in the mix
-  std::vector<query::Cover> covers;
 };
 
 /// \brief One candidate view with its scores.
@@ -62,7 +59,7 @@ struct ViewSelectionResult {
   double estimated_saving = 0.0;
 };
 
-/// \brief Harvests canonical-fragment frequencies from the mix, scores
+/// \brief Harvests canonical-query frequencies from the mix, scores
 /// each candidate with the cost model (cold union evaluation vs warm
 /// rescan), and greedily packs the byte budget by benefit density.
 class ViewSelector {

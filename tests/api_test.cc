@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <string>
 #include <thread>
@@ -10,12 +11,14 @@
 
 #include "datagen/bibliography.h"
 #include "datagen/lubm.h"
+#include "datagen/sp2b.h"
 #include "engine/evaluator.h"
 #include "query/canonical.h"
 #include "query/sparql_parser.h"
 #include "rdf/parser.h"
 #include "rdf/vocab.h"
 #include "reformulation/reformulator.h"
+#include "storage/version_set.h"
 
 namespace rdfref {
 namespace api {
@@ -602,6 +605,194 @@ TEST(PlanMemoConcurrencyTest, ConcurrentAnswersMatchSequentialOnes) {
   EXPECT_GE(stats.misses, expected.size());
   EXPECT_GT(stats.hits, 0u);
   EXPECT_EQ(stats.entries, expected.size());
+}
+
+// The sp2b query shapes LUBM lacks: a Zipf-hot point lookup, a
+// deep-hierarchy scan, a venue join, a star, a citation chain, a cyclic
+// join and a triangle. Each carries a hand-picked connected cover for
+// REF-JUCQ (V3 and Y6 partition their atoms, S4, C5 and A7 overlap) and
+// SAT's row count at scale 0.05.
+struct Sp2bQuery {
+  const char* name;
+  std::string text;
+  std::vector<std::vector<int>> cover;
+  size_t rows;
+};
+
+std::vector<Sp2bQuery> Sp2bQueries() {
+  const std::string classic = datagen::Sp2b::DocumentUri(0);
+  return {
+      {"P1-classic-citers",
+       "SELECT ?x WHERE { ?x sp:cites <" + classic + "> . }", {{0}}, 24},
+      {"T2-publications", "SELECT ?d WHERE { ?d a sp:Publication . }", {{0}},
+       50},
+      {"V3-event-papers",
+       "SELECT ?d ?v WHERE { ?d sp:publishedIn ?v . ?v a sp:Event . }",
+       {{0}, {1}}, 40},
+      {"S4-doc-star",
+       "SELECT ?d ?p ?v ?o WHERE { ?d a sp:Article . "
+       "?d sp:hasContributor ?p . ?d sp:publishedIn ?v . "
+       "?d sp:references ?o . }",
+       {{0, 1}, {0, 2}, {0, 3}}, 565},
+      {"C5-citation-chain",
+       "SELECT ?a ?x ?y ?v WHERE { ?w sp:hasFirstAuthor ?a . "
+       "?w sp:cites ?x . ?x sp:cites ?y . ?y sp:publishedIn ?v . }",
+       {{0, 1}, {1, 2}, {2, 3}}, 819},
+      {"Y6-mutual-citations",
+       "SELECT ?x ?y WHERE { ?x sp:cites ?y . ?y sp:cites ?x . }", {{0}, {1}},
+       24},
+      {"A7-coauthor-cites",
+       "SELECT ?x ?y ?p WHERE { ?x sp:hasAuthor ?p . ?y sp:hasAuthor ?p . "
+       "?x sp:cites ?y . }",
+       {{0, 2}, {1, 2}}, 113},
+  };
+}
+
+std::unique_ptr<QueryAnswerer> Sp2bAnswerer() {
+  datagen::Sp2bConfig config;
+  config.scale = 0.05;
+  rdf::Graph graph;
+  datagen::Sp2b::Generate(config, &graph);
+  return std::make_unique<QueryAnswerer>(std::move(graph));
+}
+
+query::Cq ParseSp(QueryAnswerer* answerer, const std::string& text) {
+  auto q = query::ParseSparql(
+      std::string("PREFIX sp: <") + datagen::Sp2b::kNs + ">\n" + text,
+      &answerer->dict());
+  EXPECT_TRUE(q.ok()) << q.status();
+  return *q;
+}
+
+TEST(Sp2bAgreementTest, EveryRefStrategyReturnsSatsAnswerPerQuery) {
+  auto answerer = Sp2bAnswerer();
+  for (const Sp2bQuery& spec : Sp2bQueries()) {
+    SCOPED_TRACE(spec.name);
+    const query::Cq q = ParseSp(answerer.get(), spec.text);
+    AnswerOptions jucq;
+    jucq.cover = query::Cover(spec.cover);
+    ASSERT_TRUE(jucq.cover.Validate(q).ok());
+    auto sat = answerer->Answer(q, Strategy::kSaturation);
+    ASSERT_TRUE(sat.ok()) << sat.status();
+    EXPECT_EQ(sat->NumRows(), spec.rows);
+    const std::set<std::vector<rdf::TermId>> expected = sat->RowSet();
+    for (Strategy s : {Strategy::kRefUcq, Strategy::kRefScq,
+                       Strategy::kRefJucq, Strategy::kRefGcov}) {
+      auto table = answerer->Answer(
+          q, s, nullptr, s == Strategy::kRefJucq ? jucq : AnswerOptions{});
+      ASSERT_TRUE(table.ok()) << StrategyName(s) << ": " << table.status();
+      EXPECT_EQ(table->RowSet(), expected) << StrategyName(s);
+    }
+  }
+}
+
+// Serving under churn (DESIGN.md §11): readers answer the sp2b queries,
+// through the view cache and around it, while a writer churns a property
+// that no constraint and no query mentions and the version set freezes
+// and compacts underneath. Every answer must be the quiet one, bit for bit.
+TEST(Sp2bServingTest, AnswersUnderChurnAndCompactionEqualQuietOnes) {
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 2;  // odd rounds bypass the view cache
+  constexpr size_t kBatch = 64;
+  auto answerer = Sp2bAnswerer();
+  answerer->EnableViewCache();
+
+  // Interned before any thread starts: the dictionary is unsynchronized.
+  rdf::Dictionary& dict = answerer->dict();
+  const std::string ns = "http://rdfref.org/churn#";
+  const rdf::TermId churn_p = dict.InternUri(ns + "p");
+  std::vector<rdf::Triple> churn;
+  for (size_t i = 0; i < kBatch; ++i) {
+    churn.emplace_back(dict.InternUri(ns + "s" + std::to_string(i % 8)),
+                       churn_p, dict.InternUri(ns + "o" + std::to_string(i)));
+  }
+
+  const Strategy strategies[] = {Strategy::kRefUcq, Strategy::kRefGcov};
+  std::vector<query::Cq> queries;
+  std::vector<std::vector<std::vector<rdf::TermId>>> quiet;
+  for (const Sp2bQuery& spec : Sp2bQueries()) {
+    queries.push_back(ParseSp(answerer.get(), spec.text));
+    for (Strategy s : strategies) {
+      auto table = answerer->Answer(queries.back(), s);
+      ASSERT_TRUE(table.ok()) << spec.name << ": " << table.status();
+      quiet.push_back(table->RowVectors());
+    }
+  }
+
+  storage::VersionSet& versions = answerer->versions();
+  const size_t size_before = versions.snapshot()->Materialize().size();
+  storage::VersionSetOptions maintenance;
+  maintenance.freeze_threshold = 24;  // a batch seals two runs on its own
+  maintenance.compact_min_runs = 2;
+  versions.StartBackgroundCompaction(maintenance);
+  // The first churn write lands before any reader starts, so every read
+  // overlaps the churn.
+  ASSERT_TRUE(versions.Insert(churn[0]));
+
+  // Readers run at least two full waves; the writer outlasts them.
+  std::atomic<int> waves{0};
+  std::atomic<int> readers_left{kReaders};
+  std::vector<int> mismatches(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (int round = 0; round < kRounds || waves.load() < 2; ++round) {
+        AnswerOptions options;
+        options.use_view_cache = round % 2 == 0;
+        for (size_t k = 0; k < quiet.size(); ++k) {
+          // Each reader walks the calls from its own offset.
+          const size_t i = (k + static_cast<size_t>(r) * 3) % quiet.size();
+          auto table =
+              answerer->Answer(queries[i / 2], strategies[i % 2], nullptr,
+                               options);
+          if (!table.ok() || table->RowVectors() != quiet[i]) {
+            ++mismatches[static_cast<size_t>(r)];
+          }
+        }
+      }
+      readers_left.fetch_sub(1);
+    });
+  }
+
+  // This thread writes in waves: insert the batch, freeze, remove the
+  // batch, compact. Only a freeze adds a sealed run and only a compaction
+  // removes one, so both show in the run count sampled after every step.
+  bool froze = false;
+  bool compacted = false;
+  size_t last_runs = 0;
+  auto sample = [&] {
+    const size_t runs = versions.num_runs();
+    if (readers_left.load() > 0) {
+      froze = froze || runs > last_runs;
+      compacted = compacted || runs < last_runs;
+    }
+    last_runs = runs;
+  };
+  size_t first = 1;  // churn[0] is in
+  while (waves.load() < 2 || readers_left.load() > 0) {
+    for (size_t i = first; i < churn.size(); ++i) {
+      versions.Insert(churn[i]);
+      sample();
+    }
+    first = 0;
+    versions.Freeze();
+    sample();
+    for (const rdf::Triple& t : churn) {
+      versions.Remove(t);
+      sample();
+    }
+    versions.Compact();
+    sample();
+    waves.fetch_add(1);
+  }
+  for (std::thread& t : readers) t.join();
+  versions.StopBackgroundCompaction();
+
+  for (int r = 0; r < kReaders; ++r) EXPECT_EQ(mismatches[r], 0) << r;
+  EXPECT_TRUE(froze);
+  EXPECT_TRUE(compacted);
+  EXPECT_GT(answerer->view_cache_stats().hits, 0u);
+  EXPECT_EQ(versions.snapshot()->Materialize().size(), size_before);
 }
 
 // Deadlines on an exploding REF-UCQ. These tests keep their own graph,

@@ -16,7 +16,6 @@
 #include "datagen/sp2b.h"
 #include "query/sparql_parser.h"
 #include "rdf/vocab.h"
-#include "workload/workload.h"
 
 namespace rdfref {
 namespace reformulation {
@@ -345,7 +344,11 @@ bool SubsumedByIntervalMember(const Cq& classic, const Cq& interval) {
 class FusedReformulationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    sp2b_ = workload::MakeSp2bAnswerer(/*scale=*/0.1, /*seed=*/11).release();
+    datagen::Sp2bConfig sp2b;
+    sp2b.scale = 0.1;
+    rdf::Graph sp2b_graph;
+    datagen::Sp2b::Generate(sp2b, &sp2b_graph);
+    sp2b_ = new api::QueryAnswerer(std::move(sp2b_graph));
     datagen::LubmConfig config;
     config.universities = 1;
     config.scale = 0.2;

@@ -156,25 +156,6 @@ TEST(SynchronizationTest, CondVarPredicateWaitObservesSignal) {
   EXPECT_EQ(observed, 1);
 }
 
-TEST(SynchronizationTest, NotificationReleasesCurrentAndFutureWaiters) {
-  Notification done;
-  EXPECT_FALSE(done.HasBeenNotified());
-  std::atomic<int> released{0};
-  std::vector<std::thread> waiters;
-  waiters.reserve(3);
-  for (int i = 0; i < 3; ++i) {
-    waiters.emplace_back([&] {
-      done.WaitForNotification();
-      released.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  done.Notify();
-  for (std::thread& t : waiters) t.join();
-  EXPECT_EQ(released.load(), 3);
-  EXPECT_TRUE(done.HasBeenNotified());
-  done.WaitForNotification();  // post-notify waits return immediately
-}
-
 TEST(SynchronizationTest, TryLockReportsContention) {
   Mutex mu;
   mu.Lock();

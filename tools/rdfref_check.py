@@ -247,10 +247,6 @@ ALLOWED_DEPS = {
                    "reformulation", "schema", "storage"},
     "api": {"common", "datalog", "engine", "optimizer", "query", "rdf",
             "reasoner", "reformulation", "schema", "storage"},
-    # Closed-loop workload driver: sits above api (it drives a shared
-    # QueryAnswerer) and uses datagen's sp2b scenario for its pinned mix.
-    "workload": {"api", "common", "datagen", "engine", "query", "rdf",
-                 "storage"},
     "testing": {"api", "common", "engine", "federation", "query", "rdf",
                 "reformulation", "schema", "storage", "datagen"},
 }
@@ -830,8 +826,7 @@ class TuAnalyzer:
                     continue
                 qt = field.qt
                 if qt.strip().startswith("const ") or any(
-                        tok in qt for tok in
-                        ("Mutex", "CondVar", "Notification", "atomic")):
+                        tok in qt for tok in ("Mutex", "CondVar", "atomic")):
                     continue
                 touching = [m for m in methods if fid in m.accessed]
                 written = any(fid in m.written and not m.is_ctor
