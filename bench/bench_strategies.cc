@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 
@@ -84,6 +85,34 @@ BENCHMARK(BM_Q6_RefUcq)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Q6_RefScq)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Q6_RefGcov)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Q6_Datalog)->Unit(benchmark::kMillisecond);
+
+// A3-coauthor-cites, the cyclic triangle of the sp2b-rw workload, read
+// cold over its dataset (sp2b scale 2.0): REF-JUCQ with the single-fragment
+// cover evaluates the whole triangle as one union on every iteration, with
+// no view cache to replay it (a fresh answerer has none). The first call
+// prepares the plan, so only evaluation is timed.
+void BM_A3_SingleFragmentCold(benchmark::State& state) {
+  api::QueryAnswerer* answerer = SharedSp2b(2.0);
+  std::string text;
+  for (const auto& [name, body] : Sp2bTemplateSuite()) {
+    if (name == "A3-coauthor-cites") text = body;
+  }
+  Result<query::Cq> q = query::ParseSparql(text, &answerer->dict());
+  if (!q.ok()) {
+    state.SkipWithError(q.status().ToString().c_str());
+    return;
+  }
+  api::AnswerOptions options;
+  options.cover = query::Cover::SingleFragment(3);
+  options.use_view_cache = false;
+  (void)answerer->Answer(*q, api::Strategy::kRefJucq, nullptr, options);
+  for (auto _ : state) {
+    auto table =
+        answerer->Answer(*q, api::Strategy::kRefJucq, nullptr, options);
+    benchmark::DoNotOptimize(table);
+  }
+}
+BENCHMARK(BM_A3_SingleFragmentCold)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bench

@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -276,10 +278,10 @@ JoinPlan OrderAtoms(const ScanCache& cache, const Cq& q) {
 // alike (DESIGN.md §9). A classic pattern, and an interval whose bound
 // shape some clustered order keeps contiguous, is one CountPattern call,
 // exact for that shape; the two shapes no order serves, which CountPattern
-// widens, sum the exact counts of their interval's ids.
+// widens, sum the exact counts of their interval's ids. `pat` is the atom's
+// AtomPattern under the current bindings.
 size_t CountBound(const storage::TripleSource& source, const Atom& atom,
-                  const std::vector<rdf::TermId>& bindings) {
-  const storage::Pattern pat = AtomPattern(atom, &bindings);
+                  const storage::Pattern& pat) {
   if (storage::Store::OrderFor(pat).has_value()) {
     return source.CountPattern(pat);
   }
@@ -295,6 +297,172 @@ size_t CountBound(const storage::TripleSource& source, const Atom& atom,
   }
   return count;
 }
+
+// The home slot of a hash among n slots: the high half of their product
+// (multiply-shift, any slot count), as in table.cc's SliceIndex.
+size_t HomeSlot(size_t hash, size_t n) {
+  return static_cast<size_t>((static_cast<unsigned __int128>(hash) * n) >> 64);
+}
+
+// A hash of three ids for the join's per-evaluation maps: one multiply per
+// id, since these maps are probed once per binding.
+size_t MixIds(uint64_t a, uint64_t b, uint64_t c) {
+  const uint64_t h = (a * 0x9e3779b97f4a7c15ULL) ^ (b * 0xc2b2ae3d27d4eb4fULL) ^
+                     (c * 0x165667b19e3779f9ULL);
+  return static_cast<size_t>(h ^ (h >> 32));
+}
+
+// CountBound's answers within one CQ's evaluation, keyed by the atom and
+// its bound pattern: the count depends on nothing else, and a Zipf-hot
+// value repeats one key across many bindings. A flat open-addressing map,
+// probed linearly and kept at most half full by doubling; nothing is
+// allocated before the first count.
+class CountMemo {
+ public:
+  // Atom `a`'s count under its bound pattern `pat`, from `count()` on the
+  // first ask.
+  template <typename CountFn>
+  size_t Get(int a, const storage::Pattern& pat, CountFn&& count) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    Slot* slot = &slots_[Find(a, pat)];
+    if (slot->atom == kEmpty) {
+      *slot = {static_cast<uint32_t>(a), pat.s, pat.p, pat.o, count()};
+      ++size_;
+    }
+    return slot->count;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+
+  struct Slot {
+    uint32_t atom = kEmpty;
+    rdf::TermId s, p, o;
+    size_t count;
+
+    bool Holds(int a, const storage::Pattern& pat) const {
+      return atom == static_cast<uint32_t>(a) && s == pat.s && p == pat.p &&
+             o == pat.o;
+    }
+  };
+
+  // The slot holding (a, pat), or the empty one where it belongs.
+  size_t Find(int a, const storage::Pattern& pat) const {
+    const size_t n = slots_.size();
+    size_t i = HomeSlot(MixIds(static_cast<uint64_t>(a), pat.s,
+                               (uint64_t{pat.p} << 32) | pat.o),
+                        n);
+    while (slots_[i].atom != kEmpty && !slots_[i].Holds(a, pat)) {
+      if (++i == n) i = 0;
+    }
+    return i;
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(64, 2 * old.size()), Slot{});
+    for (const Slot& s : old) {
+      if (s.atom == kEmpty) continue;
+      slots_[Find(static_cast<int>(s.atom), {s.s, s.p, s.o})] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
+
+// Bit k set when position k (s, p, o) of the atom holds a variable.
+uint8_t VarPositions(const Atom& atom) {
+  return static_cast<uint8_t>((atom.s.is_var ? 1 : 0) |
+                              (atom.p.is_var ? 2 : 0) |
+                              (atom.o.is_var ? 4 : 0));
+}
+
+// The matches of a filter atom's unbound pattern, grouped by the values at
+// its variable positions (DESIGN.md §9). Over a source that delivers each
+// triple once, a group holds exactly the triples a probe of the atom bound
+// to that group's values returns, in the order of `leaf`; a value no match
+// has opens an empty group. A slot is empty or a 32-bit group index, 2n
+// slots for n matches, and one for none (a widened count can pass the
+// threshold over an empty interval). When every group is one triple, the
+// groups are `leaf` itself and nothing is copied.
+class RDFREF_BORROWS_FROM(leaf) FilterIndex {
+ public:
+  FilterIndex(std::span<const rdf::Triple> leaf, uint8_t vars)
+      : vars_(vars), triples_(leaf) {
+    if (leaf.size() >= kEmptySlot) {
+      EngineFatal("more filter matches than a 32-bit hash slot can index");
+    }
+    slots_.assign(std::max<size_t>(1, 2 * leaf.size()), kEmptySlot);
+    std::vector<uint32_t> group_of(leaf.size());
+    std::vector<uint32_t> first;  // each group's first match in `leaf`
+    for (size_t i = 0; i < leaf.size(); ++i) {
+      uint32_t& slot =
+          slots_[Find(leaf[i], [&](uint32_t g) { return leaf[first[g]]; })];
+      if (slot == kEmptySlot) {
+        slot = static_cast<uint32_t>(first.size());
+        first.push_back(static_cast<uint32_t>(i));
+      }
+      group_of[i] = slot;
+    }
+    if (first.size() == leaf.size()) return;  // group g is leaf[g]
+    begin_.assign(first.size() + 1, 0);
+    for (uint32_t g : group_of) ++begin_[g + 1];
+    for (size_t g = 1; g < begin_.size(); ++g) begin_[g] += begin_[g - 1];
+    std::vector<uint32_t> next(begin_.begin(), begin_.end() - 1);
+    grouped_.resize(leaf.size());
+    for (size_t i = 0; i < leaf.size(); ++i) {
+      grouped_[next[group_of[i]]++] = leaf[i];
+    }
+    triples_ = grouped_;
+  }
+
+  // The group of the matches that agree with `pat` on the variable
+  // positions.
+  std::span<const rdf::Triple> Probe(const storage::Pattern& pat) const {
+    const rdf::Triple key(pat.s, pat.p, pat.o);
+    const uint32_t g = slots_[Find(
+        key, [this](uint32_t group) { return triples_[Begin(group)]; })];
+    if (g == kEmptySlot) return {};
+    return triples_.subspan(Begin(g), Begin(g + 1) - Begin(g));
+  }
+
+ private:
+  static constexpr uint32_t kEmptySlot = std::numeric_limits<uint32_t>::max();
+
+  size_t Begin(uint32_t g) const { return begin_.empty() ? g : begin_[g]; }
+
+  // The slot whose group agrees with `t` on the variable positions (its
+  // first match read through `first_of`), or the empty one where it
+  // belongs.
+  template <typename FirstOf>
+  size_t Find(const rdf::Triple& t, FirstOf first_of) const {
+    const size_t n = slots_.size();
+    size_t i = HomeSlot(MixIds(vars_ & 1 ? t.s : 0, vars_ & 2 ? t.p : 0,
+                               vars_ & 4 ? t.o : 0),
+                        n);
+    while (slots_[i] != kEmptySlot && !SameOn(first_of(slots_[i]), t, vars_)) {
+      if (++i == n) i = 0;
+    }
+    return i;
+  }
+
+  uint8_t vars_;
+  std::span<const rdf::Triple> triples_;  // `leaf`, or `grouped_`
+  std::vector<rdf::Triple> grouped_;      // the matches, group by group
+  std::vector<uint32_t> begin_;  // group g is [begin_[g], begin_[g + 1])
+  std::vector<uint32_t> slots_;
+};
+
+// How the join probes an atom as a filter, with every variable bound when
+// it opens: the probes so far, the atom's unbound match count once the
+// first probe read it, and past that many probes the hash of its matches
+// that every later probe opens instead of the index.
+struct FilterProbes {
+  size_t probes = 0;
+  size_t threshold = 0;
+  std::unique_ptr<FilterIndex> index;
+};
 
 // Labels a cover fragment with the indexes its atoms occupy in q's body,
 // in Cover::ToString notation (e.g. "{t0,t2}"). Duplicate atoms in q are
@@ -483,6 +651,10 @@ struct RDFREF_BORROWS_FROM(source, cursor) JoinFrame {
   int prune_atom = -1;
   int head_depth = -1;
   const rdf::Triple* last = nullptr;
+  // Not this depth's own: frames[i] keeps atom i's filter probes (a CQ has
+  // as many frames as atoms), since a dynamic plan may probe one atom as a
+  // filter at several depths.
+  FilterProbes filter;
 };
 
 }  // namespace
@@ -642,7 +814,8 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
   // A dynamic plan picks frame f's atom when it opens: ChooseAtDepth's
   // decision for the open set, or among competing expansions the one with
   // the fewest matches under the current bindings (ties keep the static
-  // order).
+  // order). Each (atom, bound pattern) is counted once.
+  CountMemo counts;
   auto choose_atom = [&](JoinFrame& f) -> int {
     if (f.choice_for != f.open) {
       f.choice = ChooseAtDepth(plan, f.open);
@@ -653,8 +826,10 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
     size_t best_count = std::numeric_limits<size_t>::max();
     for (int a : plan.order) {
       if (((f.choice.candidates >> a) & 1) == 0) continue;
+      const Atom& atom = body[static_cast<size_t>(a)];
+      const storage::Pattern pat = AtomPattern(atom, &bindings);
       const size_t count =
-          CountBound(*store_, body[static_cast<size_t>(a)], bindings);
+          counts.Get(a, pat, [&] { return CountBound(*store_, atom, pat); });
       if (count < best_count) {
         best = a;
         best_count = count;
@@ -664,12 +839,34 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
     return best;
   };
 
+  // A filter atom's matches for its bound pattern `pat`: an index probe
+  // until the atom's probes outnumber its unbound matches, then its group
+  // in a hash of those matches, built once. A group holds exactly what the
+  // probe returns only when the source delivers each triple once, so other
+  // sources always probe the index (DESIGN.md §9).
+  const bool hash_filters = store_->DeliversDistinctTriples();
+  auto probe_filter = [&](JoinFrame& f, const storage::Pattern& pat)
+      -> std::span<const rdf::Triple> {
+    FilterProbes& probes = frames[static_cast<size_t>(f.atom)].filter;
+    if (probes.index != nullptr) return probes.index->Probe(pat);
+    const Atom& atom = body[static_cast<size_t>(f.atom)];
+    if (probes.probes++ == 0) {
+      probes.threshold = cache->Count(AtomPattern(atom));
+    }
+    if (probes.probes <= probes.threshold) {
+      return f.cursor.Reset(*store_, pat, {}, &f.hint);
+    }
+    probes.index = std::make_unique<FilterIndex>(cache->Leaf(AtomPattern(atom)),
+                                                 VarPositions(atom));
+    return probes.index->Probe(pat);
+  };
+
   // Opens frame d: picks its atom (dynamic plans), resolves the atom's
   // pattern under the current bindings and binds the frame's range.
   // Depth-0 patterns with no residual go through the shared cache (they
   // are identical across sibling members of a reformulation union); inner
   // patterns depend on the outer bindings and use the frame's reusable
-  // cursor.
+  // cursor, or the filter hash once it is built.
   auto open_frame = [&](size_t d) {
     JoinFrame& f = frames[d];
     if (plan.dynamic) {
@@ -706,9 +903,16 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
     f.pos = 0;
     f.num_new = 0;
     f.last = nullptr;
-    f.range = d == 0 && !residual.any()
-                  ? cache->Leaf(pat)
-                  : f.cursor.Reset(*store_, pat, residual, &f.hint);
+    const bool filter = (!atom.s.is_var || pat.s != storage::kAny) &&
+                        (!atom.p.is_var || pat.p != storage::kAny) &&
+                        (!atom.o.is_var || pat.o != storage::kAny);
+    if (d == 0 && !residual.any()) {
+      f.range = cache->Leaf(pat);
+    } else if (hash_filters && filter) {
+      f.range = probe_filter(f, pat);
+    } else {
+      f.range = f.cursor.Reset(*store_, pat, residual, &f.hint);
+    }
   };
 
   // Binds the free variables of frame d's atom against triple t, recording

@@ -14,6 +14,8 @@
 #include "rdf/vocab.h"
 #include "reformulation/reformulator.h"
 #include "schema/schema.h"
+#include "storage/store.h"
+#include "storage/version_set.h"
 #include "testing/reference_eval.h"
 
 namespace rdfref {
@@ -358,11 +360,13 @@ TEST_F(EvaluatorTest, ExplainJucqIndentsEveryNestedPlanLine) {
 
 // Forwards to a store and counts the rows its lookups return and the
 // count calls it answers, so a test can bound the work a plan does instead
-// of timing it.
+// of timing it. It claims distinct triples only when told to forward the
+// inner source's claim.
 class RowCountingSource : public storage::TripleSource {
  public:
-  explicit RowCountingSource(const storage::TripleSource* inner)
-      : inner_(inner) {}
+  explicit RowCountingSource(const storage::TripleSource* inner,
+                             bool forward_distinct = false)
+      : inner_(inner), forward_distinct_(forward_distinct) {}
 
   bool TryGetRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                    std::span<const rdf::Triple>* out) const override {
@@ -410,6 +414,7 @@ class RowCountingSource : public storage::TripleSource {
   size_t CountMatches(rdf::TermId s, rdf::TermId p,
                       rdf::TermId o) const override {
     ++count_calls_;
+    ++classic_counts_[rdf::Triple(s, p, o)];
     return inner_->CountMatches(s, p, o);
   }
   size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
@@ -418,6 +423,9 @@ class RowCountingSource : public storage::TripleSource {
     return inner_->CountIntervalMatches(s, p, o, range_pos, hi);
   }
   const rdf::Dictionary& dict() const override { return inner_->dict(); }
+  bool DeliversDistinctTriples() const override {
+    return forward_distinct_ && inner_->DeliversDistinctTriples();
+  }
 
   uint64_t TakeRows() {
     const uint64_t rows = rows_;
@@ -435,11 +443,64 @@ class RowCountingSource : public storage::TripleSource {
   // Classic range lookups with property `p` bound since the last take.
   uint64_t TakeLookups(rdf::TermId p) { return std::exchange(lookups_[p], 0); }
 
+  // CountMatches calls for exactly (s, p, o) since the last take.
+  uint64_t TakeCountCalls(rdf::TermId s, rdf::TermId p, rdf::TermId o) {
+    return std::exchange(classic_counts_[rdf::Triple(s, p, o)], 0);
+  }
+
  private:
   const storage::TripleSource* inner_;
+  bool forward_distinct_;
   mutable uint64_t rows_ = 0;
   mutable uint64_t count_calls_ = 0;
   mutable std::map<rdf::TermId, uint64_t> lookups_;
+  mutable std::map<rdf::Triple, uint64_t> classic_counts_;
+};
+
+// Wraps a store and delivers every match twice, through the buffered scan,
+// claiming distinct triples when told to: the duplicates that survive show
+// where the engine skipped deduplication.
+class TwiceSource : public storage::TripleSource {
+ public:
+  TwiceSource(const storage::TripleSource* inner, bool claims_distinct)
+      : inner_(inner), claims_distinct_(claims_distinct) {}
+
+  void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                std::vector<rdf::Triple>* out) const override {
+    inner_->ScanInto(s, p, o, out);
+    Double(out);
+  }
+  void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                        int range_pos, rdf::TermId hi,
+                        std::vector<rdf::Triple>* out) const override {
+    inner_->ScanIntervalInto(s, p, o, range_pos, hi, out);
+    Double(out);
+  }
+  size_t CountMatches(rdf::TermId s, rdf::TermId p,
+                      rdf::TermId o) const override {
+    return 2 * inner_->CountMatches(s, p, o);
+  }
+  size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                              int range_pos, rdf::TermId hi) const override {
+    return 2 * inner_->CountIntervalMatches(s, p, o, range_pos, hi);
+  }
+  const rdf::Dictionary& dict() const override { return inner_->dict(); }
+  bool DeliversDistinctTriples() const override { return claims_distinct_; }
+
+ private:
+  // Each triple twice in a row, so the buffer keeps the index order.
+  static void Double(std::vector<rdf::Triple>* out) {
+    std::vector<rdf::Triple> twice;
+    twice.reserve(2 * out->size());
+    for (const rdf::Triple& t : *out) {
+      twice.push_back(t);
+      twice.push_back(t);
+    }
+    *out = std::move(twice);
+  }
+
+  const storage::TripleSource* inner_;
+  bool claims_distinct_;
 };
 
 // SP2Bench's authorship skew on the coauthor-cites triangle. One hub
@@ -583,10 +644,197 @@ TEST(EvaluatorSkewTest, ContiguousIntervalExpansionCostsOneCountPerBinding) {
   const rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
       "interval-skew", got, want, *q, graph.dict());
   EXPECT_FALSE(d.found) << d.detail;
-  // Each of t0's bindings counts t1 once and the interval once; summing
-  // the interval per id would cost four calls for it instead.
-  const uint64_t bindings = kHub + 2 * kCold;
-  EXPECT_EQ(eval_calls, plan_calls + 2 * bindings);
+  // Each distinct key of a competing atom is counted once: t1 once per
+  // author (?a), the interval once per paper (?x), which t0 binds once
+  // each. Summing the interval per id would cost four calls per paper.
+  const uint64_t authors = 1 + kCold;
+  const uint64_t papers = kHub + 2 * kCold;
+  EXPECT_EQ(eval_calls, plan_calls + authors + papers);
+}
+
+// The coauthor-cites triangle whose hub author wrote kHub papers: every hub
+// binding of t0 (?x hasAuthor hub) asks how many papers the hub wrote
+// before choosing t1 or the citation. The count depends only on the key,
+// so the evaluation asks the source once.
+TEST(EvaluatorSkewTest, RepeatedBoundKeysAreCountedOnce) {
+  constexpr int kHub = 50;
+  constexpr int kCold = 10;
+  rdf::Graph graph;
+  auto uri = [&](const std::string& name) {
+    return graph.dict().InternUri("http://ex/" + name);
+  };
+  const rdf::TermId has_author = uri("hasAuthor");
+  const rdf::TermId cites = uri("cites");
+  const rdf::TermId hub = uri("hub");
+  for (int i = 0; i < kHub; ++i) {
+    const rdf::TermId paper = uri("hub/" + std::to_string(i));
+    graph.Add(paper, has_author, hub);
+    if (i + 1 < kHub) {
+      graph.Add(paper, cites, uri("hub/" + std::to_string(i + 1)));
+    }
+  }
+  for (int k = 0; k < kCold; ++k) {
+    const std::string author = "cold" + std::to_string(k);
+    graph.Add(uri(author + "/0"), has_author, uri(author));
+    graph.Add(uri(author + "/1"), has_author, uri(author));
+    graph.Add(uri(author + "/0"), cites, uri(author + "/1"));
+  }
+  for (int j = 0; j < 2 * kHub; ++j) {
+    graph.Add(uri("other/" + std::to_string(j)), cites,
+              uri("other/" + std::to_string(j + 1)));
+  }
+  storage::Store store(graph);
+  RowCountingSource source(&store);
+  Evaluator eval(&source);
+  auto q = query::ParseSparql(
+      "SELECT ?x ?y ?a WHERE { ?x <http://ex/hasAuthor> ?a . "
+      "?y <http://ex/hasAuthor> ?a . ?x <http://ex/cites> ?y . }",
+      &graph.dict());
+  ASSERT_TRUE(q.ok()) << q.status();
+
+  // Planning's own counts, measured apart from the join's.
+  source.TakeCountCalls();
+  ASSERT_EQ(eval.AtomOrder(*q), (std::vector<int>{0, 1, 2}));
+  const uint64_t plan_calls = source.TakeCountCalls();
+  const Table got = eval.EvaluateCq(*q);
+  EXPECT_EQ(source.TakeCountCalls(storage::kAny, has_author, hub), 1u);
+  // Each of the kCold cold authors is asked once too, and each paper's
+  // citations once: the source answers one count per distinct key.
+  const uint64_t authors = 1 + kCold;
+  const uint64_t papers = kHub + 2 * kCold;
+  EXPECT_EQ(source.TakeCountCalls(), plan_calls + authors + papers);
+  EXPECT_EQ(got.NumRows(), static_cast<size_t>(kHub - 1 + kCold));
+  const Table want = rdfref::testing::ReferenceEvaluateCq(store, *q);
+  const rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
+      "repeated-keys", got, want, *q, graph.dict());
+  EXPECT_FALSE(d.found) << d.detail;
+}
+
+// The triangle once more, with each hub paper citing the next three: the
+// citation opens first for every binding, so t1 (?y hasAuthor ?a) is a
+// filter probed once per citation, more often than hasAuthor has triples.
+// Past that many probes the join opens a hash of t1's matches instead of
+// the index. A group holds exactly the probe's triples and a filter binds
+// nothing, so every table stays bit-identical to the reference evaluator:
+// on a store, on a snapshot whose matches span a sealed run and the head,
+// and on a source that delivers duplicates, which keeps to the index.
+TEST(EvaluatorSkewTest, HotFilterProbesAHashOfItsMatches) {
+  constexpr int kHub = 120;
+  constexpr int kCold = 10;
+  constexpr int kFanout = 3;
+  rdf::Graph graph;
+  auto uri = [&](const std::string& name) {
+    return graph.dict().InternUri("http://ex/" + name);
+  };
+  const rdf::TermId has_author = uri("hasAuthor");
+  const rdf::TermId cites = uri("cites");
+  auto hub_paper = [&](int i) { return uri("hub/" + std::to_string(i)); };
+  size_t filter_probes = 0;  // citations from a paper with an author
+  for (int i = 0; i < kHub; ++i) {
+    graph.Add(hub_paper(i), has_author, uri("hub"));
+    for (int j = i + 1; j <= i + kFanout && j < kHub; ++j) {
+      graph.Add(hub_paper(i), cites, hub_paper(j));
+      ++filter_probes;
+    }
+  }
+  std::vector<rdf::Triple> late;  // inserted after the store is built
+  for (int k = 0; k < kCold; ++k) {
+    const std::string author = "cold" + std::to_string(k);
+    const rdf::TermId first = uri(author + "/0");
+    const rdf::TermId second = uri(author + "/1");
+    graph.Add(first, has_author, uri(author));
+    graph.Add(first, cites, second);
+    ++filter_probes;
+    late.emplace_back(second, has_author, uri(author));
+  }
+  for (int j = 0; j < 4 * kHub; ++j) {
+    graph.Add(uri("other/" + std::to_string(j)), cites,
+              uri("other/" + std::to_string(j + 1)));
+  }
+  storage::Store store(graph);
+  for (const rdf::Triple& t : late) graph.Add(t);
+  storage::Store full(graph);
+  // The same visible triples as `full`, half in a sealed run, the rest in
+  // the head.
+  storage::VersionSet versions(&store);
+  for (size_t k = 0; k < late.size(); ++k) {
+    ASSERT_TRUE(versions.Insert(late[k]));
+    if (k + 1 == late.size() / 2) versions.Freeze();
+  }
+  const storage::SnapshotPtr snapshot = versions.snapshot();
+  ASSERT_GT(snapshot->num_runs(), 0u);
+  ASSERT_GT(snapshot->head_size(), 0u);
+
+  auto q = query::ParseSparql(
+      "SELECT ?x ?y ?a WHERE { ?x <http://ex/hasAuthor> ?a . "
+      "?y <http://ex/hasAuthor> ?a . ?x <http://ex/cites> ?y . }",
+      &graph.dict());
+  ASSERT_TRUE(q.ok()) << q.status();
+  const Table want = rdfref::testing::ReferenceEvaluateCq(full, *q);
+  ASSERT_EQ(want.NumRows(), filter_probes);
+  // hasAuthor's triples: the threshold the filter's probes must pass.
+  const size_t matches = kHub + 2 * kCold;
+  ASSERT_GT(filter_probes, matches);
+
+  auto check = [&](const storage::TripleSource& inner, const char* name,
+                   bool hashes) {
+    RowCountingSource source(&inner, /*forward_distinct=*/true);
+    const Table got = Evaluator(&source).EvaluateCq(*q);
+    const rdfref::testing::Divergence d =
+        rdfref::testing::CompareBitForBit(name, got, want, *q, graph.dict());
+    EXPECT_FALSE(d.found) << d.detail;
+    // t0's scan, then t1's probes: all of them through the index, or up to
+    // the threshold and then one read of t1's matches for the hash.
+    const uint64_t lookups = source.TakeLookups(has_author);
+    if (hashes) {
+      EXPECT_LE(lookups, 2 + matches) << name;
+    } else {
+      EXPECT_GE(lookups, 1 + filter_probes) << name;
+    }
+  };
+  check(full, "hashed-filter-store", /*hashes=*/true);
+  check(*snapshot, "hashed-filter-snapshot", /*hashes=*/true);
+  const TwiceSource twice(&full, /*claims_distinct=*/false);
+  check(twice, "hashed-filter-duplicates", /*hashes=*/false);
+}
+
+// A filter whose interval no order keeps contiguous, (?w [c0..c1] target):
+// its threshold is the widened count of (? ? target), which a property
+// outside the interval fills, while the interval itself matches nothing.
+// Twenty probes pass the threshold of six, and the hash built over no
+// matches opens an empty group for every probe.
+TEST(EvaluatorSkewTest, HashedFilterOverAnEmptyIntervalMatchesNothing) {
+  rdf::Graph graph;
+  auto uri = [&](const std::string& name) {
+    return graph.dict().InternUri("http://ex/" + name);
+  };
+  const rdf::TermId c0 = uri("c0");
+  const rdf::TermId c1 = uri("c1");
+  ASSERT_EQ(c1, c0 + 1);
+  const rdf::TermId target = uri("target");
+  for (int i = 0; i < 4; ++i) {
+    graph.Add(uri("x" + std::to_string(i)), uri("r"), uri("z"));
+  }
+  for (int j = 0; j < 5; ++j) {
+    graph.Add(uri("z"), uri("s"), uri("w" + std::to_string(j)));
+  }
+  for (int k = 0; k < 6; ++k) {
+    graph.Add(uri("w" + std::to_string(k)), uri("other"), target);
+  }
+  storage::Store store(graph);
+  RowCountingSource source(&store, /*forward_distinct=*/true);
+  auto q = query::ParseSparql(
+      "SELECT ?x ?w WHERE { ?x <http://ex/r> ?z . ?z <http://ex/s> ?w . "
+      "?w <http://ex/c0> <http://ex/target> . }",
+      &graph.dict());
+  ASSERT_TRUE(q.ok()) << q.status();
+  Atom& interval = (*q->mutable_body())[2];
+  interval.range_pos = Atom::kRangeP;
+  interval.range_hi = c1;
+  Evaluator eval(&source);
+  ASSERT_EQ(eval.AtomOrder(*q), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(eval.EvaluateCq(*q).NumRows(), 0u);
+  EXPECT_EQ(rdfref::testing::ReferenceEvaluateCq(store, *q).NumRows(), 0u);
 }
 
 // Existential pruning (DESIGN.md §9) skips only emissions that repeat an
@@ -835,52 +1083,6 @@ TEST_F(EvaluatorPruningTest, JucqReusesRepeatedFragment) {
       << plan;
 }
 
-
-// Wraps a store and delivers every match twice, through the buffered scan,
-// claiming distinct triples when told to: the duplicates that survive show
-// where the engine skipped deduplication.
-class TwiceSource : public storage::TripleSource {
- public:
-  TwiceSource(const storage::TripleSource* inner, bool claims_distinct)
-      : inner_(inner), claims_distinct_(claims_distinct) {}
-
-  void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                std::vector<rdf::Triple>* out) const override {
-    inner_->ScanInto(s, p, o, out);
-    Double(out);
-  }
-  void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                        int range_pos, rdf::TermId hi,
-                        std::vector<rdf::Triple>* out) const override {
-    inner_->ScanIntervalInto(s, p, o, range_pos, hi, out);
-    Double(out);
-  }
-  size_t CountMatches(rdf::TermId s, rdf::TermId p,
-                      rdf::TermId o) const override {
-    return 2 * inner_->CountMatches(s, p, o);
-  }
-  size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                              int range_pos, rdf::TermId hi) const override {
-    return 2 * inner_->CountIntervalMatches(s, p, o, range_pos, hi);
-  }
-  const rdf::Dictionary& dict() const override { return inner_->dict(); }
-  bool DeliversDistinctTriples() const override { return claims_distinct_; }
-
- private:
-  // Each triple twice in a row, so the buffer keeps the index order.
-  static void Double(std::vector<rdf::Triple>* out) {
-    std::vector<rdf::Triple> twice;
-    twice.reserve(2 * out->size());
-    for (const rdf::Triple& t : *out) {
-      twice.push_back(t);
-      twice.push_back(t);
-    }
-    *out = std::move(twice);
-  }
-
-  const storage::TripleSource* inner_;
-  bool claims_distinct_;
-};
 
 TEST_F(EvaluatorPruningTest, DedupSkippedOnlyWhereRowsCannotRepeat) {
   EXPECT_TRUE(store_->DeliversDistinctTriples());
