@@ -358,7 +358,7 @@ Result<engine::Table> QueryAnswerer::Evaluate(const query::Cq& q,
   Timer eval;
   storage::SnapshotPtr snap =
       options.snapshot != nullptr ? options.snapshot : versions_->snapshot();
-  engine::Evaluator evaluator(snap.get(), options.threads);
+  engine::Evaluator evaluator(snap.get());
   if (view_cache_ != nullptr && options.use_view_cache) {
     evaluator.set_view_cache(view_cache_.get(), snap->epoch());
   }

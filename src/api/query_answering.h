@@ -54,14 +54,6 @@ struct AnswerOptions {
   /// starts): once expired, Answer returns kDeadlineExceeded with whatever
   /// profile was gathered so far. Default: infinite.
   Deadline deadline;
-  /// Evaluation parallelism for the Ref strategies (UCQ member chunks,
-  /// JUCQ fragment materialization). 1 (the default) keeps evaluation on
-  /// the calling thread — the Sat and Dat baselines are single-threaded,
-  /// so comparisons stay apples-to-apples unless parallelism is asked
-  /// for. 0 resolves to common::ThreadPool::DefaultThreads(); n > 1
-  /// bounds the concurrent tasks at n. Answers are bit-identical across
-  /// all settings.
-  int threads = 1;
   /// Pinned snapshot for the Ref strategies: when set, evaluation runs
   /// against exactly this epoch of the explicit database, regardless of
   /// concurrent updates (pin one with PinSnapshot()). When null, each call

@@ -1,7 +1,6 @@
 #ifndef RDFREF_COMMON_DEADLINE_H_
 #define RDFREF_COMMON_DEADLINE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -12,8 +11,8 @@ namespace rdfref {
 ///
 /// A default-constructed Deadline is infinite (never expires), so APIs can
 /// take one by value and callers that don't care pay nothing. Deadlines are
-/// checked cooperatively: long-running loops (the UCQ/JUCQ evaluator, the
-/// federation mediator) poll expired() at natural boundaries and return
+/// checked cooperatively: the UCQ/JUCQ evaluator polls expired() at every
+/// CQ boundary and inside each CQ's join, and returns
 /// StatusCode::kDeadlineExceeded when the budget is gone — the paper's
 /// exploding reformulations (Example 1's 318,096-CQ UCQ) become boundable
 /// instead of runaway.
@@ -58,37 +57,6 @@ class Deadline {
   using Clock = std::chrono::steady_clock;
   bool has_deadline_ = false;
   Clock::time_point at_{};
-};
-
-/// \brief Cooperative cancellation handle: a deadline plus an optional
-/// stop flag shared between parallel workers.
-///
-/// ShouldStop() is cheap enough to poll from inner scan callbacks: the
-/// flag is a relaxed atomic load, and the clock is only consulted when a
-/// finite deadline is set. The first observer of an expired deadline
-/// raises the shared flag, so sibling workers cancel without touching the
-/// clock themselves. A default-constructed token never stops.
-class CancelToken {
- public:
-  CancelToken() = default;
-  explicit CancelToken(const Deadline* deadline,
-                       std::atomic<bool>* stop = nullptr)
-      : deadline_(deadline), stop_(stop) {}
-
-  [[nodiscard]] bool ShouldStop() const {
-    if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
-      return true;
-    }
-    if (deadline_ != nullptr && deadline_->expired()) {
-      if (stop_ != nullptr) stop_->store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
- private:
-  const Deadline* deadline_ = nullptr;
-  std::atomic<bool>* stop_ = nullptr;
 };
 
 }  // namespace rdfref

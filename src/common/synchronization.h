@@ -87,8 +87,7 @@ namespace common {
 /// \brief A std::mutex the Thread Safety Analysis can reason about.
 ///
 /// Prefer the RAII guards (MutexLock / CondVar::Wait) over Lock/Unlock;
-/// the explicit pair exists for the rare hand-over-hand pattern (the
-/// ThreadPool worker loop) and is equally annotated.
+/// MutexLock is built on the explicit pair, which is equally annotated.
 class RDFREF_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -97,14 +96,6 @@ class RDFREF_CAPABILITY("mutex") Mutex {
 
   void Lock() RDFREF_ACQUIRE() { mu_.lock(); }
   void Unlock() RDFREF_RELEASE() { mu_.unlock(); }
-  bool TryLock() RDFREF_THREAD_ANNOTATION_(try_acquire_capability(true)) {
-    return mu_.try_lock();
-  }
-
-  /// \brief Tells the analysis (not the runtime) that the lock is held —
-  /// for callbacks that are documented to run under a lock the analysis
-  /// cannot see across.
-  void AssertHeld() const RDFREF_ASSERT_HELD() {}
 
   /// \brief The wrapped primitive, for CondVar only.
   std::mutex& native() { return mu_; }
@@ -121,25 +112,6 @@ class RDFREF_SCOPED_CAPABILITY MutexLock {
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
-
- private:
-  Mutex* const mu_;
-};
-
-/// \brief Reader lock alias. rdfref's Mutex is exclusive-only (the guarded
-/// sections are all short map/counter updates where a shared mode buys
-/// nothing), so this is MutexLock under a name that documents read-only
-/// intent at the call site — and gives reads a distinct type to migrate if
-/// a shared mutex ever pays for itself.
-class RDFREF_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(Mutex* mu) RDFREF_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~ReaderMutexLock() RDFREF_RELEASE() { mu_->Unlock(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
 
  private:
   Mutex* const mu_;

@@ -12,7 +12,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "engine/scan_cache.h"
 #include "engine/view_cache.h"
@@ -582,16 +581,6 @@ std::string IndentBlock(const std::string& text, const std::string& prefix) {
   return out;
 }
 
-// Splits [0, n) into `parts` contiguous, near-equal ranges.
-std::vector<std::pair<size_t, size_t>> SplitRanges(size_t n, size_t parts) {
-  std::vector<std::pair<size_t, size_t>> ranges;
-  ranges.reserve(parts);
-  for (size_t c = 0; c < parts; ++c) {
-    ranges.emplace_back(n * c / parts, n * (c + 1) / parts);
-  }
-  return ranges;
-}
-
 Status UcqDeadlineError(size_t evaluated, size_t total) {
   return Status::DeadlineExceeded(
       "deadline exceeded after " + std::to_string(evaluated) + " of " +
@@ -661,11 +650,7 @@ struct RDFREF_BORROWS_FROM(source, cursor) JoinFrame {
 
 Evaluator::Evaluator(const storage::TripleSource* source, int threads)
     : store_(source) {
-  set_threads(threads);
-}
-
-void Evaluator::set_threads(int threads) {
-  threads_ = threads <= 0 ? common::ThreadPool::DefaultThreads() : threads;
+  if (threads != 1) EngineFatal("Evaluator: evaluation is sequential");
 }
 
 std::vector<int> Evaluator::AtomOrder(const query::Cq& q) const {
@@ -770,12 +755,13 @@ std::string Evaluator::ExplainJucq(
   return out.str();
 }
 
-bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
+bool Evaluator::EvaluateCqInto(const Cq& q, const Deadline& deadline,
                                ScanCache* cache, Table* out) const {
   if (!out->has_arity()) out->SetArity(q.head().size());
+  // The CQ-boundary check: a union stops before its next member.
+  if (deadline.expired()) return false;
   const std::vector<Atom>& body = q.body();
   if (body.empty()) return true;
-  if (cancel.ShouldStop()) return false;
   const JoinPlan plan = OrderAtoms(*cache, q);
   std::vector<rdf::TermId> bindings(q.num_vars(), kUnbound);
   // Resource-constrained variables (reformulation rules 3/7) reject
@@ -785,8 +771,8 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
   for (VarId v : q.resource_vars()) resource_only[v] = 1;
   const rdf::Dictionary& dict = store_->dict();
 
-  // The cancel token is polled every kCancelStride consumed triples,
-  // bounding the overrun of a runaway CQ. A single pattern scan (one cache
+  // The deadline is polled every kCancelStride consumed triples, bounding
+  // the overrun of a runaway CQ. A single pattern scan (one cache
   // fill or cursor reset) is not cancellable mid-buffer, exactly like the
   // scan callbacks of the recursive engine this replaces.
   constexpr size_t kCancelStride = 1024;
@@ -970,7 +956,7 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
       continue;
     }
     const rdf::Triple& t = f.range[f.pos++];
-    if (++steps % kCancelStride == 0 && cancel.ShouldStop()) return false;
+    if (++steps % kCancelStride == 0 && deadline.expired()) return false;
     if (!bind_row(depth, t)) continue;
     if (f.prune.prunes) {
       if (f.prune.keep == 0) {
@@ -1010,10 +996,10 @@ Table Evaluator::EvaluateCq(const Cq& q) const {
   }
   table.SetArity(q.head().size());
   ScanCache cache(store_);
-  // A default CancelToken never fires; a partial result here would mean
+  // An infinite deadline never expires; a partial result here would mean
   // the engine truncated an answer under an infinite budget.
-  if (!EvaluateCqInto(q, CancelToken(), &cache, &table)) {
-    EngineFatal("EvaluateCq: cancellation fired under an infinite deadline");
+  if (!EvaluateCqInto(q, Deadline::Infinite(), &cache, &table)) {
+    EngineFatal("EvaluateCq: stopped under an infinite deadline");
   }
   if (!RowsAreDistinct(q, *store_)) table.Dedup();
   return table;
@@ -1081,42 +1067,11 @@ Result<Table> Evaluator::EvaluateUcqWithCache(const query::Ucq& ucq,
     table.SetArity(ucq.members()[0].head().size());
   }
   const size_t n = ucq.size();
-  // One contiguous chunk per thread: concurrency is honestly bounded by
-  // the `threads` knob, and concatenating the chunk tables in chunk order
-  // reproduces the member order exactly — so the single dedup below yields
-  // a bit-identical table for every thread count. All chunks share the
-  // UCQ-level scan cache (it is thread-safe). One chunk runs here, without
-  // the std::function ParallelFor takes, and appends straight into `table`.
-  const size_t chunks =
-      std::max<size_t>(1, std::min(n, static_cast<size_t>(threads_)));
-  const std::vector<std::pair<size_t, size_t>> ranges = SplitRanges(n, chunks);
-  std::vector<Table> buffers(chunks > 1 ? chunks : 0);
-  std::atomic<bool> stop{false};
-  std::atomic<size_t> completed{0};
-  CancelToken token(&deadline, &stop);
-  auto run_chunk = [&](size_t c) {
-    Table* out = chunks > 1 ? &buffers[c] : &table;
-    auto [lo, hi] = ranges[c];
-    for (size_t i = lo; i < hi; ++i) {
-      // CQ-boundary check: stop promptly when a sibling chunk saw the
-      // deadline expire (or it expired here).
-      if (token.ShouldStop()) return;
-      if (!EvaluateCqInto(ucq.members()[i], token, cache, out)) return;
-      completed.fetch_add(1, std::memory_order_relaxed);
+  for (size_t i = 0; i < n; ++i) {
+    if (!EvaluateCqInto(ucq.members()[i], deadline, cache, &table)) {
+      return UcqDeadlineError(i, n);
     }
-  };
-  if (chunks == 1) {
-    run_chunk(0);
-  } else {
-    common::ThreadPool::Shared().ParallelFor(chunks, run_chunk);
   }
-  if (stop.load(std::memory_order_relaxed)) {
-    return UcqDeadlineError(completed.load(std::memory_order_relaxed), n);
-  }
-  size_t total = 0;
-  for (const Table& buffer : buffers) total += buffer.NumRows();
-  table.ReserveRows(total);
-  for (const Table& buffer : buffers) table.Append(buffer);
   // Two members may derive one row; a lone member repeats none when its
   // rows are distinct.
   if (n != 1 || !RowsAreDistinct(ucq.members()[0], *store_)) table.Dedup();
@@ -1139,55 +1094,37 @@ Result<Table> Evaluator::EvaluateJucq(
   Timer total;
   const size_t nf = fragment_ucqs.size();
 
-  // 1. Materialize every fragment (one pool task per fragment when
-  // parallel; each task's member loop may itself run parallel chunks),
-  // through the view cache when one is attached. The scan memo is shared
-  // across fragments: cover fragments of one query re-reformulate the same
-  // atoms, so their leaf patterns and counts coincide. Columns are
-  // relabeled below from the fragment query, so hits, misses and reused
-  // fragments feed the join identically. A fragment that repeats an
-  // earlier one (the same query and union up to variable names) is not
-  // evaluated: it reuses that fragment's table.
+  // 1. Materialize the fragments in order, through the view cache when
+  // one is attached. The scan memo is shared across fragments: cover
+  // fragments of one query re-reformulate the same atoms, so their leaf
+  // patterns and counts coincide. Columns are relabeled from the fragment
+  // query, so hits, misses and reused fragments feed the join identically.
+  // A fragment that repeats an earlier one (the same query and union up to
+  // variable names) is not evaluated: it reuses that fragment's table.
   ScanCache cache(store_);
   const std::vector<size_t> source =
       FragmentSources(fragment_queries, fragment_ucqs);
-  std::vector<std::optional<Result<Table>>> materialized(nf);
-  std::vector<double> fragment_millis(nf, 0.0);
-  auto materialize_one = [&](size_t i) {
-    if (source[i] != i) return;
-    Timer t;
-    materialized[i] = EvaluateUcqThroughViewCache(
-        fragment_queries[i], fragment_ucqs[i], deadline, &cache);
-    fragment_millis[i] = t.ElapsedMillis();
-  };
-  if (threads_ > 1 && nf > 1) {
-    common::ThreadPool::Shared().ParallelFor(nf, materialize_one);
-  } else {
-    for (size_t i = 0; i < nf; ++i) {
-      materialize_one(i);
-      // Remaining fragments stay unevaluated after a failure.
-      if (source[i] == i && !materialized[i]->ok()) break;
-    }
-  }
-
-  // Assemble in fragment order: deterministic profiles and tables, and the
-  // lowest-indexed failure wins when several fragments hit the deadline.
   std::vector<Table> tables;
   tables.reserve(nf);
   for (size_t i = 0; i < nf; ++i) {
-    // The first failed fragment returns here, so every fragment reached
-    // was materialized, and a reused one's earlier source succeeded.
     const size_t from = source[i];
-    if (from == i && !materialized[i]->ok()) {
-      // Partial profile: the fragments materialized so far stay recorded.
-      if (profile != nullptr) profile->total_millis = total.ElapsedMillis();
-      return Status(materialized[i]->status().code(),
-                    "fragment " + std::to_string(i) + ": " +
-                        materialized[i]->status().message());
+    double millis = 0.0;
+    Table table;
+    if (from == i) {
+      Timer t;
+      Result<Table> got = EvaluateUcqThroughViewCache(
+          fragment_queries[i], fragment_ucqs[i], deadline, &cache);
+      if (!got.ok()) {
+        // Partial profile: the fragments materialized so far stay recorded.
+        if (profile != nullptr) profile->total_millis = total.ElapsedMillis();
+        return Status(got.status().code(), "fragment " + std::to_string(i) +
+                                               ": " + got.status().message());
+      }
+      table = std::move(got).value();
+      millis = t.ElapsedMillis();
+    } else {
+      table = tables[from];  // an earlier fragment, so already in `tables`
     }
-    // Assembled in fragment order, so `tables[from]` is the source's.
-    Table table =
-        from == i ? std::move(*materialized[i]).value() : tables[from];
     // Columns must reflect the *fragment query* head terms (member heads
     // may have constants substituted in, but slot j is still the value of
     // head slot j of the fragment subquery). A constant head slot carries
@@ -1202,7 +1139,7 @@ Result<Table> Evaluator::EvaluateJucq(
       fp.cover_fragment = FragmentLabel(q, fragment_queries[i]);
       fp.ucq_members = fragment_ucqs[i].size();
       fp.result_rows = table.NumRows();
-      fp.millis = fragment_millis[i];
+      fp.millis = millis;
       if (from != i) fp.same_as = static_cast<int>(from);
       profile->fragments.push_back(fp);
     }
@@ -1252,33 +1189,45 @@ Result<Table> Evaluator::EvaluateJucq(
     }
   }
 
-  // 3. Project the original head: one arena append per row, reading the
-  // joined rows as stride slices. Fragment tables are sets, so their
-  // natural join is one too: a projection that keeps every joined column
-  // cannot repeat a row.
+  // 3. Project the original head into a table sized to the answer. Where
+  // every head slot is a distinct variable in the joined table's column
+  // order, as a one-fragment cover gives, the projection is the identity
+  // and the rows are copied as one block. Otherwise: one arena append per
+  // row, reading the joined rows as stride slices. Fragment tables are
+  // sets, so their natural join is one too: a projection that keeps every
+  // joined column cannot repeat a row. The joined table itself is not
+  // returned: its arena grew by doubling, and handing that arena to the
+  // caller made the allocator trim and regrow its heap far more often
+  // (DESIGN.md §9, "The JUCQ projection").
+  std::vector<int> proj;
+  proj.reserve(q.head().size());
+  std::vector<bool> kept(result.columns.size(), false);
+  bool identity = result.has_arity() && q.head().size() == kept.size();
+  for (const QTerm& h : q.head()) {
+    proj.push_back(h.is_var ? result.ColumnOf(h.var()) : -1);
+    if (proj.back() >= 0) kept[static_cast<size_t>(proj.back())] = true;
+    identity = identity && proj.back() + 1 == static_cast<int>(proj.size());
+  }
   Table answer;
   for (const QTerm& h : q.head()) {
     answer.columns.push_back(h.is_var ? h.var() : kConstColumn);
   }
   answer.SetArity(q.head().size());
-  std::vector<int> proj;
-  proj.reserve(q.head().size());
-  std::vector<bool> kept(result.columns.size(), false);
-  for (const QTerm& h : q.head()) {
-    proj.push_back(h.is_var ? result.ColumnOf(h.var()) : -1);
-    if (proj.back() >= 0) kept[static_cast<size_t>(proj.back())] = true;
-  }
   const size_t num_rows = result.NumRows();
   answer.ReserveRows(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    const std::span<const rdf::TermId> row = result.row(r);
-    rdf::TermId* dst = answer.AppendUninitialized();
-    for (size_t i = 0; i < proj.size(); ++i) {
-      dst[i] = proj[i] >= 0 ? row[proj[i]] : q.head()[i].term();
+  if (identity) {
+    answer.Append(result);
+  } else {
+    for (size_t r = 0; r < num_rows; ++r) {
+      const std::span<const rdf::TermId> row = result.row(r);
+      rdf::TermId* dst = answer.AppendUninitialized();
+      for (size_t i = 0; i < proj.size(); ++i) {
+        dst[i] = proj[i] >= 0 ? row[proj[i]] : q.head()[i].term();
+      }
     }
-  }
-  if (std::find(kept.begin(), kept.end(), false) != kept.end()) {
-    answer.Dedup();
+    if (std::find(kept.begin(), kept.end(), false) != kept.end()) {
+      answer.Dedup();
+    }
   }
   if (profile != nullptr) {
     profile->join_millis = join_timer.ElapsedMillis();

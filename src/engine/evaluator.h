@@ -1,7 +1,6 @@
 #ifndef RDFREF_ENGINE_EVALUATOR_H_
 #define RDFREF_ENGINE_EVALUATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,15 +64,12 @@ struct JucqProfile {
 ///   materialized leaf scans are computed once per *distinct* bound
 ///   pattern, not once per member — reformulation unions repeat the same
 ///   few patterns hundreds of times.
-/// - UCQs run member-by-member with union duplicate elimination. With
-///   `threads > 1` the members are partitioned into contiguous chunks
-///   evaluated concurrently on the shared common::ThreadPool; chunk
-///   buffers are concatenated in member order before the single dedup, so
-///   the answer table is bit-identical to the sequential one.
-/// - JUCQs materialize each fragment UCQ (one pool task per fragment when
-///   parallel) then hash-join the fragments, which is exactly the strategy
-///   costed by the paper's cost model. A fragment whose query and union
-///   repeat an earlier fragment's up to variable names reuses its table.
+/// - UCQs run member-by-member, appending into one table, with union
+///   duplicate elimination.
+/// - JUCQs materialize each fragment UCQ in turn, then hash-join the
+///   fragments, which is exactly the strategy costed by the paper's cost
+///   model. A fragment whose query and union repeat an earlier fragment's
+///   up to variable names reuses its table.
 ///
 /// Deadlines are enforced cooperatively at every CQ boundary *and* inside
 /// the scan callbacks of each CQ's nested-loop join, so even a single
@@ -82,24 +78,21 @@ struct JucqProfile {
 /// Evaluation accesses *only explicit triples* (this is `q(db)`, not
 /// `q(db∞)`): completeness is the reformulation's job.
 ///
-/// Thread-safety: all evaluation methods are const and concurrency-safe
-/// provided the underlying TripleSource tolerates concurrent Scan /
-/// CountMatches calls (true for Store, the immutable SnapshotSource —
-/// which is also safe *under* concurrent writers, since the writers only
+/// Thread-safety: every call evaluates on the calling thread (DESIGN.md
+/// §6c). All evaluation methods are const, so several threads may share
+/// one evaluator provided the underlying TripleSource tolerates concurrent
+/// Scan / CountMatches calls (true for Store, the immutable SnapshotSource
+/// — which is also safe *under* concurrent writers, since the writers only
 /// ever touch newer epochs — and FederatedSource).
 class Evaluator {
  public:
   /// \brief `source` may be a local Store or any other TripleSource (e.g.
-  /// a federation mediator); it must outlive the evaluator. `threads`
-  /// bounds evaluation parallelism: 1 (the default) is the sequential
-  /// path, n > 1 uses up to n concurrent tasks, and 0 resolves to
-  /// common::ThreadPool::DefaultThreads().
+  /// a federation mediator); it must outlive the evaluator. Evaluation is
+  /// sequential. `threads` remains only because the benchmark of record
+  /// (perfbench/lib/runner.cc) passes 1, and perfbench/ changes only
+  /// together with the benchmark it defines; any other value aborts.
+  /// ROADMAP.md item 5 deletes the parameter.
   explicit Evaluator(const storage::TripleSource* source, int threads = 1);
-
-  /// \brief Replaces the parallelism bound (same semantics as the
-  /// constructor argument).
-  void set_threads(int threads);
-  int threads() const { return threads_; }
 
   /// \brief Attaches the process-wide cross-query view cache (DESIGN.md
   /// §15); nullptr detaches. `epoch` must be the write epoch of this
@@ -158,11 +151,10 @@ class Evaluator {
 
   /// \brief Deadline-bounded JUCQ evaluation (covers SCQ as the
   /// all-singleton cover). Checked at CQ boundaries and inside scans
-  /// within each fragment, and at fragment boundaries; on
-  /// kDeadlineExceeded `profile` holds the partial profile of the
-  /// fragments that completed (in the sequential path, the completed
-  /// prefix; in the parallel path, every fragment that finished before
-  /// cancellation, in fragment order).
+  /// within each fragment, and before the fragment join. Fragments are
+  /// materialized in order; on kDeadlineExceeded the error names the
+  /// fragment that ran out, and `profile` holds the fragments that
+  /// completed before it.
   Result<Table> EvaluateJucq(const query::Cq& q,
                              const std::vector<query::Cq>& fragment_queries,
                              const std::vector<query::Ucq>& fragment_ucqs,
@@ -199,11 +191,11 @@ class Evaluator {
 
  private:
   // Appends q's answer rows (head tuples) to `out` (no dedup), resolving
-  // counts and leaf scans through `cache`. Returns false iff the cancel
-  // token fired mid-evaluation (rows appended so far are then an unusable
-  // partial result).
+  // counts and leaf scans through `cache`. Returns false iff `deadline`
+  // expired before or during the evaluation (rows appended so far are
+  // then an unusable partial result).
   [[nodiscard]] bool EvaluateCqInto(const query::Cq& q,
-                                    const CancelToken& cancel,
+                                    const Deadline& deadline,
                                     ScanCache* cache, Table* out) const;
 
   // Deadline-bounded UCQ evaluation over a caller-owned scan cache (the
@@ -222,7 +214,6 @@ class Evaluator {
                                             ScanCache* cache) const;
 
   const storage::TripleSource* store_;
-  int threads_;
   ViewCache* view_cache_ = nullptr;  // not owned; optional
   uint64_t view_epoch_ = 0;          // source snapshot epoch for the cache
 };

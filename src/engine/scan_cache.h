@@ -8,7 +8,6 @@
 
 #include "common/annotations.h"
 #include "common/hash.h"
-#include "common/synchronization.h"
 #include "query/cq.h"
 #include "rdf/triple.h"
 #include "storage/triple_source.h"
@@ -52,23 +51,19 @@ inline storage::Pattern AtomPattern(
 ///  - `Leaf` memoizes materialized leaf scans for patterns the source
 ///    cannot expose as a contiguous range (overlay and mediator sources,
 ///    and the interval shapes no clustered order keeps contiguous).
-///    Zero-copy ranges bypass the cache entirely — caching them would only
-///    add a lock.
+///    Zero-copy ranges bypass the cache entirely: caching them would only
+///    add a map probe.
 ///
-/// Thread-safety: all methods are const and safe to call concurrently; the
-/// parallel UCQ chunk path and the parallel JUCQ fragment path share one
-/// cache instance. Returned spans stay valid for the cache's lifetime:
-/// materialized scans are held behind unique_ptr, never erased, and a map
-/// rehash does not move the pointed-to vectors. Misses are materialized
-/// OUTSIDE the lock (a federation scan can take milliseconds and must not
-/// serialize sibling chunks); on a racing double-materialization the first
-/// insert wins and the loser's buffer is discarded.
+/// One evaluation owns each cache and uses it from its own thread (DESIGN.md
+/// §6c), so it takes no lock. Returned spans stay valid for the cache's
+/// lifetime: materialized scans are held behind unique_ptr, never erased,
+/// and a map rehash does not move the pointed-to vectors.
 ///
-/// Deadline/cancellation interaction: a cache fill is one source-level
-/// batch scan, which is not cancellable mid-pattern — exactly like the
-/// seed engine's Scan callbacks. Cancellation is polled by the evaluator
-/// between pattern scans (every kCancelStride consumed triples), so an
-/// expired deadline aborts after the current pattern, never mid-buffer.
+/// Deadline interaction: a cache fill is one source-level batch scan,
+/// which is not cancellable mid-pattern — exactly like the seed engine's
+/// Scan callbacks. The evaluator polls the deadline between pattern scans
+/// (every kCancelStride consumed triples), so an expired deadline aborts
+/// after the current pattern, never mid-buffer.
 class ScanCache {
  public:
   /// \brief `source` must outlive the cache.
@@ -78,27 +73,21 @@ class ScanCache {
   ScanCache& operator=(const ScanCache&) = delete;
 
   /// \brief Memoized source->CountPattern(pat).
-  size_t Count(const storage::Pattern& pat) const RDFREF_EXCLUDES(mu_);
+  size_t Count(const storage::Pattern& pat) const;
 
   /// \brief All matches of `pat` as a contiguous span: zero-copy when the
   /// source's TryGetPattern succeeds, otherwise materialized once per
-  /// distinct pattern and shared by every later caller (and every thread).
+  /// distinct pattern and shared by every later caller.
   std::span<const rdf::Triple> Leaf(const storage::Pattern& pat) const
-      RDFREF_LIFETIME_BOUND RDFREF_EXCLUDES(mu_);
+      RDFREF_LIFETIME_BOUND;
 
   const storage::TripleSource& source() const RDFREF_LIFETIME_BOUND {
     return *source_;
   }
 
   /// \brief Introspection for tests: distinct patterns memoized so far.
-  size_t num_cached_counts() const RDFREF_EXCLUDES(mu_) {
-    common::MutexLock lock(&mu_);
-    return counts_.size();
-  }
-  size_t num_cached_leaves() const RDFREF_EXCLUDES(mu_) {
-    common::MutexLock lock(&mu_);
-    return leaves_.size();
-  }
+  size_t num_cached_counts() const { return counts_.size(); }
+  size_t num_cached_leaves() const { return leaves_.size(); }
 
  private:
   struct PatternHash {
@@ -110,14 +99,12 @@ class ScanCache {
   };
 
   const storage::TripleSource* source_;
-  mutable common::Mutex mu_;
-  mutable std::unordered_map<storage::Pattern, size_t, PatternHash> counts_
-      RDFREF_GUARDED_BY(mu_);
+  mutable std::unordered_map<storage::Pattern, size_t, PatternHash> counts_;
   // unique_ptr: span stability across rehash; entries are never erased.
   mutable std::unordered_map<storage::Pattern,
                              std::unique_ptr<std::vector<rdf::Triple>>,
                              PatternHash>
-      leaves_ RDFREF_GUARDED_BY(mu_);
+      leaves_;
 };
 
 }  // namespace engine

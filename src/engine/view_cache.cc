@@ -145,7 +145,7 @@ void ViewCache::Install(const ViewKey& key, uint64_t epoch,
                         double fill_millis) {
   if (!key.ok()) return;
   // Copy the payload before taking the lock: a large result must not
-  // serialize concurrent probes (same discipline as ScanCache fills).
+  // serialize concurrent probes.
   auto entry = std::make_shared<Entry>();
   entry->table = result;
   entry->footprint = std::move(footprint);

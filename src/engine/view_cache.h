@@ -125,12 +125,13 @@ class ViewFootprint {
 /// it (counted as an invalidation) at the first that does. Capped entries
 /// still serve readers pinned to older epochs inside their window.
 ///
-/// Concurrency follows the ScanCache discipline: misses are materialized
+/// Concurrency: one cache serves every concurrent Answer call, so it owns
+/// a lock, held only for map/window bookkeeping. Misses are materialized
 /// entirely OUTSIDE the lock; on a racing double-computation the first
-/// Install wins and the loser's result is discarded. The lock is held only
-/// for map/window bookkeeping — a hit copies the stored answer outside the
-/// lock (entry payloads are immutable after install, shared_ptr-held, so
-/// eviction never invalidates an in-flight materialization).
+/// Install wins and the loser's result is discarded. A hit copies the
+/// stored answer outside the lock (entry payloads are immutable after
+/// install, shared_ptr-held, so eviction never invalidates an in-flight
+/// materialization).
 ///
 /// Memory is bounded by `byte_budget` with benefit-ordered eviction
 /// (capped entries first, then lowest fill_millis·(1+hits)/bytes,
@@ -186,6 +187,8 @@ class ViewCache : public storage::EpochWriteObserver {
   const ViewCacheOptions& options() const { return options_; }
 
  private:
+  // An installed entry's fields change only under `mu_` (a nested struct
+  // cannot name it in RDFREF_GUARDED_BY); `table` alone is read outside.
   struct Entry {
     Table table;       // the installed answer; immutable after install
     size_t bytes = 0;  // table + keys + footprint + this entry

@@ -39,7 +39,7 @@ Divergence RunChecks(const Scenario& sc, const query::Cq& q,
   }
   if (options.check_columnar) {
     // Bit-for-bit: the columnar batch engine against the retained
-    // row-materializing reference evaluator, sequential and parallel.
+    // row-materializing reference evaluator.
     Divergence d = count(CheckColumnarVsReference(sc, q));
     if (d.found) return d;
   }
@@ -49,9 +49,7 @@ Divergence RunChecks(const Scenario& sc, const query::Cq& q,
     if (d.found) return d;
   }
   if (options.check_metamorphic) {
-    Divergence d = count(CheckThreadInvariance(sc, q, options.thread_settings));
-    if (d.found) return d;
-    d = count(CheckDeadlineInvariance(sc, q));
+    Divergence d = count(CheckDeadlineInvariance(sc, q));
     if (d.found) return d;
     if (q.head().size() >= 2) {
       d = count(CheckProjection(

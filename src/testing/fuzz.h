@@ -28,7 +28,7 @@ struct FuzzOptions {
   /// Relation families.
   bool check_oracle = true;       ///< strategy-agreement oracle protocol
   bool check_columnar = true;     ///< columnar engine vs reference evaluator
-  bool check_metamorphic = true;  ///< threads / deadline / projection
+  bool check_metamorphic = true;  ///< deadline / projection
   bool check_federation = true;   ///< graph partitioning across endpoints
   bool check_updates = true;      ///< monotone insert + DRed delete checks
   bool check_snapshots = true;    ///< single-threaded snapshot isolation
@@ -45,7 +45,6 @@ struct FuzzOptions {
   /// Off by default — concurrent failures are timing-dependent and are
   /// reported unshrunk.
   bool check_concurrent = false;
-  std::vector<int> thread_settings = {1, 0, 8};
   int federation_endpoints = 3;
   int num_inserts = 2;       ///< insertions per monotonicity check
   int num_update_ops = 4;    ///< ops per insert/delete consistency check

@@ -4,38 +4,13 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "federation/federation.h"
 #include "testing/reference_eval.h"
 
 namespace rdfref {
 namespace testing {
-
-Divergence CheckThreadInvariance(const Scenario& sc,
-                                 const query::Cq& scenario_q,
-                                 const std::vector<int>& thread_settings) {
-  api::QueryAnswerer answerer(sc.graph.Clone());
-  const query::Cq q =
-      TranslateQuery(scenario_q, sc.graph.dict(), &answerer.dict());
-  const api::Strategy strategies[] = {api::Strategy::kRefUcq,
-                                      api::Strategy::kRefGcov};
-  for (api::Strategy s : strategies) {
-    std::set<DecodedRow> reference;
-    for (size_t i = 0; i < thread_settings.size(); ++i) {
-      api::AnswerOptions options;
-      options.threads = thread_settings[i];
-      auto got = answerer.Answer(q, s, nullptr, options);
-      const std::string name = "metamorphic:threads=" +
-                               std::to_string(thread_settings[i]) + ":" +
-                               api::StrategyName(s);
-      Divergence d =
-          i == 0 ? DecodeAnswer(name, got, answerer.dict(), &reference)
-                 : CompareAnswer(name, got, answerer.dict(), q, reference);
-      if (d.found) return d;
-    }
-  }
-  return Divergence::None();
-}
 
 Divergence CheckDeadlineInvariance(const Scenario& sc,
                                    const query::Cq& scenario_q) {

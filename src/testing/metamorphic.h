@@ -2,7 +2,6 @@
 #define RDFREF_TESTING_METAMORPHIC_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/hash.h"
 #include "query/cq.h"
@@ -15,13 +14,8 @@ namespace testing {
 /// Metamorphic relations: transformations of an answering call whose result
 /// is *known* to be invariant (or monotone), checked differentially. They
 /// cross-check the subsystems the plain oracle never exercises — the
-/// parallel evaluator, the deadline plumbing, the federation mediator, and
+/// deadline plumbing, projection, the federation mediator, and
 /// incremental (chase / DRed) maintenance.
-
-/// \brief Answers must be bit-identical for every AnswerOptions::threads
-/// setting (e.g. {1, 0, 8}) under both Ref-UCQ and Ref-GCov.
-Divergence CheckThreadInvariance(const Scenario& sc, const query::Cq& q,
-                                 const std::vector<int>& thread_settings);
 
 /// \brief An explicit infinite deadline (and a generous finite one) must
 /// not change answers — the in-scan cancellation polling is transparent.

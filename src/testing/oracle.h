@@ -23,7 +23,7 @@ namespace testing {
 /// broke and a human-readable diagnosis.
 struct Divergence {
   bool found = false;
-  /// Which check diverged, e.g. "oracle:REF-SCQ", "metamorphic:threads=8",
+  /// Which check diverged, e.g. "oracle:REF-SCQ", "metamorphic:deadline",
   /// "metamorphic:federation", "metamorphic:monotonicity".
   std::string relation;
   /// Diagnosis: row counts, example rows, the query text.

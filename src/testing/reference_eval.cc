@@ -311,11 +311,11 @@ Divergence CheckColumnarVsReference(const Scenario& sc,
   storage::SnapshotPtr pinned = answerer.PinSnapshot();
   const storage::TripleSource& source = *pinned;
   const rdf::Dictionary& dict = answerer.dict();
-  engine::Evaluator sequential(&source);
+  engine::Evaluator evaluator(&source);
 
   // 1. Plain CQ over the explicit database.
   {
-    engine::Table fast = sequential.EvaluateCq(q);
+    engine::Table fast = evaluator.EvaluateCq(q);
     engine::Table ref = ReferenceEvaluateCq(source, q);
     Divergence d = CompareBitForBit("columnar:cq", fast, ref, q, dict);
     if (d.found) return d;
@@ -331,23 +331,9 @@ Divergence CheckColumnarVsReference(const Scenario& sc,
     }
     return Divergence::None();
   }
+  engine::Table fast = evaluator.EvaluateUcq(*ucq);
   engine::Table ref = ReferenceEvaluateUcq(source, *ucq);
-  {
-    engine::Table fast = sequential.EvaluateUcq(*ucq);
-    Divergence d = CompareBitForBit("columnar:ucq", fast, ref, q, dict);
-    if (d.found) return d;
-  }
-
-  // 3. The parallel chunk path shares the same cache and must still be
-  // bit-identical (chunk concatenation reproduces the sequential order).
-  {
-    engine::Evaluator parallel(&source, 8);
-    engine::Table fast = parallel.EvaluateUcq(*ucq);
-    Divergence d =
-        CompareBitForBit("columnar:ucq-parallel", fast, ref, q, dict);
-    if (d.found) return d;
-  }
-  return Divergence::None();
+  return CompareBitForBit("columnar:ucq", fast, ref, q, dict);
 }
 
 }  // namespace testing

@@ -42,10 +42,10 @@ engine::Table ReferenceEvaluateCq(const storage::TripleSource& source,
 engine::Table ReferenceEvaluateUcq(const storage::TripleSource& source,
                                    const query::Ucq& ucq);
 
-/// \brief Differential check: the columnar engine (sequential and parallel)
-/// must match the reference evaluator *bit for bit* — same column labels,
-/// same row order, same TermId in every slot — on the plain CQ and on its
-/// full UCQ reformulation over the scenario's explicit database. When the
+/// \brief Differential check: the columnar engine must match the reference
+/// evaluator *bit for bit* — same column labels, same row order, same
+/// TermId in every slot — on the plain CQ and on its full UCQ
+/// reformulation over the scenario's explicit database. When the
 /// reformulation fails, only the plain CQ is checked; a budget refusal
 /// (kResourceExhausted) then adds one to `*refusals`, when non-null.
 Divergence CheckColumnarVsReference(const Scenario& sc, const query::Cq& q,

@@ -3,9 +3,11 @@
 #include <cmath>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/deadline.h"
 #include "common/hash.h"
+#include "common/synchronization.h"
 #include "common/timer.h"
 
 namespace rdfref {
@@ -99,6 +101,48 @@ TEST(DeadlineTest, FutureDeadlineNotYetExpired) {
   Deadline d = Deadline::AfterMillis(60000);
   EXPECT_FALSE(d.expired());
   EXPECT_GT(d.remaining_millis(), 0.0);
+}
+
+// common/synchronization.h primitives (CI's TSan job runs this binary).
+
+TEST(SynchronizationTest, MutexLockSerializesIncrements) {
+  common::Mutex mu;
+  int counter = 0;  // guarded by mu (annotation elided: local test state)
+  constexpr int kThreads = 4;
+  constexpr int kIters = 10000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIters; ++i) {
+        common::MutexLock lock(&mu);
+        ++counter;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  common::MutexLock lock(&mu);
+  EXPECT_EQ(counter, kThreads * kIters);
+}
+
+TEST(SynchronizationTest, CondVarPredicateWaitObservesSignal) {
+  common::Mutex mu;
+  common::CondVar cv;
+  bool ready = false;
+  int observed = 0;
+  std::thread waiter([&] {
+    mu.Lock();
+    cv.Wait(&mu, [&] { return ready; });
+    observed = 1;
+    mu.Unlock();
+  });
+  {
+    common::MutexLock lock(&mu);
+    ready = true;
+    cv.SignalAll();
+  }
+  waiter.join();
+  EXPECT_EQ(observed, 1);
 }
 
 }  // namespace

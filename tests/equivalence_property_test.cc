@@ -242,28 +242,6 @@ void ExpectCachedReplaysBitIdentical(const Scenario& sc, const Cq& scenario_q,
   check("compacted");
 }
 
-// Answers must be bit-identical for evaluation threads 1 and 8.
-void ExpectThreadsBitIdentical(const Scenario& sc, const Cq& scenario_q,
-                               const std::string& label) {
-  api::QueryAnswerer answerer(sc.graph.Clone());
-  const Cq q = testing::TranslateQuery(scenario_q, sc.graph.dict(),
-                                       &answerer.dict());
-  for (api::Strategy s : {api::Strategy::kRefUcq, api::Strategy::kRefScq,
-                          api::Strategy::kRefGcov}) {
-    api::AnswerOptions one;
-    api::AnswerOptions eight;
-    eight.threads = 8;
-    auto a = answerer.Answer(q, s, nullptr, one);
-    auto b = answerer.Answer(q, s, nullptr, eight);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    const testing::Divergence d = testing::CompareBitForBit(
-        std::string("threads:") + api::StrategyName(s), *b, *a, q,
-        answerer.dict());
-    EXPECT_FALSE(d.found) << label << ": " << d.relation << "\n" << d.detail;
-  }
-}
-
 void CheckCyclicShapes(const Scenario& sc, rdf::TermId shared,
                        rdf::TermId link, rdf::TermId cls, uint64_t seed) {
   testing::Oracle oracle(sc);
@@ -274,11 +252,10 @@ void CheckCyclicShapes(const Scenario& sc, rdf::TermId shared,
     // Sat and every complete strategy agree.
     testing::Divergence d = oracle.Check(shape.q);
     EXPECT_FALSE(d.found) << label << ": " << d.relation << "\n" << d.detail;
-    // The engine equals the reference evaluator bit for bit: the CQ, its
-    // reformulation, and the reformulation on 8 threads.
+    // The engine equals the reference evaluator bit for bit: the CQ and
+    // its reformulation.
     d = testing::CheckColumnarVsReference(sc, shape.q);
     EXPECT_FALSE(d.found) << label << ": " << d.relation << "\n" << d.detail;
-    ExpectThreadsBitIdentical(sc, shape.q, label);
     // Cached replays equal cold evaluation across random writes, freezes
     // and compactions (the unencoded view-cache relation)...
     Rng rng(seed * 977 + shape.q.body().size());

@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include "api/query_answering.h"
+#include "datagen/lubm.h"
 #include "federation/federation.h"
 #include "query/cover.h"
 #include "query/sparql_parser.h"
@@ -1140,6 +1142,69 @@ TEST_F(EvaluatorPruningTest, JucqSkipsTheFinalDedupOnlyWhenNoColumnIsDropped) {
   EXPECT_EQ(jucq_rows(ends), exact.EvaluateCq(ends).NumRows());
 }
 
+// A one-fragment cover's joined table already has the query's head as its
+// columns, so EvaluateJucq copies its rows as one block: the answer equals
+// EvaluateUcq of the fragment's union bit for bit (rows, order, columns).
+TEST_F(EvaluatorPruningTest, OneFragmentJucqIsItsUnionsTable) {
+  // A domain constraint makes the union two members that share rows.
+  graph_.Add(likes_, rdf::vocab::kDomainId, person_);
+  store_ = std::make_unique<storage::Store>(graph_);
+  schema::Schema schema = schema::Schema::FromGraph(graph_);
+  schema.Saturate();
+  reformulation::Reformulator ref(&schema);
+
+  const Cq q = Parse(
+      "SELECT ?x ?y WHERE { ?x a <http://ex/Person> . "
+      "?x <http://ex/knows> ?y . }");
+  const std::vector<Cq> fragments = Cover({{0, 1}}).FragmentQueries(q);
+  auto ucq = ref.Reformulate(fragments[0]);
+  ASSERT_TRUE(ucq.ok()) << ucq.status();
+  ASSERT_GT(ucq->size(), 1u);
+
+  const Evaluator eval(store_.get());
+  JucqProfile profile;
+  const Table jucq = eval.EvaluateJucq(q, fragments, {*ucq}, &profile);
+  const Table unioned = eval.EvaluateUcq(*ucq);
+  const rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
+      "one-fragment jucq", jucq, unioned, q, graph_.dict());
+  EXPECT_FALSE(d.found) << d.detail;
+  EXPECT_EQ(jucq.columns, (std::vector<VarId>{q.head()[0].var(),
+                                              q.head()[1].var()}));
+  EXPECT_GT(jucq.NumRows(), 0u);
+  ASSERT_EQ(profile.fragments.size(), 1u);
+  EXPECT_EQ(profile.fragments[0].result_rows, jucq.NumRows());
+}
+
+// Heads that are not the joined table's columns in order still project,
+// and deduplicate where the projection drops a joined column.
+TEST_F(EvaluatorPruningTest, OneFragmentJucqProjectsOtherHeads) {
+  const Cq base = Parse(
+      "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . "
+      "?x a <http://ex/Person> . }");
+  const VarId x = base.head()[0].var();
+  const VarId y = base.head()[1].var();
+  const std::vector<std::vector<QTerm>> heads = {
+      {QTerm::Var(x), QTerm::Const(person_)},  // a constant slot
+      {QTerm::Var(x), QTerm::Var(x)},          // a repeated slot
+      {QTerm::Var(y), QTerm::Var(x)},          // the columns swapped
+      {QTerm::Var(x)},                         // ?y dropped
+  };
+  const Evaluator eval(store_.get());
+  const Table fragment = eval.EvaluateCq(base);
+  EXPECT_EQ(fragment.NumRows(), 6u);
+  for (const std::vector<QTerm>& head : heads) {
+    Cq q = base;
+    *q.mutable_head() = head;
+    // The one fragment is `base`, whose table has the columns (?x, ?y).
+    const Table jucq = eval.EvaluateJucq(q, {base}, {Ucq({base})});
+    const rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
+        "jucq", jucq, eval.EvaluateCq(q), q, graph_.dict());
+    EXPECT_FALSE(d.found) << q.ToString(graph_.dict()) << "\n" << d.detail;
+    // Only the swap keeps both columns; the rest leave ann, bob and dan.
+    EXPECT_EQ(jucq.NumRows(), head[0] == QTerm::Var(y) ? 6u : 3u);
+  }
+}
+
 TEST_F(EvaluatorPruningTest, FederatedSourceKeepsDeduplicating) {
   // Two endpoints holding the same graph deliver every triple twice.
   federation::Federation fed;
@@ -1152,6 +1217,93 @@ TEST_F(EvaluatorPruningTest, FederatedSourceKeepsDeduplicating) {
   Evaluator eval(&fed.source());
   EXPECT_EQ(eval.EvaluateCq(*q).NumRows(), 7u);
   EXPECT_EQ(eval.EvaluateUcq(Ucq({*q})).NumRows(), 7u);
+}
+
+// ---------------------------------------------------------------------------
+// Deadlines: polled at every CQ boundary and every kCancelStride triples
+// inside a CQ's join, over a LUBM university whose cross products run far
+// past any budget below.
+// ---------------------------------------------------------------------------
+
+class EvaluatorDeadlineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    datagen::LubmConfig config;
+    config.universities = 1;
+    config.referenced_universities = 10;
+    rdf::Graph graph;
+    datagen::Lubm::Generate(config, &graph);
+    answerer_ = std::make_unique<api::QueryAnswerer>(std::move(graph));
+  }
+
+  Cq Parse(const std::string& body) {
+    auto q = query::ParseSparql(
+        "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n" +
+            body,
+        &answerer_->dict());
+    EXPECT_TRUE(q.ok()) << q.status();
+    return *q;
+  }
+
+  std::unique_ptr<api::QueryAnswerer> answerer_;
+};
+
+TEST_F(EvaluatorDeadlineTest, DeadlineCancelsInsideASingleHugeCq) {
+  // One disconnected CQ — a three-way cross product of unselective scans —
+  // evaluated as a single-member UCQ: only the in-scan cancellation can
+  // stop it, since there is no other CQ boundary to check at.
+  Cq q = Parse(
+      "SELECT ?x ?z ?s ?c ?f ?k WHERE { ?x ub:memberOf ?z . "
+      "?s ub:takesCourse ?c . ?f ub:teacherOf ?k . }");
+  storage::SnapshotPtr snap = answerer_->PinSnapshot();
+  Evaluator evaluator(snap.get());
+  Ucq ucq({q});
+  auto result = evaluator.EvaluateUcq(ucq, Deadline::AfterMicros(500));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(result.status().message().find("of 1 reformulation CQs"),
+            std::string::npos)
+      << result.status();
+}
+
+TEST_F(EvaluatorDeadlineTest, UcqReportsDeadlineWithMemberCounts) {
+  Cq member = Parse(
+      "SELECT ?x ?z ?s ?c WHERE { ?x ub:memberOf ?z . "
+      "?s ub:takesCourse ?c . }");
+  Ucq ucq({member, member, member, member});
+  storage::SnapshotPtr snap = answerer_->PinSnapshot();
+  Evaluator evaluator(snap.get());
+  auto result = evaluator.EvaluateUcq(ucq, Deadline::AfterMicros(200));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(result.status().message().find("of 4 reformulation CQs"),
+            std::string::npos)
+      << result.status();
+}
+
+TEST_F(EvaluatorDeadlineTest, JucqDeadlineKeepsTheCompletedFragments) {
+  // Fragment 0 reads one department's sub-organization triple; fragment 1
+  // is a three-way cross product of about 5 * 10^8 rows.
+  Cq q = Parse(
+      "SELECT ?u ?x ?z ?s ?c ?f ?k WHERE { "
+      "<http://www.Department0.University0.edu> ub:subOrganizationOf ?u . "
+      "?x ub:memberOf ?z . ?s ub:takesCourse ?c . ?f ub:teacherOf ?k . }");
+  const std::vector<Cq> fragments =
+      Cover({{0}, {1, 2, 3}}).FragmentQueries(q);
+  const std::vector<Ucq> ucqs = {Ucq({fragments[0]}), Ucq({fragments[1]})};
+  storage::SnapshotPtr snap = answerer_->PinSnapshot();
+  Evaluator evaluator(snap.get());
+  JucqProfile profile;
+  auto result = evaluator.EvaluateJucq(q, fragments, ucqs,
+                                       Deadline::AfterMillis(30), &profile);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(result.status().message().rfind("fragment 1: ", 0), 0u)
+      << result.status();
+  ASSERT_EQ(profile.fragments.size(), 1u);
+  EXPECT_EQ(profile.fragments[0].cover_fragment, "{t0}");
+  EXPECT_EQ(profile.fragments[0].result_rows, 1u);
+  EXPECT_GT(profile.total_millis, 0.0);
 }
 
 }  // namespace

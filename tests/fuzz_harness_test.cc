@@ -92,12 +92,12 @@ TEST(FuzzHarnessTest, SpuriousRowIsCaught) {
 
 TEST(FuzzHarnessTest, SeedFileRoundTrips) {
   const std::string contents =
-      testing::EmitSeedFile(1234567, 3, "metamorphic:threads=8:REF-UCQ");
+      testing::EmitSeedFile(1234567, 3, "metamorphic:projection:REF-UCQ");
   testing::SeedFileEntry entry;
   ASSERT_TRUE(testing::ParseSeedFile(contents, &entry));
   EXPECT_EQ(entry.seed, 1234567u);
   EXPECT_EQ(entry.trial, 3);
-  EXPECT_EQ(entry.relation, "metamorphic:threads=8:REF-UCQ");
+  EXPECT_EQ(entry.relation, "metamorphic:projection:REF-UCQ");
 
   // Malformed inputs are rejected, comments tolerated.
   EXPECT_FALSE(testing::ParseSeedFile("trial 2\n", &entry));

@@ -3,8 +3,8 @@
 // Draws seeded random (schema, graph, query) scenarios, answers each query
 // with every strategy, and checks the oracle protocol (Sat is ground truth;
 // complete strategies match bit-for-bit; incomplete Ref is a subset) plus
-// the metamorphic relations (thread-count / deadline invariance, projecting
-// head variables away, federation graph-partition equivalence, insertion
+// the metamorphic relations (deadline invariance, projecting head
+// variables away, federation graph-partition equivalence, insertion
 // monotonicity, DRed consistency).
 // On divergence the case is greedily shrunk and emitted as a compilable
 // gtest snippet plus a replayable seed file.
