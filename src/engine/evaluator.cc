@@ -126,8 +126,10 @@ bool SameOn(const rdf::Triple& a, const rdf::Triple& b, uint8_t keep) {
 }
 
 // ExplainCq's mark for a depth that prunes: `(exists)` when it stops after
-// its first bind, else `(distinct s,o)` naming the positions it keeps.
-std::string PruneMark(const DepthPrune& p) {
+// its first bind, else `(distinct s,o)` naming the positions it keeps, and
+// `(distinct o, first match per key)` for a first depth that opens each
+// kept key once (CollapsesFirstDepth).
+std::string PruneMark(const DepthPrune& p, bool collapsed) {
   if (!p.prunes) return "";
   if (p.keep == 0) return " (exists)";
   std::string mark = " (distinct";
@@ -138,8 +140,85 @@ std::string PruneMark(const DepthPrune& p) {
     mark += "spo"[k];
     sep = ',';
   }
+  if (collapsed) mark += ", first match per key";
   mark += ')';
   return mark;
+}
+
+// Bit k set when position k (s, p, o) of the atom holds a variable.
+uint8_t VarPositions(const Atom& atom) {
+  return static_cast<uint8_t>((atom.s.is_var ? 1 : 0) |
+                              (atom.p.is_var ? 2 : 0) |
+                              (atom.o.is_var ? 4 : 0));
+}
+
+// True when a variable occurs twice in the atom, e.g. (?x p ?x).
+bool RepeatsVariable(const Atom& a) {
+  return (a.s.is_var && ((a.p.is_var && a.s.var() == a.p.var()) ||
+                         (a.o.is_var && a.s.var() == a.o.var()))) ||
+         (a.p.is_var && a.o.is_var && a.p.var() == a.o.var());
+}
+
+// Bit k set when position k (s, p, o) of the atom holds a
+// resource-constrained variable.
+uint8_t ResourcePositions(const Atom& a, const std::set<VarId>& resource) {
+  auto bit = [&](const QTerm& t, int k) {
+    return t.is_var && resource.contains(t.var()) ? 1 << k : 0;
+  };
+  return static_cast<uint8_t>(bit(a.s, 0) | bit(a.p, 1) | bit(a.o, 2));
+}
+
+// True when the positions in `keep` lead the order pat's matches come in
+// (Store::OrderFor), after the positions the pattern fixes: equal keys then
+// form runs, which the pruning skip already steps over. A ranged position
+// varies, so it does not count as fixed. False for the two interval shapes
+// no order names.
+bool KeysLead(const storage::Pattern& pat, uint8_t keep) {
+  const std::optional<storage::IndexOrder> order =
+      storage::Store::OrderFor(pat);
+  if (!order.has_value()) return false;
+  int key[3] = {0, 1, 2};  // positions in the order's key, s = 0
+  switch (*order) {
+    case storage::IndexOrder::kSpo:
+      break;
+    case storage::IndexOrder::kPso:
+      key[0] = 1, key[1] = 0, key[2] = 2;
+      break;
+    case storage::IndexOrder::kPos:
+      key[0] = 1, key[1] = 2, key[2] = 0;
+      break;
+    case storage::IndexOrder::kOsp:
+      key[0] = 2, key[1] = 0, key[2] = 1;
+      break;
+  }
+  const rdf::TermId values[3] = {pat.s, pat.p, pat.o};
+  const int ranged = pat.range_pos == storage::Pattern::kRangeP   ? 1
+                     : pat.range_pos == storage::Pattern::kRangeO ? 2
+                                                                  : -1;
+  uint8_t prefix = 0;
+  int need = std::popcount(keep);
+  for (int k : key) {
+    if (need == 0) break;
+    if (values[k] != storage::kAny && k != ranged) continue;  // fixed
+    prefix |= static_cast<uint8_t>(1 << k);
+    --need;
+  }
+  return prefix == keep;
+}
+
+// True when the join's first depth, opening `atom` with pruning decision
+// `prune`, iterates only the first match of each distinct kept key
+// (DESIGN.md §9, "The first depth opens each kept key once"): the depth
+// prunes and keeps something, its kept keys do not already form runs, no
+// variable repeats in the atom, and no unkept variable is
+// resource-constrained (`resource`, from ResourcePositions), so every match
+// of a key binds or fails alike and a later one only repeats the first
+// one's subtree.
+bool CollapsesFirstDepth(const Atom& atom, const DepthPrune& prune,
+                         uint8_t resource) {
+  if (!prune.prunes || prune.keep == 0 || RepeatsVariable(atom)) return false;
+  if ((VarPositions(atom) & ~prune.keep & resource) != 0) return false;
+  return !KeysLead(AtomPattern(atom), prune.keep);
 }
 
 // One depth's decision (see ChooseAtDepth).
@@ -370,12 +449,171 @@ class CountMemo {
   size_t size_ = 0;
 };
 
-// Bit k set when position k (s, p, o) of the atom holds a variable.
-uint8_t VarPositions(const Atom& atom) {
-  return static_cast<uint8_t>((atom.s.is_var ? 1 : 0) |
-                              (atom.p.is_var ? 2 : 0) |
-                              (atom.o.is_var ? 4 : 0));
+constexpr uint32_t kEmptySlot32 = std::numeric_limits<uint32_t>::max();
+
+// The distinct keys (the values at the positions in `keep`) among the
+// triples of `leaf` inserted so far: 32-bit slots, each empty or the index
+// in `leaf` of a key's first match, kept at most half full by doubling from
+// at most 2,048 slots, so n inserts with k distinct keys take O(n) probes
+// and O(k) memory.
+class RDFREF_BORROWS_FROM(leaf) FirstMatchSet {
+ public:
+  FirstMatchSet(std::span<const rdf::Triple> leaf, uint8_t keep)
+      : leaf_(leaf), keep_(keep) {
+    if (leaf.size() >= kEmptySlot32) {
+      EngineFatal("more first-depth matches than a 32-bit hash slot can index");
+    }
+    slots_.assign(std::min<size_t>(2048, 2 * leaf.size() + 1), kEmptySlot32);
+  }
+
+  // True when leaf[j] is the first match of its key so far, which it then
+  // records.
+  bool Insert(size_t j) {
+    uint32_t& slot = Find(slots_, leaf_[j]);
+    if (slot != kEmptySlot32) return false;
+    slot = static_cast<uint32_t>(j);
+    if (2 * ++size_ > slots_.size()) {
+      std::vector<uint32_t> grown(2 * slots_.size(), kEmptySlot32);
+      for (uint32_t f : slots_) {
+        if (f != kEmptySlot32) Find(grown, leaf_[f]) = f;
+      }
+      slots_ = std::move(grown);
+    }
+    return true;
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  uint32_t& Find(std::vector<uint32_t>& slots, const rdf::Triple& t) const {
+    const size_t n = slots.size();
+    size_t i = HomeSlot(MixIds(keep_ & 1 ? t.s : 0, keep_ & 2 ? t.p : 0,
+                               keep_ & 4 ? t.o : 0),
+                        n);
+    while (slots[i] != kEmptySlot32 && !SameOn(leaf_[slots[i]], t, keep_)) {
+      if (++i == n) i = 0;
+    }
+    return slots[i];
+  }
+
+  std::span<const rdf::Triple> leaf_;
+  uint8_t keep_;
+  std::vector<uint32_t> slots_;
+  size_t size_ = 0;
+};
+
+// A query term as one 64-bit word: a variable and a constant with one id
+// differ.
+uint64_t TermWord(const QTerm& t) {
+  return (uint64_t{t.is_var} << 32) | t.id;
 }
+
+// A hash of everything a member's join reads (SameJoin); head constants are
+// left out.
+size_t JoinHash(const Cq& q) {
+  uint64_t h = MixIds(q.num_vars(), q.body().size(), q.head().size());
+  for (const Atom& a : q.body()) {
+    h = h * 0x9e3779b97f4a7c15ULL +
+        MixIds(TermWord(a.s), TermWord(a.p),
+               TermWord(a.o) ^ (uint64_t{a.range_pos} << 40) ^
+                   (uint64_t{a.range_hi} << 24));
+  }
+  for (const QTerm& t : q.head()) {
+    h = h * 0xc2b2ae3d27d4eb4fULL + (t.is_var ? TermWord(t) : 1);
+  }
+  for (VarId v : q.resource_vars()) h = h * 0x165667b19e3779f9ULL + v;
+  return static_cast<size_t>(h ^ (h >> 29));
+}
+
+// True when members a and b of one union evaluate to the same join, so
+// their rows differ only in their head constants (DESIGN.md §9, "One join
+// per distinct member body"): the same body atoms (terms and interval),
+// variables in the same head slots and constants in the others, the same
+// resource-constrained variables and the same variable count. The atom
+// order, the per-binding choice, pruning and RowsAreDistinct read only
+// these.
+bool SameJoin(const Cq& a, const Cq& b) {
+  if (a.num_vars() != b.num_vars() || a.head().size() != b.head().size() ||
+      a.body() != b.body() || a.resource_vars() != b.resource_vars()) {
+    return false;
+  }
+  for (size_t k = 0; k < a.head().size(); ++k) {
+    const QTerm& x = a.head()[k];
+    const QTerm& y = b.head()[k];
+    if (x.is_var != y.is_var || (x.is_var && x.var() != y.var())) return false;
+  }
+  return true;
+}
+
+// For each member of `ucq`, the first member whose join it repeats
+// (SameJoin), or its own index: grouped through one hash of 2n 32-bit
+// slots, so a union of n members costs O(n) probes.
+std::vector<uint32_t> JoinSources(const query::Ucq& ucq) {
+  const std::vector<Cq>& members = ucq.members();
+  const size_t n = members.size();
+  if (n >= kEmptySlot32) {
+    EngineFatal("more union members than a 32-bit hash slot can index");
+  }
+  std::vector<uint32_t> source(n);
+  if (n < 2) return source;
+  std::vector<size_t> hashes(n);
+  std::vector<uint32_t> slots(std::max<size_t>(1, 2 * n), kEmptySlot32);
+  for (size_t i = 0; i < n; ++i) {
+    hashes[i] = JoinHash(members[i]);
+    size_t s = HomeSlot(hashes[i], slots.size());
+    while (slots[s] != kEmptySlot32 &&
+           (hashes[slots[s]] != hashes[i] ||
+            !SameJoin(members[slots[s]], members[i]))) {
+      if (++s == slots.size()) s = 0;
+    }
+    if (slots[s] == kEmptySlot32) slots[s] = static_cast<uint32_t>(i);
+    source[i] = slots[s];
+  }
+  return source;
+}
+
+// Appends a copy of rows [begin, end) of `out` with the constant head slots
+// of `head` written over (a member that repeats an earlier member's join).
+// A zero-arity head copies the row count.
+void CopyRowsWithHead(size_t begin, size_t end,
+                      const std::vector<QTerm>& head, Table* out) {
+  const size_t arity = out->arity();
+  for (size_t r = begin; r < end; ++r) {
+    rdf::TermId* row = out->AppendUninitialized();
+    if (row == nullptr) continue;
+    std::copy_n(out->row(r).data(), arity, row);
+    for (size_t k = 0; k < arity; ++k) {
+      if (!head[k].is_var) row[k] = head[k].term();
+    }
+  }
+}
+
+// The bind check the join and the one-atom pass share: a resource-
+// constrained variable (reformulation rules 3/7) rejects a literal, which
+// cannot be the subject of an entailed rdf:type triple.
+bool Admits(const rdf::Dictionary& dict, bool resource_only,
+            rdf::TermId value) {
+  return !resource_only || !dict.Lookup(value).is_literal();
+}
+
+// The row write the join and the one-atom pass share: appends one head
+// row, a variable slot holding `value_of(var)` and a constant slot its
+// constant.
+template <typename ValueOf>
+void EmitHeadRow(const std::vector<QTerm>& head, ValueOf&& value_of,
+                 Table* out) {
+  rdf::TermId* row = out->AppendUninitialized();
+  for (size_t k = 0; k < head.size(); ++k) {
+    const QTerm& h = head[k];
+    row[k] = h.is_var ? value_of(h.var()) : h.term();
+  }
+}
+
+// The deadline is polled every kCancelStride consumed triples, bounding the
+// overrun of a runaway CQ. A single pattern scan (one cache fill or cursor
+// reset) is not cancellable mid-buffer, exactly like the scan callbacks of
+// the recursive engine the join replaces.
+constexpr size_t kCancelStride = 1024;
 
 // The matches of a filter atom's unbound pattern, grouped by the values at
 // its variable positions (DESIGN.md §9). Over a source that delivers each
@@ -417,8 +655,11 @@ class RDFREF_BORROWS_FROM(leaf) FilterIndex {
   }
 
   // The group of the matches that agree with `pat` on the variable
-  // positions.
-  std::span<const rdf::Triple> Probe(const storage::Pattern& pat) const {
+  // positions. Out of line, as the compiler left it before the one-atom
+  // pass existed: inlined into the join's open path it grew that path for
+  // every multi-atom CQ (DESIGN.md §9, "One-atom CQs").
+  [[gnu::noinline]] std::span<const rdf::Triple> Probe(
+      const storage::Pattern& pat) const {
     const rdf::Triple key(pat.s, pat.p, pat.o);
     const uint32_t g = slots_[Find(
         key, [this](uint32_t group) { return triples_[Begin(group)]; })];
@@ -646,6 +887,103 @@ struct RDFREF_BORROWS_FROM(source, cursor) JoinFrame {
   FilterProbes filter;
 };
 
+// A CQ of one atom in which no variable repeats, evaluated in one pass over
+// its matches with no binding stack (DESIGN.md §9, "One-atom CQs"): the
+// rows, in order, of the join's depth 0 as the last depth. The pruning
+// decision is PruneAt's for that depth (the head reads what it keeps), and
+// the CQ is pruned exactly where OrderAtoms would prune it. Kept out of
+// EvaluateCqInto, like KeepFirstMatchPerKey, so the join's code stays as it
+// was.
+[[gnu::noinline]] bool EvaluateOneAtomInto(const Cq& q,
+                                           const Deadline& deadline,
+                                           ScanCache* cache, Table* out) {
+  const Atom& atom = q.body()[0];
+  const std::vector<QTerm>& head = q.head();
+  DepthPrune prune;
+  if (q.num_vars() <= 64 && HasExistential(q)) {
+    const QTerm* terms[3] = {&atom.s, &atom.p, &atom.o};
+    for (int k = 0; k < 3; ++k) {
+      if (!terms[k]->is_var) continue;
+      if (std::find(head.begin(), head.end(), *terms[k]) != head.end()) {
+        prune.keep |= static_cast<uint8_t>(1 << k);
+      } else {
+        prune.prunes = true;
+      }
+    }
+  }
+  const uint8_t resource = ResourcePositions(atom, q.resource_vars());
+  const std::span<const rdf::Triple> range = cache->Leaf(AtomPattern(atom));
+  // A collapsing pass skips every match whose key it has met. Where more
+  // than half of the first kCollapseSample matches hold a new key, the hash
+  // costs more than the rows it saves (a probe costs about what a row and
+  // its Dedup probe do), and the pass goes on with the run skip alone: the
+  // rows it then repeats are later matches of a key, which only repeat the
+  // key's first row.
+  constexpr size_t kCollapseSample = 256;
+  std::optional<FirstMatchSet> seen;
+  if (CollapsesFirstDepth(atom, prune, resource)) {
+    seen.emplace(range, prune.keep);
+  }
+  bool sampled = false;
+  const rdf::Dictionary& dict = cache->source().dict();
+  const rdf::Triple* last = nullptr;
+  size_t steps = 0;
+  size_t pos = 0;
+  while (true) {
+    if (prune.prunes && last != nullptr) {
+      while (pos < range.size() && SameOn(range[pos], *last, prune.keep)) {
+        ++pos;
+      }
+    }
+    if (pos == range.size()) return true;
+    const size_t j = pos++;
+    if (seen.has_value()) {
+      const bool first = seen->Insert(j);
+      if (!sampled && pos >= kCollapseSample) {
+        sampled = true;
+        if (2 * seen->size() > pos) seen.reset();
+      }
+      if (!first) continue;
+    }
+    const rdf::Triple& t = range[j];
+    if (++steps % kCancelStride == 0 && deadline.expired()) return false;
+    if (!Admits(dict, (resource & 1) != 0, t.s) ||
+        !Admits(dict, (resource & 2) != 0, t.p) ||
+        !Admits(dict, (resource & 4) != 0, t.o)) {
+      continue;
+    }
+    EmitHeadRow(
+        head,
+        [&](VarId v) {
+          return atom.s.is_var && atom.s.var() == v   ? t.s
+                 : atom.p.is_var && atom.p.var() == v ? t.p
+                                                      : t.o;
+        },
+        out);
+    if (prune.prunes) {
+      if (prune.keep == 0) return true;  // the head reads nothing: one row
+      last = &t;
+    }
+  }
+}
+
+// Where the join's first depth collapses (CollapsesFirstDepth), replaces
+// `*range` with the first match of each kept key, held in `*first_matches`.
+[[gnu::noinline]] void KeepFirstMatchPerKey(
+    const Atom& atom, const DepthPrune& prune,
+    const std::set<VarId>& resource_vars, std::span<const rdf::Triple>* range,
+    std::vector<rdf::Triple>* first_matches) {
+  if (!CollapsesFirstDepth(atom, prune,
+                           ResourcePositions(atom, resource_vars))) {
+    return;
+  }
+  FirstMatchSet seen(*range, prune.keep);
+  for (size_t j = 0; j < range->size(); ++j) {
+    if (seen.Insert(j)) first_matches->push_back((*range)[j]);
+  }
+  *range = *first_matches;
+}
+
 }  // namespace
 
 Evaluator::Evaluator(const storage::TripleSource* source, int threads)
@@ -714,11 +1052,17 @@ std::string Evaluator::ExplainCq(const Cq& q) const {
           << ")\n";
       continue;
     }
-    const storage::Pattern pat =
-        AtomPattern(q.body()[static_cast<size_t>(atoms[0])]);
+    const Atom& atom = q.body()[static_cast<size_t>(atoms[0])];
+    const storage::Pattern pat = AtomPattern(atom);
+    const bool collapsed =
+        depth == 0 && prune.has_value() &&
+        CollapsesFirstDepth(atom, *prune,
+                            ResourcePositions(atom, q.resource_vars()));
     out << "t" << atoms[0] << "  (~" << store_->CountPattern(pat)
         << " index matches unbound" << (pat.has_range() ? ", interval" : "")
-        << ")" << (prune.has_value() && !prune_varies ? PruneMark(*prune) : "")
+        << ")"
+        << (prune.has_value() && !prune_varies ? PruneMark(*prune, collapsed)
+                                               : "")
         << "\n";
   }
   return out.str();
@@ -741,12 +1085,17 @@ std::string Evaluator::ExplainJucq(
     } else {
       out << " CQ(s)";
     }
-    out << ", head arity " << fragment_queries[i].head().size();
     if (source[i] != i) {
-      out << ", same as fragment " << source[i] << "\n";
+      out << ", head arity " << fragment_queries[i].head().size()
+          << ", same as fragment " << source[i] << "\n";
       continue;
     }
-    out << "\n";
+    // The distinct joins the union evaluates (JoinSources).
+    const std::vector<uint32_t> joins = JoinSources(fragment_ucqs[i]);
+    size_t bodies = 0;
+    for (size_t m = 0; m < joins.size(); ++m) bodies += joins[m] == m ? 1 : 0;
+    out << ", " << bodies << (bodies == 1 ? " body" : " bodies")
+        << ", head arity " << fragment_queries[i].head().size() << "\n";
     if (!fragment_ucqs[i].empty()) {
       out << "    first member plan:\n";
       out << IndentBlock(ExplainCq(fragment_ucqs[i].members()[0]), "    ");
@@ -762,24 +1111,19 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const Deadline& deadline,
   if (deadline.expired()) return false;
   const std::vector<Atom>& body = q.body();
   if (body.empty()) return true;
+  if (body.size() == 1 && !RepeatsVariable(body[0])) {
+    return EvaluateOneAtomInto(q, deadline, cache, out);
+  }
   const JoinPlan plan = OrderAtoms(*cache, q);
   std::vector<rdf::TermId> bindings(q.num_vars(), kUnbound);
-  // Resource-constrained variables (reformulation rules 3/7) reject
-  // literal bindings: a literal cannot be the subject of an entailed
-  // rdf:type triple.
+  // Resource-constrained variables, which reject literals (Admits).
   std::vector<char> resource_only(q.num_vars(), 0);
   for (VarId v : q.resource_vars()) resource_only[v] = 1;
   const rdf::Dictionary& dict = store_->dict();
 
-  // The deadline is polled every kCancelStride consumed triples, bounding
-  // the overrun of a runaway CQ. A single pattern scan (one cache
-  // fill or cursor reset) is not cancellable mid-buffer, exactly like the
-  // scan callbacks of the recursive engine this replaces.
-  constexpr size_t kCancelStride = 1024;
   size_t steps = 0;
 
   const size_t num_atoms = plan.order.size();
-  const size_t head_arity = q.head().size();
   std::vector<JoinFrame> frames(num_atoms);
 
   // A static plan's frames hold their atoms, and their pruning, for the
@@ -913,9 +1257,7 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const Deadline& deadline,
       if (!qt.is_var) return true;  // matched by the scan pattern
       rdf::TermId& slot = bindings[qt.var()];
       if (slot == kUnbound) {
-        if (resource_only[qt.var()] && dict.Lookup(value).is_literal()) {
-          return false;
-        }
+        if (!Admits(dict, resource_only[qt.var()] != 0, value)) return false;
         slot = value;
         f.newly[f.num_new++] = qt.var();
         return true;
@@ -940,6 +1282,14 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const Deadline& deadline,
   // bind when none is read, and an emit returns to the deepest frame that
   // binds a head variable.
   open_frame(0);
+  // The first depth opens once per CQ: where it collapses, it iterates the
+  // first match of each kept key only.
+  std::vector<rdf::Triple> first_matches;
+  if (pruning) {
+    JoinFrame& f = frames[0];
+    KeepFirstMatchPerKey(body[static_cast<size_t>(f.atom)], f.prune,
+                         q.resource_vars(), &f.range, &first_matches);
+  }
   size_t depth = 0;
   while (true) {
     JoinFrame& f = frames[depth];
@@ -966,11 +1316,7 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const Deadline& deadline,
       }
     }
     if (depth + 1 == num_atoms) {
-      rdf::TermId* row = out->AppendUninitialized();
-      for (size_t k = 0; k < head_arity; ++k) {
-        const QTerm& h = q.head()[k];
-        row[k] = h.is_var ? bindings[h.var()] : h.term();
-      }
+      EmitHeadRow(q.head(), [&](VarId v) { return bindings[v]; }, out);
       if (pruning && f.head_depth < static_cast<int>(depth)) {
         // The frames below the deepest head binding can only emit this
         // row again: unwind them, or finish when no frame binds the head.
@@ -1066,11 +1412,30 @@ Result<Table> Evaluator::EvaluateUcqWithCache(const query::Ucq& ucq,
     }
     table.SetArity(ucq.members()[0].head().size());
   }
+  // A member that repeats an earlier member's join (JoinSources) is not
+  // evaluated: it copies that member's block of rows with its own head
+  // constants, so the table equals the members' own tables appended.
   const size_t n = ucq.size();
+  const std::vector<uint32_t> source = JoinSources(ucq);
+  bool repeats = false;
+  for (size_t i = 0; i < n && !repeats; ++i) repeats = source[i] != i;
+  // Each evaluated member's rows [first, second), kept when some member
+  // repeats a join.
+  std::vector<std::pair<size_t, size_t>> blocks(repeats ? n : 0);
   for (size_t i = 0; i < n; ++i) {
-    if (!EvaluateCqInto(ucq.members()[i], deadline, cache, &table)) {
+    const Cq& member = ucq.members()[i];
+    if (source[i] != i) {
+      // The CQ-boundary check, as before an evaluated member.
+      if (deadline.expired()) return UcqDeadlineError(i, n);
+      const auto [begin, end] = blocks[source[i]];
+      CopyRowsWithHead(begin, end, member.head(), &table);
+      continue;
+    }
+    const size_t begin = table.NumRows();
+    if (!EvaluateCqInto(member, deadline, cache, &table)) {
       return UcqDeadlineError(i, n);
     }
+    if (repeats) blocks[i] = {begin, table.NumRows()};
   }
   // Two members may derive one row; a lone member repeats none when its
   // rows are distinct.

@@ -65,7 +65,9 @@ struct JucqProfile {
 ///   pattern, not once per member — reformulation unions repeat the same
 ///   few patterns hundreds of times.
 /// - UCQs run member-by-member, appending into one table, with union
-///   duplicate elimination.
+///   duplicate elimination. Members that differ only in their head
+///   constants are joined once; the others copy that join's rows with
+///   their own constants. A one-atom member is one pass over its range.
 /// - JUCQs materialize each fragment UCQ in turn, then hash-join the
 ///   fragments, which is exactly the strategy costed by the paper's cost
 ///   model. A fragment whose query and union repeat an earlier fragment's
@@ -172,7 +174,8 @@ class Evaluator {
   /// it may open, e.g. `probe t1|t2  (per binding: fewest matches)`. A
   /// depth that stops after its first bind is marked `(exists)`, and one
   /// that skips runs of triples names the positions it keeps, e.g.
-  /// `(distinct s)`.
+  /// `(distinct s)`; a first depth that opens only the first match of
+  /// each kept key reads e.g. `(distinct o, first match per key)`.
   std::string ExplainCq(const query::Cq& q) const;
 
   /// \brief Renders the JUCQ plan: per-fragment UCQ sizes and the
@@ -180,6 +183,8 @@ class Evaluator {
   /// table is listed as `same as fragment N`. With `raw_members` (one per
   /// fragment: the size of its union before minimization, see
   /// Reformulator::Reformulate) a fragment's size reads `N of M members`.
+  /// An evaluated fragment's line also counts the distinct member bodies
+  /// its union joins, e.g. `UCQ of 77 of 79 members, 53 bodies`.
   std::string ExplainJucq(
       const query::Cq& q, const std::vector<query::Cq>& fragment_queries,
       const std::vector<query::Ucq>& fragment_ucqs,

@@ -322,10 +322,12 @@ TEST_F(EvaluatorTest, ExplainJucqNamesMembersBeforeMinimization) {
   for (const Cq& f : fragments) ucqs.push_back(Ucq({f}));
   Evaluator eval(store_.get());
   std::string plan = eval.ExplainJucq(q, fragments, ucqs, {3, 1});
-  EXPECT_NE(plan.find("  fragment 0: UCQ of 1 of 3 members, head arity 2\n"),
+  EXPECT_NE(plan.find("  fragment 0: UCQ of 1 of 3 members, 1 body, "
+                      "head arity 2\n"),
             std::string::npos)
       << plan;
-  EXPECT_NE(plan.find("  fragment 1: UCQ of 1 of 1 members, head arity 2\n"),
+  EXPECT_NE(plan.find("  fragment 1: UCQ of 1 of 1 members, 1 body, "
+                      "head arity 2\n"),
             std::string::npos)
       << plan;
 }
@@ -346,11 +348,11 @@ TEST_F(EvaluatorTest, ExplainJucqIndentsEveryNestedPlanLine) {
   const std::string expected =
       "JUCQ plan: materialize 2 fragment(s), "
       "then hash-join smallest-connected-first:\n"
-      "  fragment 0: UCQ of 1 CQ(s), head arity 2\n"
+      "  fragment 0: UCQ of 1 CQ(s), 1 body, head arity 2\n"
       "    first member plan:\n"
       "    CQ plan (index nested-loop join):\n"
       "      scan  t0  (~3 index matches unbound)\n"
-      "  fragment 1: UCQ of 1 CQ(s), head arity 2\n"
+      "  fragment 1: UCQ of 1 CQ(s), 1 body, head arity 2\n"
       "    first member plan:\n"
       "    CQ plan (index nested-loop join):\n"
       "      scan  t0  (~3 index matches unbound)\n";
@@ -1217,6 +1219,274 @@ TEST_F(EvaluatorPruningTest, FederatedSourceKeepsDeduplicating) {
   Evaluator eval(&fed.source());
   EXPECT_EQ(eval.EvaluateCq(*q).NumRows(), 7u);
   EXPECT_EQ(eval.EvaluateUcq(Ucq({*q})).NumRows(), 7u);
+}
+
+// One join per distinct member body, one subtree per first-depth key, one
+// pass per one-atom CQ (DESIGN.md §9): each must leave every returned
+// table bit-identical to the reference evaluator's.
+class EvaluatorSharingTest : public EvaluatorPruningTest {
+ protected:
+  // q(?x, ?z, c) :- ?x knows ?y . ?y knows ?z  (the join's rows, with the
+  // constant c in the last head slot).
+  Cq PathWithConstant(rdf::TermId c) {
+    Cq q = Parse(
+        "SELECT ?x ?z WHERE { ?x <http://ex/knows> ?y . "
+        "?y <http://ex/knows> ?z . }");
+    q.AddHead(QTerm::Const(c));
+    return q;
+  }
+
+  void ExpectUnionMatchesReference(const Ucq& ucq) {
+    Evaluator eval(store_.get());
+    const rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
+        "ucq", eval.EvaluateUcq(ucq),
+        rdfref::testing::ReferenceEvaluateUcq(*store_, ucq),
+        ucq.members()[0], graph_.dict());
+    EXPECT_FALSE(d.found) << d.detail;
+  }
+};
+
+TEST_F(EvaluatorSharingTest, MembersWithOneBodyAreJoinedOnce) {
+  const Cq likes = [&] {
+    Cq q = Parse(
+        "SELECT ?x ?z WHERE { ?x <http://ex/likes> ?z . }");
+    q.AddHead(QTerm::Const(person_));
+    return q;
+  }();
+  const Ucq ucq({PathWithConstant(ann_), PathWithConstant(bob_), likes,
+                 PathWithConstant(carl_)});
+  RowCountingSource source(store_.get());
+  Evaluator eval(&source);
+  source.TakeLookups(knows_);
+  const Table one = eval.EvaluateCq(ucq.members()[0]);
+  const uint64_t body_lookups = source.TakeLookups(knows_);
+  ASSERT_GT(body_lookups, 0u);
+  const Table got = eval.EvaluateUcq(ucq);
+  EXPECT_EQ(source.TakeLookups(knows_), body_lookups);  // not three times
+
+  // The members' own tables, appended: their constants keep them apart.
+  Table appended;
+  for (const Cq& m : ucq.members()) appended.Append(eval.EvaluateCq(m));
+  appended.columns = got.columns;
+  rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
+      "appended", got, appended, ucq.members()[0], graph_.dict());
+  EXPECT_FALSE(d.found) << d.detail;
+  d = rdfref::testing::CompareBitForBit(
+      "reference", got, rdfref::testing::ReferenceEvaluateUcq(*store_, ucq),
+      ucq.members()[0], graph_.dict());
+  EXPECT_FALSE(d.found) << d.detail;
+  EXPECT_EQ(got.NumRows(), 3 * one.NumRows() + 3);
+
+  const std::string plan =
+      eval.ExplainJucq(ucq.members()[0], {ucq.members()[0]}, {ucq}, {6});
+  EXPECT_NE(plan.find("  fragment 0: UCQ of 4 of 6 members, 2 bodies, head "
+                      "arity 3\n"),
+            std::string::npos)
+      << plan;
+}
+
+TEST_F(EvaluatorSharingTest, MembersThatJoinDifferentlyAreEachJoined) {
+  const Cq base = PathWithConstant(ann_);
+  // A head variable slot: ?x in place of ?z.
+  Cq other_var = base;
+  (*other_var.mutable_head())[1] = base.head()[0];
+  // A resource-constrained variable.
+  Cq resource = base;
+  resource.AddResourceVar(base.head()[1].var());
+  // A different interval end.
+  Cq narrow = Parse("SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y . }");
+  narrow.AddHead(QTerm::Const(ann_));
+  Atom& atom = (*narrow.mutable_body())[0];
+  atom.range_pos = Atom::kRangeP;
+  atom.range_hi = knows_;
+  Cq wide = narrow;
+  ASSERT_EQ(likes_, knows_ + 1);
+  (*wide.mutable_body())[0].range_hi = likes_;
+  *wide.mutable_head()->rbegin() = QTerm::Const(bob_);
+
+  for (const auto& [a, b] : std::vector<std::pair<Cq, Cq>>{
+           {base, other_var}, {base, resource}, {narrow, wide}}) {
+    RowCountingSource source(store_.get());
+    Evaluator eval(&source);
+    (void)eval.EvaluateCq(a);
+    (void)eval.EvaluateCq(b);
+    const uint64_t apart = source.TakeRows();
+    ASSERT_GT(apart, 0u);
+    (void)eval.EvaluateUcq(Ucq({a, b}));
+    EXPECT_EQ(source.TakeRows(), apart) << b.ToString(graph_.dict());
+    ExpectUnionMatchesReference(Ucq({a, b}));
+  }
+}
+
+TEST_F(EvaluatorSharingTest, ZeroArityRepeatAndDeadlineCounts) {
+  Cq exists;
+  const VarId x = exists.AddVar("x");
+  const VarId y = exists.AddVar("y");
+  exists.AddAtom(Atom(QTerm::Var(x), QTerm::Const(knows_), QTerm::Var(y)));
+  exists.AddAtom(Atom(QTerm::Var(x), QTerm::Const(likes_), QTerm::Var(y)));
+  const Ucq repeats({exists, exists, exists});
+  RowCountingSource source(store_.get());
+  Evaluator eval(&source);
+  (void)eval.EvaluateCq(exists);
+  const uint64_t once = source.TakeRows();
+  const Table got = eval.EvaluateUcq(repeats);
+  EXPECT_EQ(source.TakeRows(), once);
+  EXPECT_EQ(got.arity(), 0u);
+  EXPECT_EQ(got.NumRows(), 1u);  // ann knows and likes bob
+  ExpectUnionMatchesReference(repeats);
+  Cq none = exists;
+  (*none.mutable_body())[1].p = QTerm::Const(person_);
+  ExpectUnionMatchesReference(Ucq({none, none}));
+
+  // The deadline message counts every member, evaluated or copied.
+  auto expired = Evaluator(store_.get())
+                     .EvaluateUcq(Ucq({exists, exists, exists, exists}),
+                                  Deadline::AfterMicros(0));
+  ASSERT_FALSE(expired.ok());
+  EXPECT_NE(expired.status().message().find("after 0 of 4 reformulation CQs"),
+            std::string::npos)
+      << expired.status();
+}
+
+TEST_F(EvaluatorSharingTest, FirstDepthOpensEachKeptKeyOnce) {
+  // Every person lives in several places, so the livesIn atom has more
+  // matches than knows and opens second.
+  const rdf::TermId lives_in = U("livesIn");
+  for (rdf::TermId who : {ann_, bob_, carl_, dan_}) {
+    for (int k = 0; k < 3; ++k) {
+      graph_.Add(who, lives_in, U("town" + std::to_string(who) + "_" +
+                                  std::to_string(k)));
+    }
+  }
+  store_ = std::make_unique<storage::Store>(graph_);
+  const Cq q = Parse(
+      "SELECT ?x ?a WHERE { ?y <http://ex/knows> ?x . "
+      "?x <http://ex/livesIn> ?a . }");
+  RowCountingSource source(store_.get());
+  Evaluator eval(&source);
+  ASSERT_EQ(eval.AtomOrder(q), (std::vector<int>{0, 1}));
+  EXPECT_NE(eval.ExplainCq(q).find("scan  t0  (~7 index matches unbound) "
+                                   "(distinct o, first match per key)\n"),
+            std::string::npos)
+      << eval.ExplainCq(q);
+  source.TakeLookups(lives_in);
+  const Table got = eval.EvaluateCq(q);
+  // Seven knows triples, four distinct objects: bob, carl, dan and ann.
+  EXPECT_EQ(source.TakeLookups(lives_in), 4u);
+  EXPECT_EQ(got.NumRows(), 12u);
+  const rdfref::testing::Divergence d = rdfref::testing::CompareBitForBit(
+      "collapsed", got, rdfref::testing::ReferenceEvaluateCq(*store_, q), q,
+      graph_.dict());
+  EXPECT_FALSE(d.found) << d.detail;
+  ExpectReference(q);
+}
+
+TEST_F(EvaluatorSharingTest, FirstDepthKeepsEveryMatchWhereAKeyCanFail) {
+  Evaluator eval(store_.get());
+  // ?p leads nothing in SPO order, so the first depth collapses onto the
+  // first match of each property...
+  Cq properties = Parse("SELECT ?p WHERE { ?s ?p ?w . }");
+  EXPECT_EQ(eval.ExplainCq(properties),
+            "CQ plan (index nested-loop join):\n"
+            "  scan  t0  (~13 index matches unbound) "
+            "(distinct p, first match per key)\n");
+  ExpectReference(properties);
+  // ...but not when ?w may bind only resources: ann's first likes match is
+  // the literal, which fails where her second one binds.
+  properties.AddResourceVar(properties.body()[0].o.var());
+  EXPECT_EQ(eval.ExplainCq(properties),
+            "CQ plan (index nested-loop join):\n"
+            "  scan  t0  (~13 index matches unbound) (distinct p)\n");
+  const Table got = ExpectReference(properties);
+  EXPECT_EQ(got.NumRows(), 3u);  // type, knows and likes
+  // Nor when a variable repeats in the atom.
+  const Cq loops = Parse("SELECT ?p WHERE { ?s ?p ?s . }");
+  EXPECT_EQ(eval.ExplainCq(loops),
+            "CQ plan (index nested-loop join):\n"
+            "  scan  t0  (~13 index matches unbound) (distinct p)\n");
+  EXPECT_EQ(ExpectReference(loops).NumRows(), 1u);  // dan knows dan
+}
+
+// A one-atom pass samples its first 256 matches and drops the key set when
+// most keys are new; the matches it then emits again repeat earlier rows.
+TEST_F(EvaluatorSharingTest, OneAtomPassOverMostlyDistinctKeys) {
+  const rdf::TermId wrote = U("wrote");
+  const rdf::TermId read = U("read");
+  auto numbered = [&](std::string prefix, int i) {
+    prefix += std::to_string(i);
+    return U(prefix);
+  };
+  std::vector<rdf::TermId> authors, books;
+  for (int i = 0; i < 300; ++i) authors.push_back(numbered("a", i));
+  for (int i = 0; i < 300; ++i) books.push_back(numbered("b", i));
+  for (int i = 0; i < 300; ++i) graph_.Add(authors[i], wrote, books[i]);
+  // Later subjects revisit books already met, and a shelf of ten books is
+  // read 300 times.
+  for (int i = 0; i < 100; ++i) {
+    graph_.Add(numbered("z", i), wrote, books[(7 * i) % 300]);
+  }
+  for (int i = 0; i < 300; ++i) graph_.Add(authors[i], read, books[i % 10]);
+  store_ = std::make_unique<storage::Store>(graph_);
+  for (const char* text : {"SELECT ?b WHERE { ?a <http://ex/wrote> ?b . }",
+                           "SELECT ?b WHERE { ?a <http://ex/read> ?b . }"}) {
+    const Cq q = Parse(text);
+    Evaluator eval(store_.get());
+    EXPECT_NE(eval.ExplainCq(q).find("(distinct o, first match per key)"),
+              std::string::npos)
+        << eval.ExplainCq(q);
+    const Table got = ExpectReference(q);
+    EXPECT_EQ(got.NumRows(), q.body()[0].p == QTerm::Const(wrote) ? 300u : 10u);
+  }
+}
+
+TEST_F(EvaluatorSharingTest, OneAtomCqsOfEveryShape) {
+  ASSERT_EQ(likes_, knows_ + 1);
+  ASSERT_EQ(dan_, ann_ + 3);
+  auto ranged = [&](const std::string& text, uint8_t pos, rdf::TermId hi) {
+    Cq q = Parse(text);
+    Atom& atom = (*q.mutable_body())[0];
+    atom.range_pos = pos;
+    atom.range_hi = hi;
+    return q;
+  };
+  for (const char* head : {"?x", "?y", "?x ?y", "?y ?x"}) {
+    const std::string select = std::string("SELECT ") + head + " WHERE { ";
+    // An interval at p, [knows..likes].
+    ExpectReference(ranged(select + "?x <http://ex/knows> ?y . }",
+                           Atom::kRangeP, likes_));
+    // An interval at o, [ann..dan], over knows.
+    if (std::string(head).find("?y") == std::string::npos) {
+      ExpectReference(
+          ranged(select + "?x <http://ex/knows> <http://ex/ann> . }",
+                 Atom::kRangeO, dan_));
+    }
+    // A plain atom, and a literal under a resource-constrained variable.
+    Cq likes = Parse(select + "?x <http://ex/likes> ?y . }");
+    ExpectReference(likes);
+    likes.AddResourceVar(likes.body()[0].o.var());
+    ExpectReference(likes);
+  }
+  // Subjects that like something, over [ann..dan] objects only: carl likes
+  // the literal alone.
+  EXPECT_EQ(ExpectReference(ranged("SELECT ?x WHERE { ?x <http://ex/likes> "
+                                   "<http://ex/ann> . }",
+                                   Atom::kRangeO, dan_))
+                .NumRows(),
+            1u);
+  // A constant-only head and a zero-arity head.
+  Cq constant;
+  const VarId x = constant.AddVar("x");
+  const VarId y = constant.AddVar("y");
+  constant.AddAtom(Atom(QTerm::Var(x), QTerm::Const(likes_), QTerm::Var(y)));
+  Cq zero = constant;
+  constant.AddHead(QTerm::Const(person_));
+  EXPECT_EQ(ExpectReference(constant).NumRows(), 1u);
+  EXPECT_EQ(ExpectReference(zero).NumRows(), 1u);
+  zero.AddResourceVar(y);
+  EXPECT_EQ(ExpectReference(zero).NumRows(), 1u);  // ann likes bob
+  Cq nothing = zero;
+  (*nothing.mutable_body())[0].p = QTerm::Const(person_);
+  EXPECT_EQ(ExpectReference(nothing).NumRows(), 0u);
 }
 
 // ---------------------------------------------------------------------------
